@@ -96,11 +96,16 @@ def cache_path(kind: str, key: Tuple) -> Path:
 
 
 def cache_load(path: Path):
-    """Best-effort read of one cache entry; corrupt entries read as misses."""
+    """Best-effort read of one cache entry; corrupt entries read as misses.
+
+    Unpickling bad bytes can raise nearly any exception (``ValueError``
+    for an unknown protocol byte, ``ImportError`` for a class that no
+    longer exists, ...), so every ``Exception`` reads as a miss.
+    """
     try:
         with open(path, "rb") as handle:
             return pickle.load(handle)
-    except (OSError, pickle.PickleError, EOFError, AttributeError):
+    except Exception:
         return None
 
 

@@ -50,7 +50,14 @@ _BIAS = 1 << 63
 
 
 class _Halt(Exception):
-    """Internal: the ``halt`` instruction fired."""
+    """Internal: the ``halt`` instruction fired.
+
+    Raised as a fresh instance on every halt, never as a shared one: a
+    raise appends the unwound frames to the instance's
+    ``__traceback__``, so a reused instance would keep every halted
+    run's engine, Machine and memory reachable for the life of the
+    process.
+    """
 
 
 class _Trap(Exception):
@@ -66,8 +73,6 @@ class _BadPC(Exception):
     def __init__(self, pc: int) -> None:
         self.pc = pc
 
-
-_HALT = _Halt()
 
 #: opcodes whose handlers bank their extra cycles (cost − 1) inline.
 _SURCHARGED = frozenset({"ld", "st", "mul", "muli", "div", "rem", "divi", "remi"})
@@ -873,7 +878,7 @@ class ThreadedEngine:
         elif op == "halt":
 
             def handler():
-                raise _HALT
+                raise _Halt()
 
         else:  # pragma: no cover - assembler rejects unknown opcodes
             raise MachineError(f"{name}: unimplemented opcode {op!r}")

@@ -236,7 +236,10 @@ class Machine:
         self.memory_words = memory_words
         self.observer = observer
         self.registers: List[int] = [0] * NUM_REGISTERS
-        self.memory: List[int] = list(program.data_image) + [0] * (memory_words - len(program.data_image))
+        # One memory-sized allocation with the data image copied into
+        # its head: ``image + [0] * n`` would build two more such lists.
+        self.memory: List[int] = [0] * memory_words
+        self.memory[: len(program.data_image)] = program.data_image
         self.pc = program.entry
         self.halted = False
         self.instructions_executed = 0

@@ -31,11 +31,15 @@ SCALE = 0.1
 
 @pytest.fixture
 def isolated_cache(tmp_path, monkeypatch):
-    """Point the disk cache at a fresh directory and drop the L1 memo."""
+    """Point the disk cache at a fresh directory, switch it on (CI runs
+    the suite under ``REPRO_NO_CACHE=1``) and drop the L1 memo."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    enabled = experiments.cache_enabled()
+    experiments.set_cache_enabled(True)
     experiments.clear_caches()
     yield tmp_path
     experiments.clear_caches()
+    experiments.set_cache_enabled(enabled)
 
 
 class TestDispatchOrder:
@@ -107,12 +111,17 @@ class TestDiskCache:
         assert not list(isolated_cache.glob("*.pkl"))
 
     def test_corrupt_entry_reads_as_miss(self, isolated_cache):
-        experiments.profiled("compress", scale=SCALE)
-        for path in isolated_cache.glob("events-*.pkl"):
-            path.write_bytes(b"not a pickle")
-        experiments.clear_caches()
-        run = experiments.profiled("compress", scale=SCALE)
-        assert run.database.total_executions() > 0
+        # b"\x80\xff" opens a pickle of protocol 255, which unpickling
+        # rejects with ValueError rather than an UnpicklingError.
+        for garbage in (b"not a pickle", b"\x80\xff corrupt protocol byte"):
+            experiments.profiled("compress", scale=SCALE)
+            entries = list(isolated_cache.glob("events-*.pkl"))
+            assert entries
+            for path in entries:
+                path.write_bytes(garbage)
+            experiments.clear_caches()
+            run = experiments.profiled("compress", scale=SCALE)
+            assert run.database.total_executions() > 0
 
     def test_source_hash_stable_within_process(self):
         assert experiments.source_tree_hash() == experiments.source_tree_hash()
