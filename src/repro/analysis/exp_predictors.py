@@ -31,17 +31,18 @@ from repro.predictors.last_value import LastValuePredictor
 
 _LOG = get_logger(__name__)
 
-#: Default input shrink for trace-heavy experiments: pure-Python
-#: predictors over full traces are the slowest part of the suite.
+#: Input shrink for the predictor experiments, relative to ``scale``.
+#: The committed outputs were rendered with it, so it stays fixed.
 _TRACE_SCALE = 0.4
 
 
 def _instruction_events(name: str, variant: str, scale: float, max_events: int):
-    """Global-order instruction events, ``(events, dropped)``.
+    """Global-order instruction events as columns, ``(columns, dropped)``.
 
-    Replayed from the simulate-once event store when replay is on;
-    collected live with a :class:`GlobalTraceCollector` otherwise — the
-    two are byte-identical (the differential CI job relies on it).
+    ``columns`` is ``(sites, site_ids, values)``.  Replayed from the
+    simulate-once event store when replay is on; collected live with a
+    :class:`GlobalTraceCollector` otherwise — the two decode to the
+    same event sequence (the differential CI job relies on it).
     """
     from repro.analysis import experiments
     from repro.core import tracestore
@@ -64,7 +65,7 @@ def _instruction_events(name: str, variant: str, scale: float, max_events: int):
     machine = Machine(workload.program(), observer=collector)
     machine.set_input(dataset.values)
     machine.run()
-    return collector.events, collector.dropped
+    return (collector.sites, collector.site_ids, collector.values), collector.dropped
 
 
 @experiment(
@@ -226,14 +227,14 @@ def table_vht_aliasing(scale: float = 1.0):
         metrics = dict(train.database.metrics_by_site(SiteKind.INSTRUCTION))
         predictable = {site for site, m in metrics.items() if m.lvp >= 0.60}
 
-        events, _ = _instruction_events(name, "test", trace_scale, max_events=300_000)
+        columns, _ = _instruction_events(name, "test", trace_scale, max_events=300_000)
 
         entry: Dict[str, dict] = {}
         for size in sizes:
-            unfiltered = ValueHistoryTable(entries=size).replay(events)
+            unfiltered = ValueHistoryTable(entries=size).replay(*columns)
             filtered = ValueHistoryTable(
                 entries=size, site_filter=lambda s: s in predictable
-            ).replay(events)
+            ).replay(*columns)
             table.add_row(
                 name,
                 size,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import zlib
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core import fold as foldmod
@@ -418,25 +419,35 @@ def replay_global_events(
     trace: EventTrace,
     targets: Iterable[ProfileTarget],
     max_events: Optional[int] = None,
-) -> Tuple[List[Tuple[Site, int]], int]:
-    """Rebuild a global-order event list; returns ``(events, dropped)``.
+) -> Tuple[Tuple[List[Site], List[int], List[int]], int]:
+    """Rebuild the global-order event stream; returns ``(columns, dropped)``.
 
-    Equivalent to a live
-    :class:`~repro.isa.instrument.GlobalTraceCollector` with the same
-    ``max_events`` cap.
+    ``columns`` is ``(sites, site_ids, values)``: the trace's own site
+    table, and the selected families' site ids and values as lists in
+    program order.  Event ``i`` is ``(sites[site_ids[i]], values[i])``;
+    that sequence equals a live
+    :class:`~repro.isa.instrument.GlobalTraceCollector`'s with the same
+    ``max_events`` cap (whose site table numbers only its own sites).
     """
-    events: List[Tuple[Site, int]] = []
-    dropped = 0
-    flight = _FLIGHT if _FLIGHT.enabled else None
-    for event in trace.events(targets):
-        if flight is not None:
-            flight.record(*event)
-        if max_events is not None and len(events) >= max_events:
-            dropped += 1
-            continue
-        events.append(event)
+    wanted = trace._wanted(targets)
+    if all(wanted):
+        site_ids = list(trace.site_ids)
+        values = list(trace.values)
+    else:
+        mask = list(map(wanted.__getitem__, trace.site_ids))
+        site_ids = list(compress(trace.site_ids, mask))
+        values = list(compress(trace.values, mask))
+    total = len(site_ids)
+    if _FLIGHT.enabled:
+        sites = trace.sites
+        for sid, value in zip(site_ids, values):
+            _FLIGHT.record(sites[sid], value)
+    if max_events is not None and total > max_events:
+        keep = max(max_events, 0)
+        del site_ids[keep:]
+        del values[keep:]
     if _METRICS.enabled:
         _METRICS.inc("tracestore.replays")
-        _METRICS.inc("tracestore.replay_events", len(events) + dropped)
-    _TIMESERIES.advance(len(events) + dropped)
-    return events, dropped
+        _METRICS.inc("tracestore.replay_events", total)
+    _TIMESERIES.advance(total)
+    return (trace.sites, site_ids, values), total - len(site_ids)

@@ -467,7 +467,9 @@ class GlobalTraceCollector(MachineObserver):
     Per-site traces (:class:`ValueTraceCollector`) lose the interleaving
     between sites, which finite prediction-table simulations need: two
     sites aliasing to one table entry interact only through the global
-    order.  Memory is bounded by ``max_events``.
+    order.  The events are kept as interned columns: ``sites`` (first
+    appearance order), and per event ``site_ids`` (an index into
+    ``sites``) and ``values``.  Memory is bounded by ``max_events``.
     """
 
     def __init__(
@@ -478,14 +480,22 @@ class GlobalTraceCollector(MachineObserver):
     ) -> None:
         self._profiler = ValueProfiler(program, recorder=self, targets=targets)
         self.max_events = max_events
-        self.events: List[Tuple[Site, int]] = []
+        self.sites: List[Site] = []
+        self.site_ids: List[int] = []
+        self.values: List[Hashable] = []
         self.dropped = 0
+        self._ids: Dict[Site, int] = {}
 
     def record(self, site: Site, value: Hashable) -> None:
-        if self.max_events is not None and len(self.events) >= self.max_events:
+        if self.max_events is not None and len(self.values) >= self.max_events:
             self.dropped += 1
             return
-        self.events.append((site, value))
+        sid = self._ids.get(site)
+        if sid is None:
+            sid = self._ids[site] = len(self.sites)
+            self.sites.append(site)
+        self.site_ids.append(sid)
+        self.values.append(value)
 
     def on_define(self, inst: Instruction, value: int) -> None:
         self._profiler.on_define(inst, value)

@@ -7,15 +7,22 @@ entry of a hardware Value History Table would hold; the harness in
 :mod:`repro.predictors.harness` instantiates one per site and replays
 recorded value traces through it.
 
-Protocol: for each dynamic execution, the harness first calls
+Protocol: for each dynamic execution, first
 :meth:`Predictor.predict` (``None`` means "no prediction", a miss),
-then :meth:`Predictor.update` with the actual value.
+then :meth:`Predictor.update` with the actual value.  The harness does
+not call these per event: :meth:`Predictor.guesses` runs the whole
+trace at once and returns the *guess column*, the value predicted
+before each event.  Each predictor overrides it with a fused loop that
+keeps its state in locals; the base-class version below is the
+per-event protocol itself, kept as the executable spec and test oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from operator import eq
+from typing import Hashable, Iterable, List, Optional
 
 Value = Hashable
 
@@ -33,6 +40,31 @@ class Predictor:
     def update(self, value: Value) -> None:
         """Observe the actual value produced by this execution."""
         raise NotImplementedError
+
+    def guesses(self, trace: Sequence) -> List[Optional[Value]]:
+        """The value predicted before each event of ``trace``.
+
+        Leaves the predictor in the state per-event replay would.  A
+        subclass that changes :meth:`predict` or :meth:`update` must
+        override this too (or call this version).
+        """
+        column: List[Optional[Value]] = []
+        append = column.append
+        predict = self.predict
+        update = self.update
+        for value in trace:
+            append(predict())
+            update(value)
+        return column
+
+    def config(self) -> Optional[Hashable]:
+        """Hashable identity of this predictor's construction settings.
+
+        Two fresh predictors with equal configs produce the same guess
+        column on any trace, so the harness computes it once.  ``None``
+        (the default) means "unknown": never shared.
+        """
+        return None
 
 
 @dataclass(frozen=True)
@@ -53,17 +85,18 @@ class PredictionStats:
         return self.hits / self.executions
 
 
+def score(name: str, trace: Sequence, column: List[Optional[Value]]) -> PredictionStats:
+    """Score a guess column against the values it guessed."""
+    no_prediction = column.count(None)
+    hits = sum(map(eq, column, trace))
+    if no_prediction and None in trace:
+        # A missing guess is never a hit, even before a None value.
+        hits -= sum(1 for guess, value in zip(column, trace) if guess is None and value is None)
+    return PredictionStats(name, len(trace), hits, no_prediction)
+
+
 def run_trace(predictor: Predictor, trace: Iterable[Value]) -> PredictionStats:
     """Replay ``trace`` through ``predictor`` and score it."""
-    executions = 0
-    hits = 0
-    no_prediction = 0
-    for value in trace:
-        guess = predictor.predict()
-        if guess is None:
-            no_prediction += 1
-        elif guess == value:
-            hits += 1
-        predictor.update(value)
-        executions += 1
-    return PredictionStats(predictor.name, executions, hits, no_prediction)
+    if not isinstance(trace, Sequence):
+        trace = list(trace)
+    return score(predictor.name, trace, predictor.guesses(trace))

@@ -19,7 +19,8 @@ Two models are provided:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.predictors.base import Predictor, Value
 
@@ -39,6 +40,10 @@ class FiniteContextPredictor(Predictor):
     def __init__(self, order: int = 2, max_contexts: int = 4096, max_successors: int = 4) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
+        if max_contexts < 1:
+            raise ValueError("max_contexts must be >= 1")
+        if max_successors < 1:
+            raise ValueError("max_successors must be >= 1")
         self.order = order
         self.max_contexts = max_contexts
         self.max_successors = max_successors
@@ -80,6 +85,61 @@ class FiniteContextPredictor(Predictor):
                     successors[value] = 1
         self._history.append(value)
 
+    def guesses(self, trace: Sequence) -> List[Optional[Value]]:
+        column: List[Optional[Value]] = []
+        append = column.append
+        order = self.order
+        max_contexts = self.max_contexts
+        max_successors = self.max_successors
+        table = self._table
+        history = self._history
+        events = iter(trace)
+        if len(history) < order:
+            for value in events:
+                append(None)
+                history.append(value)
+                if len(history) == order:
+                    break
+            else:
+                return column
+        context = tuple(history)
+        for value in events:
+            successors = table.get(context)
+            if successors is None:
+                append(None)
+                if len(table) < max_contexts:
+                    table[context] = {value: 1}
+            else:
+                if len(successors) == 1:
+                    append(next(iter(successors)))
+                else:
+                    append(_most_frequent(successors) if successors else None)
+                if value in successors:
+                    successors[value] += 1
+                elif len(successors) < max_successors:
+                    successors[value] = 1
+                else:
+                    weakest = min(successors.items(), key=itemgetter(1))[0]
+                    successors[weakest] -= 1
+                    if successors[weakest] <= 0:
+                        del successors[weakest]
+                        successors[value] = 1
+            context = context[1:] + (value,)
+        history.extend(context)
+        return column
+
+    def config(self) -> Hashable:
+        return (type(self), self.order, self.max_contexts, self.max_successors)
+
+
+def _most_frequent(successors: Dict[Value, int]) -> Value:
+    """:meth:`FiniteContextPredictor.predict`'s choice: the highest
+    count, ties to the larger ``repr`` and then to the earliest entry;
+    ``repr`` is only taken on a tie."""
+    top = max(successors.values())
+    tied = [value for value, count in successors.items() if count == top]
+    return tied[0] if len(tied) == 1 else max(tied, key=repr)
+
 
 class TwoLevelPredictor(Predictor):
     """Two-level predictor with a 4-entry value history (Wang & Franklin).
@@ -97,6 +157,12 @@ class TwoLevelPredictor(Predictor):
     name = "2level"
 
     def __init__(self, vht_size: int = 4, history: int = 4, counter_max: int = 12) -> None:
+        if vht_size < 1:
+            raise ValueError("vht_size must be >= 1")
+        if history < 0:
+            raise ValueError("history must be >= 0")
+        if counter_max < 1:
+            raise ValueError("counter_max must be >= 1")
         self.vht_size = vht_size
         self.history = history
         self.counter_max = counter_max
@@ -145,3 +211,81 @@ class TwoLevelPredictor(Predictor):
                 self._values[self._next_replace] = value
                 self._next_replace = (self._next_replace + 1) % self.vht_size
             self._pattern.append(self.vht_size)
+
+    def guesses(self, trace: Sequence) -> List[Optional[Value]]:
+        # A pattern's counter list takes few distinct values, so the
+        # loop numbers them (``states``) and memoizes, per state and
+        # outcome, the slot it predicts and the state that follows:
+        # an event then costs a few list lookups, not a counter pass.
+        size = self.vht_size
+        history = self.history
+        counter_max = self.counter_max
+        width = size + 1  # outcomes: a slot hit, or ``size`` for a new value
+        states: List[Tuple[int, ...]] = []
+        numbers: Dict[Tuple[int, ...], int] = {}
+        predicted: List[int] = []  # per state: the slot it predicts, or -1
+        following: List[int] = []  # per state * width + outcome; -1 unknown
+
+        def number(counters: Tuple[int, ...]) -> int:
+            found = numbers.get(counters)
+            if found is None:
+                found = numbers[counters] = len(states)
+                states.append(counters)
+                top = max(counters)
+                predicted.append(counters.index(top) if top else -1)
+                following.extend([-1] * width)
+            return found
+
+        fresh = number((0,) * size)
+        table = {key: number(tuple(counters)) for key, counters in self._pht.items()}
+        column: List[Optional[Value]] = []
+        append = column.append
+        values = self._values
+        pattern = self._pattern
+        next_replace = self._next_replace
+        key = tuple(pattern) if len(pattern) == history else None
+        for value in trace:
+            if key is None:
+                append(None)
+            else:
+                state = table.get(key)
+                if state is None:
+                    append(None)
+                    state = fresh
+                else:
+                    best = predicted[state]
+                    append(values[best] if 0 <= best < len(values) else None)
+            if value in values:
+                slot = values.index(value)
+            else:
+                if len(values) < size:
+                    values.append(value)
+                else:
+                    values[next_replace] = value
+                    next_replace = (next_replace + 1) % size
+                slot = size
+            if key is None:
+                pattern.append(slot)
+                if len(pattern) == history:
+                    key = tuple(pattern)
+                continue
+            step = state * width + slot
+            after = following[step]
+            if after < 0:
+                counters = states[state]
+                stepped = [count - 1 if count > 0 else count for count in counters]
+                if slot < size:
+                    stepped[slot] = min(counter_max, counters[slot] + 3)
+                after = following[step] = number(tuple(stepped))
+            table[key] = after
+            # Shift the outcome into the pattern (also right for history 0).
+            key = (key + (slot,))[1:]
+        if key is not None:
+            pattern.extend(key)
+        for key, state in table.items():
+            self._pht[key] = list(states[state])
+        self._next_replace = next_replace
+        return column
+
+    def config(self) -> Hashable:
+        return (type(self), self.vht_size, self.history, self.counter_max)

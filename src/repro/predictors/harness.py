@@ -10,19 +10,22 @@ value profile classifies as predictable occupy prediction-table
 entries; everything else is never predicted.  The experiment reports
 both the accuracy among predicted executions and the table pressure
 (fraction of static sites occupying entries).
+
+Both score guess columns (:meth:`Predictor.guesses`) rather than
+calling the predictors per event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from repro.core.metrics import SiteMetrics
 from repro.core.sites import Site
-from repro.predictors.base import PredictionStats, Predictor, run_trace
+from repro.predictors.base import Predictor, Value, run_trace, score
 from repro.predictors.classify import SiteFilter
 from repro.predictors.context import FiniteContextPredictor, TwoLevelPredictor
-from repro.predictors.hybrid import lvp_stride_hybrid, stride_2level_hybrid
+from repro.predictors.hybrid import HybridPredictor, lvp_stride_hybrid, stride_2level_hybrid
 from repro.predictors.last_value import LastValuePredictor
 from repro.predictors.stride import StridePredictor
 
@@ -62,20 +65,40 @@ def evaluate_bank(
     """Run every predictor in ``bank`` over every trace.
 
     Returns one :class:`BankResult` per predictor, ordered as in the
-    bank.  Aggregation weights sites by execution count (sum of hits
-    over sum of executions), the paper's convention.
+    bank (``None`` selects :data:`STANDARD_BANK`).  Aggregation weights
+    sites by execution count (sum of hits over sum of executions), the
+    paper's convention.  Each factory must build a fresh predictor:
+    on each trace a configuration's guess column is computed once and
+    shared by every bank member (or hybrid component) built with it.
     """
-    bank = dict(bank or STANDARD_BANK)
-    results = []
-    for name, factory in bank.items():
-        executions = 0
-        hits = 0
-        for trace in traces.values():
-            stats = run_trace(factory(), trace)
-            executions += stats.executions
-            hits += stats.hits
-        results.append(BankResult(name, executions, hits, len(traces)))
-    return results
+    bank = dict(STANDARD_BANK if bank is None else bank)
+    executions = dict.fromkeys(bank, 0)
+    hits = dict.fromkeys(bank, 0)
+    for trace in traces.values():
+        shared: Dict[Hashable, List[Optional[Value]]] = {}
+        for name, factory in bank.items():
+            stats = score(name, trace, _shared_column(factory(), trace, shared))
+            executions[name] += stats.executions
+            hits[name] += stats.hits
+    return [BankResult(name, executions[name], hits[name], len(traces)) for name in bank]
+
+
+def _shared_column(
+    predictor: Predictor, trace: Sequence, shared: Dict[Hashable, List[Optional[Value]]]
+) -> List[Optional[Value]]:
+    """A fresh ``predictor``'s guess column over ``trace``, looked up in
+    (or added to) ``shared`` by configuration."""
+    key = predictor.config()
+    column = shared.get(key) if key is not None else None
+    if column is None:
+        if isinstance(predictor, HybridPredictor):
+            components = [_shared_column(c, trace, shared) for c in predictor.components]
+            column = predictor.select(trace, components)
+        else:
+            column = predictor.guesses(trace)
+        if key is not None:
+            shared[key] = column
+    return column
 
 
 @dataclass(frozen=True)

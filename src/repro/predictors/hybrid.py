@@ -7,11 +7,16 @@ afterwards every component's counter is bumped on a private hit and
 decayed on a private miss.  The thesis quotes the reference hit-rate
 ordering hybrid(stride, 2-level) > hybrid(LVP, stride) > stride ≈
 2-level > LVP, which the ``table-predictors`` experiment reproduces.
+
+Over a whole trace, the selector only needs each component's guess
+column (:meth:`HybridPredictor.select`), so the harness can compute a
+component's column once and share it with the standalone predictor of
+the same configuration.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Hashable, List, Optional, Sequence
 
 from repro.predictors.base import Predictor, Value
 from repro.predictors.context import TwoLevelPredictor
@@ -69,6 +74,44 @@ class HybridPredictor(Predictor):
                 else:
                     self._counters[index] = max(0, self._counters[index] - 1)
             component.update(value)
+
+    def guesses(self, trace: Sequence) -> List[Optional[Value]]:
+        return self.select(trace, [component.guesses(trace) for component in self.components])
+
+    def select(self, trace: Sequence, columns: Sequence[List[Optional[Value]]]) -> List[Optional[Value]]:
+        """The hybrid's guess column, given each component's over ``trace``.
+
+        Advances the selector counters only; the components' own state
+        is whatever produced ``columns``.
+        """
+        column: List[Optional[Value]] = []
+        append = column.append
+        counter_max = self.counter_max
+        counters = self._counters
+        for value, guesses in zip(trace, zip(*columns)):
+            best_value = None
+            best_confidence = -1
+            for index, guess in enumerate(guesses):
+                if guess is not None:
+                    confidence = counters[index]
+                    # >= so ties go to the later (typically stronger) component.
+                    if confidence >= best_confidence:
+                        best_confidence = confidence
+                        best_value = guess
+                    if guess == value:
+                        counters[index] = confidence + 1 if confidence < counter_max else counter_max
+                    else:
+                        counters[index] = confidence - 1 if confidence > 0 else 0
+            append(best_value)
+        if column:
+            self._last_predictions = [guesses[-1] for guesses in columns]
+        return column
+
+    def config(self) -> Optional[Hashable]:
+        inner = tuple(component.config() for component in self.components)
+        if None in inner:
+            return None
+        return (type(self), self.counter_max, inner)
 
 
 PredictorFactory = Callable[[], Predictor]

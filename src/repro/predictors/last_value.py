@@ -12,7 +12,7 @@ confidence threshold, trading coverage for misprediction rate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, List, Optional, Sequence
 
 from repro.predictors.base import Predictor, Value
 
@@ -23,7 +23,8 @@ class LastValuePredictor(Predictor):
     Args:
         confidence_bits: width of the saturating confidence counter.
             0 (default) predicts whenever a previous value exists.
-        threshold: counter value required to make a prediction.
+        threshold: counter value required to make a prediction; at
+            most the counter's maximum, ``2**confidence_bits - 1``.
     """
 
     name = "lvp"
@@ -34,6 +35,11 @@ class LastValuePredictor(Predictor):
         self._last: Optional[Value] = None
         self._has_last = False
         self._max_count = (1 << confidence_bits) - 1 if confidence_bits else 0
+        if confidence_bits and threshold > self._max_count:
+            raise ValueError(
+                f"threshold {threshold} exceeds the {confidence_bits}-bit "
+                f"counter's maximum {self._max_count}: it could never predict"
+            )
         self._threshold = threshold if confidence_bits else 0
         self._confidence = 0
 
@@ -52,3 +58,38 @@ class LastValuePredictor(Predictor):
                 self._confidence = max(0, self._confidence - 1)
         self._last = value
         self._has_last = True
+
+    def guesses(self, trace: Sequence) -> List[Optional[Value]]:
+        if not trace:
+            return []
+        if not self._max_count:
+            # No confidence counter: the guess column is the trace
+            # shifted one event right.
+            column = [self._last if self._has_last else None]
+            column += trace[:-1]
+            self._last = trace[-1]
+            self._has_last = True
+            return column
+        column = []
+        append = column.append
+        last = self._last
+        has_last = self._has_last
+        max_count = self._max_count
+        threshold = self._threshold
+        confidence = self._confidence
+        for value in trace:
+            append(last if has_last and confidence >= threshold else None)
+            if has_last and value == last:
+                if confidence < max_count:
+                    confidence += 1
+            elif confidence > 0:
+                confidence -= 1
+            last = value
+            has_last = True
+        self._last = last
+        self._has_last = True
+        self._confidence = confidence
+        return column
+
+    def config(self) -> Hashable:
+        return (type(self), self._max_count, self._threshold)

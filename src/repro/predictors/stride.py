@@ -9,7 +9,7 @@ a row, which stops loop-exit glitches from corrupting a stable stride.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, List, Optional, Sequence
 
 from repro.predictors.base import Predictor, Value
 
@@ -48,3 +48,43 @@ class StridePredictor(Predictor):
                 self._stride = delta
         self._last = value
         self._has_last = True
+
+    def guesses(self, trace: Sequence) -> List[Optional[Value]]:
+        column: List[Optional[Value]] = []
+        if not trace:
+            return column
+        append = column.append
+        two_delta = self.two_delta
+        stride = self._stride
+        pending = self._pending_stride
+        events = iter(trace)
+        if self._has_last:
+            last = self._last
+        else:
+            append(None)
+            last = next(events)
+        last_int = isinstance(last, int)
+        for value in events:
+            value_int = isinstance(value, int)
+            if last_int:
+                append(last + stride)
+                if value_int:
+                    delta = value - last
+                    if two_delta:
+                        if delta == pending:
+                            stride = delta
+                        pending = delta
+                    else:
+                        stride = delta
+            else:
+                append(last)
+            last = value
+            last_int = value_int
+        self._last = last
+        self._has_last = True
+        self._stride = stride
+        self._pending_stride = pending
+        return column
+
+    def config(self) -> Hashable:
+        return (type(self), self.two_delta)

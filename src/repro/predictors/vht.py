@@ -10,22 +10,21 @@ considered for value prediction") reports "better usage of the
 prediction table, and decreased number of mispredictions".
 
 :class:`ValueHistoryTable` replays a *program-ordered* (site, value)
-event stream (from :class:`repro.isa.instrument.GlobalTraceCollector`)
-through a direct-mapped table with optional profile filtering, and
-reports hit rate, conflict evictions and occupancy.
+event stream through a direct-mapped table with optional profile
+filtering, and reports hit rate, conflict evictions and occupancy.
+The stream arrives as interned columns — a site table, a site-id list
+and a value list — so the table index and the filter verdict are
+worked out once per distinct site, not once per event.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sites import Site
-from repro.predictors.base import Predictor
-from repro.predictors.last_value import LastValuePredictor
 
-PredictorFactory = Callable[[], Predictor]
 SitePredicate = Callable[[Site], bool]
 
 
@@ -63,73 +62,93 @@ class VHTStats:
 
 
 class ValueHistoryTable:
-    """Direct-mapped, tagged prediction table.
+    """Direct-mapped, tagged last-value prediction table (the classic
+    VHT of [17]).
+
+    Each entry holds its owning site and that site's last value; a
+    site that claims an entry starts with no history, exactly as a
+    fresh :class:`~repro.predictors.last_value.LastValuePredictor`.
 
     Args:
         entries: number of table entries.
-        factory: per-entry predictor model (default: last-value, the
-            classic VHT of [17]).
         site_filter: optional predicate; sites it rejects never touch
-            the table — Gabbay's profile annotation.
+            the table — Gabbay's profile annotation.  It is asked once
+            per distinct site.
     """
 
     def __init__(
         self,
         entries: int = 1024,
-        factory: PredictorFactory = LastValuePredictor,
         site_filter: Optional[SitePredicate] = None,
     ) -> None:
         if entries < 1:
             raise ValueError("entries must be >= 1")
         self.entries = entries
-        self.factory = factory
         self.site_filter = site_filter
-        self._sites: list = [None] * entries
-        self._predictors: list = [None] * entries
-        self._index_cache: Dict[Site, int] = {}
+        self._owners: List[Optional[Site]] = [None] * entries
+        self._lasts: list = [None] * entries
+        self._resolved: Dict[Site, Tuple[Site, int]] = {}
         self.stats = VHTStats(entries=entries)
 
-    def _index(self, site: Site) -> int:
-        # CRC32 of the site's identity, not hash(): Python string
-        # hashing is randomized per process (PYTHONHASHSEED), which
-        # would make the alias pattern — and every number this
-        # simulation reports — differ from run to run.
-        index = self._index_cache.get(site)
-        if index is None:
-            key = f"{site.kind.value}|{site.program}|{site.procedure}|{site.label}"
-            index = zlib.crc32(key.encode()) % self.entries
-            self._index_cache[site] = index
-        return index
-
-    def process(self, site: Site, value) -> bool:
-        """Replay one dynamic event; returns True on a correct prediction."""
-        stats = self.stats
-        stats.events += 1
-        if self.site_filter is not None and not self.site_filter(site):
-            stats.filtered += 1
-            return False
-        index = self._index(site)
-        owner = self._sites[index]
-        if owner != site:
-            if owner is not None:
-                stats.conflict_evictions += 1
+    def _resolve(self, site: Site) -> Tuple[Site, int]:
+        """The table's own copy of ``site`` (owners compare by identity)
+        and its entry index, ``-1`` when the filter rejects it."""
+        resolved = self._resolved.get(site)
+        if resolved is None:
+            if self.site_filter is not None and not self.site_filter(site):
+                index = -1
             else:
-                stats.occupied += 1
-            self._sites[index] = site
-            self._predictors[index] = self.factory()
-        predictor = self._predictors[index]
-        guess = predictor.predict()
-        hit = False
-        if guess is not None:
-            stats.predictions += 1
-            if guess == value:
-                stats.hits += 1
-                hit = True
-        predictor.update(value)
-        return hit
+                # CRC32 of the site's identity, not hash(): Python string
+                # hashing is randomized per process (PYTHONHASHSEED), which
+                # would make the alias pattern — and every number this
+                # simulation reports — differ from run to run.
+                key = f"{site.kind.value}|{site.program}|{site.procedure}|{site.label}"
+                index = zlib.crc32(key.encode()) % self.entries
+            resolved = self._resolved[site] = (site, index)
+        return resolved
 
-    def replay(self, events: Iterable[Tuple[Site, object]]) -> VHTStats:
-        """Replay a whole event stream; returns the statistics."""
-        for site, value in events:
-            self.process(site, value)
-        return self.stats
+    def replay(
+        self, sites: Sequence[Site], site_ids: Sequence[int], values: Sequence
+    ) -> VHTStats:
+        """Replay an event stream given as columns; returns the statistics.
+
+        Event ``i`` is ``(sites[site_ids[i]], values[i])``, in program
+        order — the columns of
+        :func:`repro.core.tracestore.replay_global_events` or of a
+        :class:`repro.isa.instrument.GlobalTraceCollector`.
+        """
+        owner_of: List[Optional[Site]] = [None] * len(sites)
+        index_of = [-1] * len(sites)
+        for sid in dict.fromkeys(site_ids):
+            owner_of[sid], index_of[sid] = self._resolve(sites[sid])
+        owners = self._owners
+        lasts = self._lasts
+        filtered = predictions = hits = conflicts = occupied = 0
+        for sid, value in zip(site_ids, values):
+            index = index_of[sid]
+            if index < 0:
+                filtered += 1
+                continue
+            site = owner_of[sid]
+            owner = owners[index]
+            if owner is site:
+                guess = lasts[index]
+                if guess is not None:
+                    predictions += 1
+                    if guess == value:
+                        hits += 1
+            elif owner is None:
+                occupied += 1
+                owners[index] = site
+            else:
+                conflicts += 1
+                owners[index] = site
+            lasts[index] = value
+        stats = self.stats
+        stats.events += len(site_ids)
+        stats.filtered += filtered
+        stats.predictions += predictions
+        stats.hits += hits
+        stats.conflict_evictions += conflicts
+        stats.occupied += occupied
+        return stats

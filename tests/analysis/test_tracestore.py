@@ -140,13 +140,40 @@ class TestReplayEquivalence:
             max_events=1000,
         )
         _live_machine(collector)
-        events, dropped = replay_global_events(
+        (sites, site_ids, values), dropped = replay_global_events(
             captured,
             (ProfileTarget.INSTRUCTIONS, ProfileTarget.LOADS),
             max_events=1000,
         )
-        assert events == collector.events
+        # Replay hands out the trace's own site table; the live
+        # collector numbers only the sites it saw.  Decoded, the two
+        # event columns are the same.
+        assert sites is captured.sites
+        assert len(site_ids) == len(values) == len(collector.site_ids) == 1000
+        assert [sites[sid] for sid in site_ids] == [
+            collector.sites[sid] for sid in collector.site_ids
+        ]
+        assert values == collector.values
         assert dropped == collector.dropped > 0
+        assert collector.sites == list(
+            dict.fromkeys(collector.sites[sid] for sid in collector.site_ids)
+        ), "live site table is not in first-appearance order"
+
+    @pytest.mark.parametrize(
+        "targets",
+        [(ProfileTarget.MEMORY,), tuple(ALL_TARGETS)],
+        ids=["memory", "all"],
+    )
+    def test_replay_global_events_uncapped_matches_live(self, captured, targets):
+        collector = GlobalTraceCollector(get_workload(NAME).program(), targets=targets)
+        _live_machine(collector)
+        (sites, site_ids, values), dropped = replay_global_events(captured, targets)
+        assert [sites[sid] for sid in site_ids] == [
+            collector.sites[sid] for sid in collector.site_ids
+        ]
+        assert values == collector.values
+        assert all(type(value) is int for value in values)
+        assert dropped == collector.dropped == 0
 
 
 class TestFoldModeEquivalence:

@@ -9,7 +9,10 @@ from repro.predictors.harness import (
     evaluate_bank,
     evaluate_filtered,
 )
+from repro.predictors.base import run_trace
+from repro.predictors.hybrid import HybridPredictor
 from repro.predictors.last_value import LastValuePredictor
+from repro.predictors.stride import StridePredictor
 
 SITE_CONST = load_site("p", "m", 1)  # constant trace: LVP-friendly
 SITE_NOISE = load_site("p", "m", 2)  # never-repeating trace
@@ -54,6 +57,26 @@ class TestEvaluateBank:
         results = evaluate_bank({}, bank={"lvp": LastValuePredictor})
         assert results[0].executions == 0
         assert results[0].accuracy == 0.0
+
+    def test_shared_columns_keep_settings_apart(self):
+        # A stride ramp then a constant run: the hybrids differ only in
+        # their selector's saturation, which decides how fast they
+        # switch to LVP, so neither may reuse the other's column.
+        trace = list(range(21)) + [20] * 4
+        bank = {
+            "slow": lambda: HybridPredictor([LastValuePredictor(), StridePredictor()]),
+            "fast": lambda: HybridPredictor(
+                [LastValuePredictor(), StridePredictor()], counter_max=1
+            ),
+        }
+        results = evaluate_bank({SITE_CONST: trace}, bank)
+        expected = [run_trace(make(), trace).hits for make in bank.values()]
+        assert [r.hits for r in results] == expected
+        assert expected[0] != expected[1]
+
+    def test_empty_bank(self):
+        # Only None selects the standard bank; an empty one evaluates nothing.
+        assert evaluate_bank(TRACES, bank={}) == []
 
 
 class TestEvaluateFiltered:

@@ -46,6 +46,15 @@ class TestLastValue:
         predictor.update(7)
         assert predictor.predict() is None
 
+    def test_rejects_threshold_above_counter_max(self):
+        # A 1-bit counter tops out at 1: threshold 2 could never predict.
+        with pytest.raises(ValueError):
+            LastValuePredictor(confidence_bits=1, threshold=2)
+
+    def test_threshold_at_counter_max_predicts(self):
+        stats = run_trace(LastValuePredictor(confidence_bits=1, threshold=1), [3] * 100)
+        assert stats.hits == 98
+
     def test_accuracy_matches_lvp_metric(self):
         # The LVP metric is by construction this predictor's hit rate.
         from repro.core.metrics import ValueStreamStats
@@ -121,6 +130,14 @@ class TestFiniteContext:
         with pytest.raises(ValueError):
             FiniteContextPredictor(order=0)
 
+    def test_rejects_zero_successors(self):
+        with pytest.raises(ValueError):
+            FiniteContextPredictor(max_successors=0)
+
+    def test_rejects_zero_contexts(self):
+        with pytest.raises(ValueError):
+            FiniteContextPredictor(max_contexts=0)
+
 
 class TestTwoLevel:
     def test_learns_alternation(self):
@@ -138,6 +155,15 @@ class TestTwoLevel:
         for value in (1, 2, 1, 2, 1, 2):
             predictor.update(value)
         assert predictor._values == [1, 2]
+
+    def test_rejects_empty_value_history(self):
+        with pytest.raises(ValueError):
+            TwoLevelPredictor(vht_size=0)
+
+    @pytest.mark.parametrize("settings", [dict(history=-1), dict(counter_max=0)])
+    def test_rejects_unusable_settings(self, settings):
+        with pytest.raises(ValueError):
+            TwoLevelPredictor(**settings)
 
     def test_round_robin_replacement(self):
         predictor = TwoLevelPredictor(vht_size=2, history=1)

@@ -9,22 +9,34 @@ SITE_A = load_site("p", "f", 1)
 SITE_B = load_site("p", "f", 2)
 
 
+def columns(events):
+    """Intern ``(site, value)`` pairs into the table's column input."""
+    sites, site_ids, values, ids = [], [], [], {}
+    for site, value in events:
+        if site not in ids:
+            ids[site] = len(sites)
+            sites.append(site)
+        site_ids.append(ids[site])
+        values.append(value)
+    return sites, site_ids, values
+
+
 class TestBasicOperation:
     def test_single_site_behaves_like_lvp(self):
         table = ValueHistoryTable(entries=16)
-        stats = table.replay([(SITE_A, 7)] * 100)
+        stats = table.replay(*columns([(SITE_A, 7)] * 100))
         assert stats.hits == 99
         assert stats.predictions == 99
 
     def test_first_event_makes_no_prediction(self):
         table = ValueHistoryTable(entries=16)
-        table.process(SITE_A, 1)
+        table.replay(*columns([(SITE_A, 1)]))
         assert table.stats.predictions == 0
 
     def test_occupancy_counted(self):
         table = ValueHistoryTable(entries=16)
-        table.process(SITE_A, 1)
-        table.process(SITE_B, 2)
+        table.replay(*columns([(SITE_A, 1)]))
+        table.replay(*columns([(SITE_B, 2)]))
         assert table.stats.occupied <= 2
         assert table.stats.occupied + table.stats.conflict_evictions == 2
 
@@ -42,7 +54,7 @@ class TestAliasing:
         for _ in range(50):
             events.append((SITE_A, 1))
             events.append((SITE_B, 2))
-        stats = table.replay(events)
+        stats = table.replay(*columns(events))
         assert stats.hits == 0
         assert stats.conflict_evictions >= 98
 
@@ -52,7 +64,7 @@ class TestAliasing:
         for _ in range(50):
             events.append((SITE_A, 1))
             events.append((SITE_B, 2))
-        stats = table.replay(events)
+        stats = table.replay(*columns(events))
         # With (almost certainly) distinct entries, both sites predict.
         assert stats.hit_rate_overall > 0.9 or stats.conflict_evictions > 0
 
@@ -63,17 +75,17 @@ class TestAliasing:
         for i in range(50):
             events.append((SITE_A, 1))
             events.append((SITE_B, i))
-        unfiltered = ValueHistoryTable(entries=1).replay(list(events))
+        unfiltered = ValueHistoryTable(entries=1).replay(*columns(events))
         filtered = ValueHistoryTable(
             entries=1, site_filter=lambda s: s == SITE_A
-        ).replay(list(events))
+        ).replay(*columns(events))
         assert unfiltered.hits == 0
         assert filtered.hits == 49
         assert filtered.filtered == 50  # SITE_B events never touched the table
 
     def test_conflict_rate_property(self):
         table = ValueHistoryTable(entries=1)
-        table.replay([(SITE_A, 1), (SITE_B, 1), (SITE_A, 1)])
+        table.replay(*columns([(SITE_A, 1), (SITE_B, 1), (SITE_A, 1)]))
         assert table.stats.conflict_rate == pytest.approx(2 / 3)
 
 
@@ -87,5 +99,5 @@ class TestStatsProperties:
     def test_hit_rates_differ_when_coverage_partial(self):
         table = ValueHistoryTable(entries=16, site_filter=lambda s: s == SITE_A)
         events = [(SITE_A, 5)] * 10 + [(SITE_B, 9)] * 10
-        stats = table.replay(events)
+        stats = table.replay(*columns(events))
         assert stats.hit_rate_predicted > stats.hit_rate_overall
