@@ -429,14 +429,9 @@ def replay_global_events(
     :class:`~repro.isa.instrument.GlobalTraceCollector`'s with the same
     ``max_events`` cap (whose site table numbers only its own sites).
     """
-    wanted = trace._wanted(targets)
-    if all(wanted):
-        site_ids = list(trace.site_ids)
-        values = list(trace.values)
-    else:
-        mask = list(map(wanted.__getitem__, trace.site_ids))
-        site_ids = list(compress(trace.site_ids, mask))
-        values = list(compress(trace.values, mask))
+    mask = list(map(trace._wanted(targets).__getitem__, trace.site_ids))
+    site_ids = list(compress(trace.site_ids, mask))
+    values = list(compress(trace.values, mask))
     total = len(site_ids)
     if _FLIGHT.enabled:
         sites = trace.sites

@@ -12,17 +12,17 @@ Protocol: for each dynamic execution, first
 then :meth:`Predictor.update` with the actual value.  The harness does
 not call these per event: :meth:`Predictor.guesses` runs the whole
 trace at once and returns the *guess column*, the value predicted
-before each event.  Each predictor overrides it with a fused loop that
-keeps its state in locals; the base-class version below is the
-per-event protocol itself, kept as the executable spec and test oracle.
+before each event.  The predictors the harness runs override it with a
+fused loop that keeps their state in locals; the base-class version
+below is the per-event protocol itself, kept as the executable spec and
+test oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import eq
-from typing import Hashable, Iterable, List, Optional
+from typing import Hashable, Iterable, List, Optional, Sequence
 
 Value = Hashable
 
@@ -42,7 +42,8 @@ class Predictor:
         raise NotImplementedError
 
     def guesses(self, trace: Sequence) -> List[Optional[Value]]:
-        """The value predicted before each event of ``trace``.
+        """The value predicted before each event of ``trace`` (a list
+        or tuple).
 
         Leaves the predictor in the state per-event replay would.  A
         subclass that changes :meth:`predict` or :meth:`update` must
@@ -97,6 +98,6 @@ def score(name: str, trace: Sequence, column: List[Optional[Value]]) -> Predicti
 
 def run_trace(predictor: Predictor, trace: Iterable[Value]) -> PredictionStats:
     """Replay ``trace`` through ``predictor`` and score it."""
-    if not isinstance(trace, Sequence):
+    if not isinstance(trace, (list, tuple)):
         trace = list(trace)
     return score(predictor.name, trace, predictor.guesses(trace))

@@ -213,48 +213,28 @@ class TwoLevelPredictor(Predictor):
             self._pattern.append(self.vht_size)
 
     def guesses(self, trace: Sequence) -> List[Optional[Value]]:
-        # A pattern's counter list takes few distinct values, so the
-        # loop numbers them (``states``) and memoizes, per state and
-        # outcome, the slot it predicts and the state that follows:
-        # an event then costs a few list lookups, not a counter pass.
         size = self.vht_size
         history = self.history
         counter_max = self.counter_max
-        width = size + 1  # outcomes: a slot hit, or ``size`` for a new value
-        states: List[Tuple[int, ...]] = []
-        numbers: Dict[Tuple[int, ...], int] = {}
-        predicted: List[int] = []  # per state: the slot it predicts, or -1
-        following: List[int] = []  # per state * width + outcome; -1 unknown
-
-        def number(counters: Tuple[int, ...]) -> int:
-            found = numbers.get(counters)
-            if found is None:
-                found = numbers[counters] = len(states)
-                states.append(counters)
-                top = max(counters)
-                predicted.append(counters.index(top) if top else -1)
-                following.extend([-1] * width)
-            return found
-
-        fresh = number((0,) * size)
-        table = {key: number(tuple(counters)) for key, counters in self._pht.items()}
-        column: List[Optional[Value]] = []
-        append = column.append
+        pht = self._pht
         values = self._values
         pattern = self._pattern
         next_replace = self._next_replace
+        column: List[Optional[Value]] = []
+        append = column.append
         key = tuple(pattern) if len(pattern) == history else None
         for value in trace:
             if key is None:
                 append(None)
             else:
-                state = table.get(key)
-                if state is None:
+                counters = pht.get(key)
+                if counters is None:
                     append(None)
-                    state = fresh
+                    counters = pht[key] = [0] * size
                 else:
-                    best = predicted[state]
-                    append(values[best] if 0 <= best < len(values) else None)
+                    top = max(counters)
+                    best = counters.index(top)
+                    append(values[best] if top and best < len(values) else None)
             if value in values:
                 slot = values.index(value)
             else:
@@ -269,21 +249,15 @@ class TwoLevelPredictor(Predictor):
                 if len(pattern) == history:
                     key = tuple(pattern)
                 continue
-            step = state * width + slot
-            after = following[step]
-            if after < 0:
-                counters = states[state]
-                stepped = [count - 1 if count > 0 else count for count in counters]
-                if slot < size:
-                    stepped[slot] = min(counter_max, counters[slot] + 3)
-                after = following[step] = number(tuple(stepped))
-            table[key] = after
+            for index, count in enumerate(counters):
+                if index == slot:
+                    counters[index] = min(counter_max, count + 3)
+                elif count > 0:
+                    counters[index] = count - 1
             # Shift the outcome into the pattern (also right for history 0).
             key = (key + (slot,))[1:]
         if key is not None:
             pattern.extend(key)
-        for key, state in table.items():
-            self._pht[key] = list(states[state])
         self._next_replace = next_replace
         return column
 

@@ -75,9 +75,6 @@ class HybridPredictor(Predictor):
                     self._counters[index] = max(0, self._counters[index] - 1)
             component.update(value)
 
-    def guesses(self, trace: Sequence) -> List[Optional[Value]]:
-        return self.select(trace, [component.guesses(trace) for component in self.components])
-
     def select(self, trace: Sequence, columns: Sequence[List[Optional[Value]]]) -> List[Optional[Value]]:
         """The hybrid's guess column, given each component's over ``trace``.
 

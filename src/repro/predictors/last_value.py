@@ -60,35 +60,16 @@ class LastValuePredictor(Predictor):
         self._has_last = True
 
     def guesses(self, trace: Sequence) -> List[Optional[Value]]:
+        if self._max_count:
+            return super().guesses(trace)
+        # No confidence counter: the guess column is the trace shifted
+        # one event right.
         if not trace:
             return []
-        if not self._max_count:
-            # No confidence counter: the guess column is the trace
-            # shifted one event right.
-            column = [self._last if self._has_last else None]
-            column += trace[:-1]
-            self._last = trace[-1]
-            self._has_last = True
-            return column
-        column = []
-        append = column.append
-        last = self._last
-        has_last = self._has_last
-        max_count = self._max_count
-        threshold = self._threshold
-        confidence = self._confidence
-        for value in trace:
-            append(last if has_last and confidence >= threshold else None)
-            if has_last and value == last:
-                if confidence < max_count:
-                    confidence += 1
-            elif confidence > 0:
-                confidence -= 1
-            last = value
-            has_last = True
-        self._last = last
+        column = [self._last if self._has_last else None]
+        column += trace[:-1]
+        self._last = trace[-1]
         self._has_last = True
-        self._confidence = confidence
         return column
 
     def config(self) -> Hashable:

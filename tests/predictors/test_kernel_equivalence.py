@@ -1,12 +1,14 @@
 """Whole-trace kernels must be indistinguishable from per-event replay.
 
-Each predictor's :meth:`~repro.predictors.base.Predictor.guesses` is a
+A predictor's :meth:`~repro.predictors.base.Predictor.guesses` may be a
 fused rewrite of its ``predict``/``update`` loop; the base-class
 ``Predictor.guesses`` *is* that loop and serves as the oracle.  Over a
 grid of constructor settings and traces drawn from small and wide int
 alphabets, ``None`` and non-int hashables, the kernel must reproduce the
 guess column, the scores, and the predictor's final state (dict order
-included) — also when it resumes from a part-way state.
+included) — also when it resumes from a part-way state.  A hybrid's
+column is :meth:`~repro.predictors.hybrid.HybridPredictor.select` over
+its components' columns, as the harness computes it.
 
 :meth:`ValueHistoryTable.replay` walks interned event columns; its
 oracle is the per-event table it replaced, one
@@ -109,6 +111,15 @@ def reference_stats(predictor, trace):
     return PredictionStats(predictor.name, len(trace), hits, no_prediction)
 
 
+def kernel_guesses(predictor, trace):
+    """The column as the harness computes it: a hybrid selects over its
+    components' columns."""
+    if isinstance(predictor, HybridPredictor):
+        columns = [kernel_guesses(component, trace) for component in predictor.components]
+        return predictor.select(trace, columns)
+    return predictor.guesses(trace)
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @settings(max_examples=60, deadline=None)
 @given(trace=traces, data=st.data())
@@ -118,21 +129,21 @@ def test_kernel_matches_per_event_reference(config, trace, data):
     oracle = make()
     expected = Predictor.guesses(oracle, trace)
     kernel = make()
-    column = kernel.guesses(trace[:split])
-    column += kernel.guesses(trace[split:])
+    column = kernel_guesses(kernel, trace[:split])
+    column += kernel_guesses(kernel, trace[split:])
     assert typed(column) == typed(expected)
     assert full_state(kernel) == full_state(oracle)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @settings(max_examples=30, deadline=None)
-@given(trace=traces)
-def test_run_trace_scores_match_per_event_reference(config, trace):
+@given(trace=traces, container=st.sampled_from([iter, list, tuple, deque]))
+def test_run_trace_scores_match_per_event_reference(config, trace, container):
     make = CONFIGS[config]
     oracle = make()
     expected = reference_stats(oracle, trace)
     kernel = make()
-    assert run_trace(kernel, iter(trace)) == expected
+    assert run_trace(kernel, container(trace)) == expected
     assert full_state(kernel) == full_state(oracle)
 
 
