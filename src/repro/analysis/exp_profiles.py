@@ -25,6 +25,23 @@ from repro.workloads.harness import run_workload
 from repro.workloads.registry import get_workload
 
 
+def _benchmark_run(name: str, variant: str, scale: float):
+    """``(dataset, result)`` of one uninstrumented program input.
+
+    With replay on, both come from the input's captured trace, which
+    other experiments capture or load in the same run anyway; the
+    trace's result is the same :class:`~repro.isa.machine.RunResult`
+    an uninstrumented run returns.  With replay off, the input runs.
+    """
+    from repro.analysis import experiments
+
+    if experiments.replay_enabled():
+        trace = experiments.load_events(name, variant, scale)
+        return trace.dataset, trace.result
+    dataset = get_workload(name).dataset(variant, scale=scale)
+    return dataset, run_workload(name, variant, scale=scale)
+
+
 @experiment(
     "table-benchmarks",
     "Benchmark programs and data sets",
@@ -41,8 +58,7 @@ def table_benchmarks(scale: float = 1.0):
         workload = get_workload(name)
         entry = {}
         for variant in ("train", "test"):
-            dataset = workload.dataset(variant, scale=scale)
-            result = run_workload(name, variant, scale=scale)
+            dataset, result = _benchmark_run(name, variant, scale)
             table.add_row(
                 name,
                 workload.spec_analogue,

@@ -23,7 +23,7 @@ from repro.analysis.figures import series_plot
 from repro.analysis.tables import Table, percentage
 from repro.core.convergence import ConvergenceConfig, convergence_curve
 from repro.core.metrics import ValueStreamStats, weighted_mean
-from repro.core.profile import ProfileDatabase, TNVConfig
+from repro.core.profile import ProfileDatabase
 from repro.core.sampling import (
     ConvergentSampling,
     PeriodicSampling,
@@ -110,53 +110,65 @@ def _sampling_policies():
     ]
 
 
-def _replay_load_stream(name, scale, full_db, samplers) -> None:
-    """Feed the train-input load-event stream to every recorder.
+def _replay_load_stream(name, scale, samplers) -> None:
+    """Feed the train-input load-event stream to every sampler.
 
-    One full profiler and each sampling profiler see the same global
-    event order — sampling policies with cross-site state (random
-    sampling's shared RNG, convergent skipping) are order-sensitive, so
-    accuracy comparisons must share one trace.  Replayed from the event
-    store when replay is on; one live fan-out simulation otherwise —
-    byte-identical either way.
+    Every sampler sees the same global event order: random sampling
+    draws one decision per event from one RNG shared across sites, so
+    it depends on the interleaving, and the accuracy comparison shares
+    one trace.  With replay on, the stream comes from the event store
+    as interned columns (:func:`~repro.core.tracestore.replay_global_events`)
+    and each sampler takes it in one
+    :meth:`~repro.core.sampling.SamplingProfiler.replay` call: one
+    ``record_batch`` per site for the site-local policies, one
+    global-order draw for random sampling.  With replay off, one live
+    fan-out simulation feeds every sampler event by event.  The
+    samplers end byte-identical either way.
     """
     from repro.analysis import experiments
+    from repro.core import tracestore
 
     if experiments.replay_enabled():
         trace = experiments.load_events(name, "train", scale)
-        recorders = [full_db.record]
-        recorders.extend(sampler.record for _, sampler in samplers)
-        for site, value in trace.events((ProfileTarget.LOADS,)):
-            for record in recorders:
-                record(site, value)
+        (sites, site_ids, values), _ = tracestore.replay_global_events(
+            trace, (ProfileTarget.LOADS,)
+        )
+        for _, sampler in samplers:
+            sampler.replay(sites, site_ids, values)
         return
 
     workload = get_workload(name)
     dataset = workload.dataset("train", scale=scale)
     program = workload.program()
-    observers = [ValueProfiler(program, full_db, targets=(ProfileTarget.LOADS,))]
-    for label, sampler in samplers:
-        observers.append(ValueProfiler(program, sampler, targets=(ProfileTarget.LOADS,)))
+    observers = [
+        ValueProfiler(program, sampler, targets=(ProfileTarget.LOADS,))
+        for _, sampler in samplers
+    ]
     machine = Machine(program, observer=FanoutObserver(observers))
     machine.set_input(dataset.values)
     machine.run()
 
 
-def _invariance_error(full: ProfileDatabase, sampled: ProfileDatabase) -> float:
-    """Execution-weighted |Inv-Top1(sampled) - Inv-Top1(full)|.
+def _sampling_errors(full_rows, sampled: ProfileDatabase) -> Tuple[float, float]:
+    """Execution-weighted |Inv-Top1| and |LVP| errors of a sampled profile.
 
+    ``full_rows`` is the full profile's ``metrics_by_site`` over loads.
     Sites the sampler never saw (possible only for sites whose first
     execution was skipped — cannot happen with burst-first policies,
     but handled defensively) count as estimate 0.
     """
-    pairs = []
-    for site, metrics in full.metrics_by_site(SiteKind.LOAD):
+    inv_pairs = []
+    lvp_pairs = []
+    for site, metrics in full_rows:
         if site in sampled:
-            estimate = sampled.profile_for(site).metrics().inv_top1
+            profile = sampled.profile_for(site)
+            estimate = profile.metrics().inv_top1
+            sampled_lvp = profile.lvp()
         else:
-            estimate = 0.0
-        pairs.append((abs(estimate - metrics.inv_top1), metrics.executions))
-    return weighted_mean(pairs)
+            estimate = sampled_lvp = 0.0
+        inv_pairs.append((abs(estimate - metrics.inv_top1), metrics.executions))
+        lvp_pairs.append((abs(sampled_lvp - metrics.lvp), metrics.executions))
+    return weighted_mean(inv_pairs), weighted_mean(lvp_pairs)
 
 
 @experiment(
@@ -179,26 +191,20 @@ def table_sampling_accuracy(scale: float = 1.0):
     data: Dict[str, list] = {}
     overall: Dict[str, List[Tuple[float, float]]] = {}
     for name in programs():
-        _LOG.debug("table-sampling-accuracy: simulating %s under every policy", name)
+        _LOG.debug("table-sampling-accuracy: sampling %s under every policy", name)
 
-        full_db = ProfileDatabase(name=f"{name}.full")
+        full = profiled(name, "train", scale=scale, targets=(ProfileTarget.LOADS,))
+        full_rows = full.database.metrics_by_site(SiteKind.LOAD)
         samplers = []
         for label, policy in _sampling_policies():
             sampler = SamplingProfiler(policy, name=f"{name}.{label}")
             samplers.append((label, sampler))
 
-        _replay_load_stream(name, scale, full_db, samplers)
+        _replay_load_stream(name, scale, samplers)
 
         rows = []
         for label, sampler in samplers:
-            inv_error = _invariance_error(full_db, sampler.database)
-            lvp_pairs = []
-            for site, metrics in full_db.metrics_by_site(SiteKind.LOAD):
-                sampled_lvp = (
-                    sampler.database.profile_for(site).lvp() if site in sampler.database else 0.0
-                )
-                lvp_pairs.append((abs(sampled_lvp - metrics.lvp), metrics.executions))
-            lvp_error = weighted_mean(lvp_pairs)
+            inv_error, lvp_error = _sampling_errors(full_rows, sampler.database)
             overhead = sampler.overhead()
             table.add_row(name, label, percentage(overhead), inv_error, lvp_error)
             rows.append(

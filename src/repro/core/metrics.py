@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nlargest
 from itertools import islice
 from operator import eq
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
@@ -198,10 +199,15 @@ class ValueStreamStats:
         return ranked[:k]
 
     def invariance(self, k: int = 1) -> float:
-        """``Inv-Top(k)``: fraction of executions covered by the top-k values."""
+        """``Inv-Top(k)``: fraction of executions covered by the top-k values.
+
+        Sums the ``k`` largest counts without ranking the values: the
+        sum does not depend on how :meth:`top` breaks ties, so it equals
+        the sum of the counts ``top(k)`` returns.
+        """
         if self._total == 0:
             return 0.0
-        return sum(count for _, count in self.top(k)) / self._total
+        return sum(nlargest(k, self._histogram.values())) / self._total
 
     def lvp(self) -> float:
         """Last-value predictability: P(value == previous value).
@@ -242,12 +248,23 @@ class ValueStreamStats:
             self._has_last = True
 
     def metrics(self, top_n: int = TOP_N) -> "SiteMetrics":
-        """Freeze the current state into a :class:`SiteMetrics` row."""
+        """Freeze the current state into a :class:`SiteMetrics` row.
+
+        Takes the top counts once; Inv-Top(1) and Inv-Top(N) both come
+        from that list, exactly as :meth:`invariance` computes them.
+        """
+        total = self._total
+        if total == 0:
+            inv_top1 = inv_top_n = 0.0
+        else:
+            counts = nlargest(max(top_n, 1), self._histogram.values())
+            inv_top1 = counts[0] / total
+            inv_top_n = sum(counts[:top_n]) / total
         return SiteMetrics(
-            executions=self._total,
+            executions=total,
             lvp=self.lvp(),
-            inv_top1=self.invariance(1),
-            inv_top_n=self.invariance(top_n),
+            inv_top1=inv_top1,
+            inv_top_n=inv_top_n,
             distinct=self.distinct,
             pct_zeros=self.pct_zeros(),
         )

@@ -20,12 +20,15 @@ how close sampled metrics are to full-profiling metrics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence
+from itertools import compress
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.convergence import ConvergenceConfig, ConvergenceDetector
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import Site
+from repro.errors import ProfileError
 from repro.obs.metrics import METRICS as _METRICS
 
 Value = Hashable
@@ -34,8 +37,11 @@ Value = Hashable
 class SamplingPolicy:
     """Decides, per dynamic execution of a site, whether to profile it.
 
-    Subclasses implement :meth:`should_sample`; the profiler calls it
-    exactly once per dynamic execution, in order.
+    Subclasses implement :meth:`should_sample`, the spec: per-event
+    recording calls it exactly once per dynamic execution, in order.
+    The bulk paths ask :meth:`window` (site-local policies) or
+    :meth:`draw` instead, which a subclass may override with an
+    equivalent that decides many executions at once.
     """
 
     #: whether the policy's decisions for a site depend only on that
@@ -43,11 +49,43 @@ class SamplingPolicy:
     #: results when events are buffered per site and replayed in runs
     #: (the batched fast path); policies with cross-site state (e.g.
     #: a shared RNG) must see the global interleaving and set this to
-    #: False, which keeps the harness on per-event recording.
+    #: False, which keeps the harness on per-event recording and makes
+    #: :meth:`SamplingProfiler.record_batch` refuse the policy.
     site_local = True
 
     def should_sample(self, site: Site) -> bool:
         raise NotImplementedError
+
+    def window(self, site: Site, n: int, limit: int) -> Tuple[int, int]:
+        """Decide the next executions of ``site`` as one sampled window.
+
+        Returns ``(skip, take)``: of the next ``n`` executions, the
+        first ``skip`` are not sampled and the ``take`` after them are,
+        with ``skip + take <= n``, ``take <= limit`` and progress
+        (``skip + take >= 1``) whenever ``n >= 1``.  The policy's state
+        afterwards is what ``skip + take`` :meth:`should_sample` calls
+        would leave.  ``limit`` keeps a window from running past the
+        profiler's next checkpoint, so a checkpoint only ever fires
+        between windows, as it fires between per-event decisions.
+
+        The default asks :meth:`should_sample` once per execution and
+        returns at the first sampled one.
+        """
+        should_sample = self.should_sample
+        for skip in range(n):
+            if should_sample(site):
+                return skip, 1
+        return n, 0
+
+    def draw(self, n: int) -> Optional[List[bool]]:
+        """The next ``n`` decisions in global order, or ``None``.
+
+        A policy whose decisions depend on neither the site nor any
+        checkpoint can decide a whole stream at once; the default
+        (``None``) leaves :meth:`SamplingProfiler.replay` on the
+        per-event path.
+        """
+        return None
 
     def checkpoint(self, site: Site, estimate: float) -> None:
         """Called at the end of each profiled burst with the site's
@@ -63,6 +101,9 @@ class FullSampling(SamplingPolicy):
 
     def should_sample(self, site: Site) -> bool:
         return True
+
+    def window(self, site: Site, n: int, limit: int) -> Tuple[int, int]:
+        return 0, min(n, limit)
 
     def fresh(self) -> "FullSampling":
         return FullSampling()
@@ -95,6 +136,28 @@ class PeriodicSampling(SamplingPolicy):
         if state.position >= self.interval:
             state.position = 0
         return sampled
+
+    def window(self, site: Site, n: int, limit: int) -> Tuple[int, int]:
+        state = self._state.get(site)
+        if state is None:
+            state = self._state[site] = _PeriodicState()
+        position = state.position
+        skip = 0
+        if position >= self.burst:
+            # Skip to the end of the period; the next one opens with
+            # its burst.
+            skip = min(self.interval - position, n)
+            position += skip
+            if position >= self.interval:
+                position = 0
+        take = 0
+        if skip < n:
+            take = min(self.burst - position, n - skip, limit)
+            position += take
+            if position >= self.interval:
+                position = 0
+        state.position = position
+        return skip, take
 
     def fresh(self) -> "PeriodicSampling":
         return PeriodicSampling(self.burst, self.interval)
@@ -130,6 +193,10 @@ class RandomSampling(SamplingPolicy):
 
     def should_sample(self, site: Site) -> bool:
         return self._rng.random() < self.rate
+
+    def draw(self, n: int) -> List[bool]:
+        random, rate = self._rng.random, self.rate
+        return [random() < rate for _ in range(n)]
 
     def fresh(self) -> "RandomSampling":
         return RandomSampling(self.rate, self.seed)
@@ -180,13 +247,17 @@ class ConvergentSampling(SamplingPolicy):
             self._detectors[site] = detector
         return detector
 
-    def should_sample(self, site: Site) -> bool:
+    def _state_for(self, site: Site) -> _ConvergentState:
         state = self._state.get(site)
         if state is None:
             state = _ConvergentState(
                 in_burst=True, burst_remaining=self.burst, skip_interval=self.base_skip
             )
             self._state[site] = state
+        return state
+
+    def should_sample(self, site: Site) -> bool:
+        state = self._state_for(site)
         if state.in_burst:
             state.burst_remaining -= 1
             if state.burst_remaining <= 0:
@@ -199,6 +270,27 @@ class ConvergentSampling(SamplingPolicy):
             state.in_burst = True
             state.burst_remaining = self.burst
         return False
+
+    def window(self, site: Site, n: int, limit: int) -> Tuple[int, int]:
+        state = self._state_for(site)
+        skip = 0
+        if not state.in_burst:
+            skip = min(state.skip_remaining, n)
+            state.skip_remaining -= skip
+            if state.skip_remaining > 0:
+                return skip, 0
+            state.in_burst = True
+            state.burst_remaining = self.burst
+            if skip == n:
+                return skip, 0
+        take = min(state.burst_remaining, n - skip, limit)
+        state.burst_remaining -= take
+        if state.burst_remaining <= 0:
+            # The burst's last execution sets the skip from the interval
+            # in force now, before the checkpoint that may follow it.
+            state.in_burst = False
+            state.skip_remaining = state.skip_interval
+        return skip, take
 
     def checkpoint(self, site: Site, estimate: float) -> None:
         state = self._state.get(site)
@@ -270,45 +362,111 @@ class SamplingProfiler:
         self._profiled[site] = self._profiled.get(site, 0) + 1
         pending = self._since_checkpoint.get(site, 0) + 1
         if pending >= self.checkpoint_every:
-            profile = self.database.profile_for(site)
-            self.policy.checkpoint(site, profile.tnv.estimated_invariance(1))
+            self._checkpoint(site)
             pending = 0
         self._since_checkpoint[site] = pending
 
     def record_batch(self, site: Site, values: Sequence[Value]) -> None:
         """Feed a run of dynamic executions of one site, in order.
 
-        State-identical to per-value :meth:`record` calls for any
-        site-local policy: the policy still sees every execution in
-        order, but consecutive sampled values between checkpoints are
-        accumulated and recorded as one batch, and each checkpoint
-        fires at exactly the event it would under per-event recording
-        (the sampling-burst boundary flushes the pending run first, so
-        the invariance estimate reflects everything recorded so far).
+        State-identical to per-value :meth:`record` calls, for a
+        site-local policy only: a policy with cross-site state must see
+        the global interleaving (use :meth:`replay` or :meth:`record`),
+        so any other policy raises :class:`~repro.errors.ProfileError`.
+        The policy decides the run in sampled windows
+        (:meth:`SamplingPolicy.window`) instead of once per execution;
+        the sampled values between checkpoints are recorded as one
+        batch, and each checkpoint fires at exactly the execution it
+        would under per-event recording.
         """
+        policy = self.policy
+        if not policy.site_local:
+            raise ProfileError(
+                f"record_batch needs a site-local sampling policy; "
+                f"{type(policy).__name__} keeps cross-site state"
+            )
         n = len(values)
         if n == 0:
             return
         self._seen[site] = self._seen.get(site, 0) + n
+        profiled = self._feed(site, values, policy.window)
+        if _METRICS.enabled:
+            _METRICS.inc(self._m_seen, n)
+            _METRICS.inc(self._m_profiled, profiled)
+
+    def replay(
+        self, sites: Sequence[Site], site_ids: Sequence[int], values: Sequence[Value]
+    ) -> None:
+        """Feed a whole event stream given as interned columns.
+
+        Event ``i`` is ``(sites[site_ids[i]], values[i])``, in global
+        order: the columns
+        :func:`~repro.core.tracestore.replay_global_events` returns.
+        The profiler ends exactly as per-event :meth:`record` calls in
+        that order would leave it.
+
+        * A site-local policy gets one :meth:`record_batch` per site,
+          sites in order of first appearance.
+        * A policy that can :meth:`~SamplingPolicy.draw` its decisions
+          (random sampling) decides the whole stream in global order,
+          one draw per event; each site then records its sampled values.
+        * Any other policy is fed event by event.
+        """
         policy = self.policy
-        should_sample = policy.should_sample
+        if policy.site_local:
+            for sid, run in _site_runs(len(sites), site_ids, values):
+                self.record_batch(sites[sid], run)
+            return
+        decisions = policy.draw(len(site_ids))
+        if decisions is None:
+            record = self.record
+            for sid, value in zip(site_ids, values):
+                record(sites[sid], value)
+            return
+        seen = self._seen
+        for sid, count in Counter(site_ids).items():
+            site = sites[sid]
+            seen[site] = seen.get(site, 0) + count
+        sampled = _site_runs(
+            len(sites), compress(site_ids, decisions), compress(values, decisions)
+        )
+        take_all = FullSampling().window
+        profiled = 0
+        for sid, run in sampled:
+            profiled += self._feed(sites[sid], run, take_all)
+        if _METRICS.enabled:
+            _METRICS.inc(self._m_seen, len(site_ids))
+            _METRICS.inc(self._m_profiled, profiled)
+
+    def _feed(self, site: Site, values: Sequence[Value], window) -> int:
+        """Record the windows ``window`` samples from one site's run.
+
+        Windows are capped at the next checkpoint, so the sampled
+        values between two checkpoints go to the database as one batch
+        and each checkpoint sees everything recorded before it.
+        Returns the number of values profiled.
+        """
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        n = len(values)
         database = self.database
         every = self.checkpoint_every
         pending = self._since_checkpoint.get(site, 0)
         run: List[Value] = []
-        append = run.append
-        profiled = 0
-        for value in values:
-            if not should_sample(site):
+        position = profiled = 0
+        while position < n:
+            skip, take = window(site, n - position, max(1, every - pending))
+            position += skip
+            if not take:
                 continue
-            append(value)
-            pending += 1
+            run.extend(values[position : position + take])
+            position += take
+            pending += take
             if pending >= every:
                 database.record_batch(site, run)
                 profiled += len(run)
-                run.clear()
-                profile = database.profile_for(site)
-                policy.checkpoint(site, profile.tnv.estimated_invariance(1))
+                run = []
+                self._checkpoint(site)
                 pending = 0
         if run:
             database.record_batch(site, run)
@@ -316,9 +474,11 @@ class SamplingProfiler:
         if profiled:
             self._profiled[site] = self._profiled.get(site, 0) + profiled
         self._since_checkpoint[site] = pending
-        if _METRICS.enabled:
-            _METRICS.inc(self._m_seen, n)
-            _METRICS.inc(self._m_profiled, profiled)
+        return profiled
+
+    def _checkpoint(self, site: Site) -> None:
+        estimate = self.database.profile_for(site).tnv.estimated_invariance(1)
+        self.policy.checkpoint(site, estimate)
 
     # ------------------------------------------------------------------
 
@@ -340,3 +500,23 @@ class SamplingProfiler:
         if seen == 0:
             return 0.0
         return self.profiled() / seen
+
+
+def _site_runs(
+    nsites: int, site_ids: Iterable[int], values: Iterable[Value]
+) -> List[Tuple[int, List[Value]]]:
+    """Group a global-order stream into ``(site id, values)`` runs.
+
+    Sites come in order of first appearance; each run keeps its
+    site's values in stream order.
+    """
+    sinks: List[Optional[Callable]] = [None] * nsites
+    runs: List[Tuple[int, List[Value]]] = []
+    for sid, value in zip(site_ids, values):
+        append = sinks[sid]
+        if append is None:
+            run: List[Value] = []
+            runs.append((sid, run))
+            append = sinks[sid] = run.append
+        append(value)
+    return runs

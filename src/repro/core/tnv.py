@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nlargest
 from typing import Dict, Hashable, Iterable, List, Tuple
 
 from repro.errors import ProfileError
@@ -415,7 +416,9 @@ class TNVTable:
         """
         if self._total == 0:
             return 0.0
-        covered = sum(entry.count for entry in self.top(k))
+        # The k largest counts, unranked: their sum is the same however
+        # top() breaks ties.
+        covered = sum(nlargest(k, self._entries.values()))
         return min(1.0, covered / self._total)
 
     def snapshot(self) -> List[TNVEntry]:

@@ -35,6 +35,7 @@ and enforced by the differential test suite
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Callable, List, Optional
 
 from repro.errors import MachineError
@@ -107,7 +108,10 @@ class ThreadedEngine:
     """
 
     def __init__(self, machine) -> None:
-        self._machine = machine
+        # Weak, so the Machine (which owns this engine) is freed at its
+        # last reference rather than by the cyclic collector.  Nothing
+        # the handlers close over refers back to the engine either.
+        self._machine = weakref.proxy(machine)
         self._handlers: Optional[List[Callable[[], int]]] = None
         #: observer the current decode was specialized against.
         self._bound_observer = self
@@ -292,19 +296,6 @@ class ThreadedEngine:
             _cb(_inst, address, value)
 
         return define_hook, load_hook, store_hook
-
-    def _bind_call_hook(self, procedure, call_pc):
-        observer = self._machine.observer
-        if observer is None:
-            return None
-        bind_call = getattr(observer, "bind_call", None)
-        if bind_call is not None:
-            return bind_call(procedure, call_pc)
-
-        def call_hook(args, _cb=observer.on_call, _proc=procedure, _pc=call_pc):
-            _cb(_proc, args, _pc)
-
-        return call_hook
 
     def _bind_return_hook(self, procedure):
         observer = self._machine.observer
@@ -802,7 +793,7 @@ class ThreadedEngine:
                         R[LINK] = npc
                         raise _BadPC(t)
             else:
-                call_hook = self._bind_call_hook(procedure, pc)
+                call_hook = _call_hook(machine.observer, procedure, pc)
                 arg_regs = REG_ARGS[: procedure.nargs]
 
                 def handler(R=R, npc=npc, t=target, LINK=REG_LINK, dyn=dyn,
@@ -822,8 +813,8 @@ class ThreadedEngine:
             def handler(R=R, rd=rd, ra=ra, npc=npc, dyn=dyn, cs=code_size,
                         by_entry=machine._procedures_by_entry,
                         pcalls=machine.procedure_calls,
-                        bind_call=self._bind_call_hook, pc=pc, cache={},
-                        ARGS=REG_ARGS):
+                        bind_call=_call_hook, observer=machine.observer,
+                        pc=pc, cache={}, ARGS=REG_ARGS):
                 # The reference writes the link before reading the target,
                 # so ``jalr rX, rX`` jumps to pc+1 — replicated verbatim.
                 R[rd] = npc
@@ -835,7 +826,10 @@ class ThreadedEngine:
                     pcalls[pname] = pcalls.get(pname, 0) + 1
                     bound = cache.get(target)
                     if bound is None:
-                        bound = (bind_call(procedure, pc), ARGS[: procedure.nargs])
+                        bound = (
+                            bind_call(observer, procedure, pc),
+                            ARGS[: procedure.nargs],
+                        )
                         cache[target] = bound
                     hook, arg_regs = bound
                     if hook is not None:
@@ -909,6 +903,24 @@ class ThreadedEngine:
                 return inner()
 
         return handler
+
+
+def _call_hook(observer, procedure, call_pc):
+    """The call hook ``observer`` wants at one call edge, or ``None``.
+
+    A plain function, so a handler that binds call hooks lazily
+    (``jalr``) holds the observer it was decoded against, not the engine.
+    """
+    if observer is None:
+        return None
+    bind_call = getattr(observer, "bind_call", None)
+    if bind_call is not None:
+        return bind_call(procedure, call_pc)
+
+    def call_hook(args, _cb=observer.on_call, _proc=procedure, _pc=call_pc):
+        _cb(_proc, args, _pc)
+
+    return call_hook
 
 
 def _bad_target(target: int) -> Callable[[], int]:

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sampling import SamplingProfiler, SamplingPolicy
 from repro.core.sites import Site
-from repro.errors import WorkloadError
+from repro.errors import ProfileError, WorkloadError
 from repro.isa.instrument import ProfileTarget, ValueProfiler, ValueTraceCollector
 from repro.isa.machine import Machine, RunResult
 from repro.obs import TRACER, get_logger
@@ -78,9 +78,16 @@ def profile_workload(
             (byte-identical profiles, much lower overhead).  Defaults
             to on for full profiling and for site-local sampling
             policies; policies with cross-site state (e.g. random
-            sampling's shared RNG) stay on the per-event path.  The
+            sampling's shared RNG) stay on the per-event path, and
+            asking to buffer one raises :class:`ProfileError`.  The
             machine flushes the buffers when the program halts.
     """
+    site_local = policy is None or getattr(policy, "site_local", False)
+    if buffered and not site_local:
+        raise ProfileError(
+            f"buffered profiling needs a site-local sampling policy; "
+            f"{type(policy).__name__} keeps cross-site state"
+        )
     workload = get_workload(name)
     dataset = workload.dataset(variant, scale=scale)
     run_name = dataset.name
@@ -94,7 +101,7 @@ def profile_workload(
         database = sampler.database
         recorder = sampler
     if buffered is None:
-        buffered = policy is None or getattr(policy, "site_local", False)
+        buffered = site_local
 
     _LOG.debug("profiling %s (buffered=%s)", run_name, buffered)
     observer = ValueProfiler(workload.program(), recorder, targets=targets, buffered=buffered)

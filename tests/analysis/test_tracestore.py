@@ -256,3 +256,18 @@ class TestProvenanceSurfaced:
             assert info["source"] in ("replay", "simulation")
             assert info["events"] > 0
             assert info["dropped"] == 0
+
+
+class TestCapturedRunResult:
+    """A captured trace carries the uninstrumented run's result, so
+    ``table-benchmarks`` reads its instruction counts from the store."""
+
+    @pytest.mark.parametrize("name,variant", [("compress", "train"), ("li", "test")])
+    def test_captured_result_equals_uninstrumented_run(self, name, variant):
+        from repro.workloads.harness import capture_workload_events, run_workload
+
+        trace = capture_workload_events(name, variant, scale=SCALE)
+        expected = run_workload(name, variant, scale=SCALE)
+        assert trace.result == expected
+        assert EventTrace.from_payload(trace.to_payload()).result == expected
+        assert trace.dataset == get_workload(name).dataset(variant, scale=SCALE)

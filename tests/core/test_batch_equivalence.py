@@ -20,6 +20,7 @@ from repro.core.metrics import ValueStreamStats
 from repro.core.profile import ProfileDatabase, SiteProfile, TNVConfig
 from repro.core.tnv import TNVTable
 from repro.core.sites import load_site
+from repro.errors import ProfileError
 from repro.workloads.harness import profile_workload
 
 SITE = load_site("prog", "main", 1)
@@ -167,3 +168,26 @@ class TestBufferedProfilerEquivalence:
         a = profile_workload("compress", scale=0.1, policy=RandomSampling(rate=0.5, seed=3))
         b = profile_workload("compress", scale=0.1, policy=RandomSampling(rate=0.5, seed=3))
         assert a.database.to_json() == b.database.to_json()
+
+    def test_buffered_random_policy_rejected_before_simulating(self, monkeypatch):
+        """Per-site buffers would hand a shared RNG the events out of
+        global order; asking for them is an error, raised up front."""
+        from repro.core.sampling import RandomSampling
+        from repro.workloads import harness
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated despite the rejected policy")
+
+        monkeypatch.setattr(harness, "Machine", no_simulation)
+        with pytest.raises(ProfileError, match="site-local"):
+            profile_workload(
+                "compress", scale=0.1, policy=RandomSampling(rate=0.5, seed=3), buffered=True
+            )
+
+    def test_sampler_record_batch_rejects_cross_site_policy(self):
+        from repro.core.sampling import RandomSampling, SamplingProfiler
+
+        profiler = SamplingProfiler(RandomSampling(rate=0.5, seed=3))
+        with pytest.raises(ProfileError, match="site-local"):
+            profiler.record_batch(SITE, [1, 2, 3])
+        assert profiler.seen() == 0 and len(profiler.database) == 0

@@ -2,11 +2,16 @@
 
 A Machine owns ``memory_words`` slots of memory (a million by default),
 so anything process-global that keeps a finished run's frames reachable
-pins that memory for the life of the process.  Each case runs a program
-to one exit path on one engine, drops the Machine and any
-``MachineError``, collects, and checks that a weak reference to the
-Machine is dead.  Every program opens with a short loop so the tier-2
-engine has quickened a block before it exits.
+pins that memory for the life of the process, and anything that puts
+the Machine in a reference cycle keeps it until the cyclic collector
+runs.  Each case runs a program to one exit path on one engine with the
+collector disabled, drops the Machine and any ``MachineError``, and
+checks that a weak reference to the Machine is dead at once: reference
+counting alone frees it.  The threaded engine object must go with it.
+(The tier-2 engine still refers to itself through its quickening
+closures, so its engine object waits for the collector.)  Every program
+opens with a short loop so the tier-2 engine has quickened a block
+before it exits.
 """
 
 import gc
@@ -21,6 +26,17 @@ from repro.isa.tier2 import Tier2Config
 
 _ENGINES = ("simple", "threaded", "tier2")
 
+#: a function pointer and its callee, ahead of ``main`` so that falling
+#: off the end of ``main`` still leaves the code segment.
+_CALLEE = """
+.data
+fptr: .word callee
+.text
+.proc callee nargs=0
+    jr r10
+.endproc
+"""
+
 _WARM_LOOP = """
     li r5, 20
 loop:
@@ -31,6 +47,7 @@ loop:
 #: exit path -> (program tail after the loop, expected MachineError text)
 _EXITS = {
     "halt": ("halt", None),
+    "indirect-call": ("la r1, fptr\nld r2, 0(r1)\njalr r10, r2\nhalt", None),
     "division-by-zero": ("li r1, 7\nli r2, 0\ndiv r3, r1, r2\nhalt", "division by zero"),
     "load-out-of-range": ("li r1, -5\nld r2, 0(r1)\nhalt", "load out of range"),
     "jump-off-code": ("li r1, 12345\njr r1\nhalt", "pc 12345 outside code segment"),
@@ -39,14 +56,26 @@ _EXITS = {
 }
 
 
-def _run_to_exit(engine: str, exit_path: str) -> weakref.ref:
-    """Run one program to ``exit_path``; return only a weak reference.
+@pytest.fixture(autouse=True)
+def collector_off():
+    """Only reference counting may free a Machine in these tests."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
 
-    Everything else the run created — the Machine, its engine, the
+
+def _run_to_exit(engine: str, exit_path: str):
+    """Run one program to ``exit_path``; return only weak references.
+
+    Returns ``(machine_ref, engine_ref)``; ``engine_ref`` is ``None``
+    for the simple engine, which builds no engine object.  Everything
+    else the run created — the Machine, its engine, the
     ``MachineError`` and its traceback — goes out of scope on return.
     """
     tail, expected_error = _EXITS[exit_path]
-    program = assemble(f".text\n.proc main nargs=0\n{_WARM_LOOP}{tail}\n.endproc\n")
+    program = assemble(f"{_CALLEE}.proc main nargs=0\n{_WARM_LOOP}{tail}\n.endproc\n")
     machine = Machine(
         program,
         engine=engine,
@@ -59,20 +88,23 @@ def _run_to_exit(engine: str, exit_path: str) -> weakref.ref:
         assert expected_error is not None and expected_error in str(error)
     else:
         assert expected_error is None and machine.halted
-    return machine_ref
+    engine_ref = None if machine._threaded is None else weakref.ref(machine._threaded)
+    return machine_ref, engine_ref
 
 
 @pytest.mark.parametrize("exit_path", sorted(_EXITS))
 @pytest.mark.parametrize("engine", _ENGINES)
 def test_machine_released_after_exit(engine, exit_path):
-    machine_ref = _run_to_exit(engine, exit_path)
-    gc.collect()
+    machine_ref, engine_ref = _run_to_exit(engine, exit_path)
     assert machine_ref() is None
+    if engine == "threaded":
+        assert engine_ref() is None
 
 
 @pytest.mark.parametrize("engine", _ENGINES)
 def test_back_to_back_runs_leave_no_live_machine(engine):
     exit_paths = sorted(_EXITS)
     refs = [_run_to_exit(engine, exit_paths[i % len(exit_paths)]) for i in range(20)]
-    gc.collect()
-    assert [ref for ref in refs if ref() is not None] == []
+    assert [ref for ref, _ in refs if ref() is not None] == []
+    if engine == "threaded":
+        assert [ref for _, ref in refs if ref() is not None] == []
