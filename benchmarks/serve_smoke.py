@@ -15,6 +15,13 @@ asserted), and the headline numbers — ingest events/s, client-observed
 p50/p99 batch e2e latency — land in ``benchmarks/results/
 BENCH_serve.json`` and the consolidated ``BENCH_history.jsonl``.
 
+A restore leg closes the run: it forces ``/checkpoint``, stops the
+cluster with no final checkpoint, starts a second cluster with
+``restore=True`` on the same snapshot directory, and requires every
+producer's resume point, the ``/profile`` JSON and the deep profile
+state to match the first cluster's.  On the process runtime the
+restored databases also travel home pickled, as query responses.
+
 Exit status is the verdict (assertions fail loudly); ``--log-dir``
 captures the harness event log, the span trace, the final ``/metrics``
 scrape and a machine-readable summary so CI can upload them as
@@ -32,6 +39,7 @@ import dataclasses
 import json
 import pathlib
 import sys
+import tempfile
 import threading
 import time
 
@@ -80,6 +88,27 @@ def synthetic_stream(program: str, num_events: int, seed: int):
     ]
 
 
+def restore_leg(args, snapshot_dir, producers, clients, expected_json, offline):
+    """Restart on the stopped cluster's snapshots; nothing acked is lost."""
+    with ServeCluster(
+        shards=args.shards,
+        runtime=args.runtime,
+        queue_size=args.queue_size,
+        snapshot_dir=snapshot_dir,
+        restore=True,
+    ) as restored:
+        for client_id, stream, _ in producers:
+            # Reconnecting names the session's stream (the /profile JSON
+            # carries it) and checks the welcome resume point.
+            client = restored.client(client_id, stream=stream)
+            assert client._next_seq == clients[client_id]._next_seq, client_id
+            client.close()
+        restored_json = restored.http("/profile?format=json")
+        restored_db = restored.merged_database()
+    assert restored_json == expected_json, "restored /profile JSON diverged"
+    assert_same_profile_state(restored_db, offline)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     log_dir = pathlib.Path(args.log_dir) if args.log_dir else None
@@ -104,12 +133,14 @@ def main(argv=None) -> int:
     query_counts = {"stats": 0, "profile": 0, "metrics": 0, "depth_gauge_seen": 0}
     errors = []
     clients = {}
+    snapshots = tempfile.TemporaryDirectory(prefix="repro-serve-smoke-")
     TRACER.enable()
     with ServeCluster(
         log_path=str(log_dir / "serve-smoke-harness.log") if log_dir else None,
         shards=args.shards,
         runtime=args.runtime,
         queue_size=args.queue_size,
+        snapshot_dir=snapshots.name,
     ) as cluster:
         done = threading.Event()
 
@@ -177,6 +208,13 @@ def main(argv=None) -> int:
         got_json = cluster.http("/profile?format=json")
         counters = dict(cluster.server.counters)
 
+        # Restore leg, first half: a forced checkpoint, then a crash-like
+        # stop (no final checkpoint).
+        restore_t0 = time.monotonic()
+        assert cluster.http_json("/checkpoint") == {"checkpointed": args.shards}
+        cluster.stop(checkpoint=False)
+        restore_seconds = time.monotonic() - restore_t0
+
     # Span-tree validation: one coherent tree, every server-side span
     # under its batch's client span, ids unique, no orphans.
     spans = TRACER.drain()
@@ -217,6 +255,11 @@ def main(argv=None) -> int:
     expected_json = offline.to_json() + "\n"
     assert got_json == expected_json, "served /profile JSON diverged"
 
+    restore_t0 = time.monotonic()
+    restore_leg(args, snapshots.name, producers, clients, expected_json, offline)
+    restore_seconds += time.monotonic() - restore_t0
+    snapshots.cleanup()
+
     events_per_s = total_events / ingest_seconds if ingest_seconds else 0.0
     bench = {
         "name": "serve",
@@ -245,6 +288,7 @@ def main(argv=None) -> int:
         "queries_mid_ingest": dict(query_counts),
         "counters": counters,
         "byte_identical": True,
+        "restore_leg_s": round(restore_seconds, 3),
         "bench": bench,
         "span_counts": span_counts,
     }
@@ -258,7 +302,8 @@ def main(argv=None) -> int:
             for span in spans:
                 handle.write(json.dumps(span, sort_keys=True) + "\n")
     print(
-        "serve smoke: OK — served profile byte-identical to offline fold; "
+        "serve smoke: OK — served profile byte-identical to offline fold "
+        f"and after a restore ({restore_seconds:.2f}s leg); "
         f"{len(spans)} spans in one tree, "
         f"{bench['events_per_s']:.0f} events/s, "
         f"p99 batch e2e {bench['batch_e2e_p99_s'] * 1e3:.1f}ms"

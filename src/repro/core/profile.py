@@ -15,7 +15,9 @@ needs only the previous value, which real value profilers also keep).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.fold import SiteFold, fold_values
@@ -429,6 +431,34 @@ class ProfileDatabase:
             else:
                 mine.merge(profile)
 
+    def __reduce__(self):
+        """Pickle as a few columns of builtins, one row per site.
+
+        The default pickle of this object graph pays per-object work
+        for every site (slot-state reduction of three objects, a
+        ``Counter`` reduction, a ``Site`` ``__dict__``) that dwarfs the
+        data itself.  Rows are in insertion order, so the rebuilt
+        database iterates, merges and renders exactly like this one.
+        Pickles written before this encoding carry the default form and
+        still load through pickle's ordinary path.
+        """
+        profiles = list(self._profiles.values())
+        sites = [
+            (site.kind.value, site.program, site.procedure, site.label, site.opcode)
+            for site in self._profiles
+        ]
+        tables = [_tnv_fields(profile.tnv) for profile in profiles]
+        stats = [
+            None if (exact := profile.exact) is None
+            else (dict(exact._histogram),) + _stats_rest(exact)
+            for profile in profiles
+        ]
+        scalars = [_profile_fields(profile) for profile in profiles]
+        return (
+            _rebuild_database,
+            (self.config, self.exact, self.name, sites, tables, stats, scalars),
+        )
+
     def to_json(self) -> str:
         """Serialize TNV snapshots and headline stats to JSON.
 
@@ -500,3 +530,66 @@ class ProfileDatabase:
                 profile._has_last = True
             db._profiles[site] = profile
         return db
+
+
+# ----------------------------------------------------------------------
+# pickling: ProfileDatabase.__reduce__ and its reconstructor
+# ----------------------------------------------------------------------
+
+# Field lists come from the classes' own __slots__, so a slot added
+# later is carried through a pickle instead of silently dropped.
+_TNV_SLOTS = TNVTable.__slots__
+# The histogram leads each stats row: it travels as a plain dict.
+_STATS_FIELDS = ("_histogram",) + tuple(
+    name for name in ValueStreamStats.__slots__ if name != "_histogram"
+)
+_PROFILE_SCALARS = tuple(
+    name for name in SiteProfile.__slots__ if name not in ("site", "tnv", "exact")
+)
+_tnv_fields = attrgetter(*_TNV_SLOTS)
+_stats_rest = attrgetter(*_STATS_FIELDS[1:])
+_profile_fields = attrgetter(*_PROFILE_SCALARS)
+
+
+def _fill_slots(obj, names: Sequence[str], row: Sequence) -> None:
+    for name, value in zip(names, row):
+        setattr(obj, name, value)
+
+
+def _rebuild_database(
+    config: TNVConfig,
+    exact: bool,
+    name: str,
+    sites: List[tuple],
+    tables: List[tuple],
+    stats: List[Optional[tuple]],
+    scalars: List[tuple],
+) -> ProfileDatabase:
+    """Reconstructor for :meth:`ProfileDatabase.__reduce__` rows.
+
+    Every mutable container is copied: ``copy.copy`` hands this
+    function the original's own dicts, and the copy must not share
+    them.
+    """
+    db = ProfileDatabase(config=config, exact=exact, name=name)
+    profiles = db._profiles
+    for (kind, program, procedure, label, opcode), tnv_row, stats_row, scalar_row in zip(
+        sites, tables, stats, scalars
+    ):
+        site = Site(SiteKind(kind), program, procedure, label, opcode)
+        table = TNVTable.__new__(TNVTable)
+        _fill_slots(table, _TNV_SLOTS, tnv_row)
+        table._entries = dict(table._entries)
+        if stats_row is None:
+            exact_stats = None
+        else:
+            exact_stats = ValueStreamStats.__new__(ValueStreamStats)
+            _fill_slots(exact_stats, _STATS_FIELDS, stats_row)
+            exact_stats._histogram = Counter(exact_stats._histogram)
+        profile = SiteProfile.__new__(SiteProfile)
+        profile.site = site
+        profile.tnv = table
+        profile.exact = exact_stats
+        _fill_slots(profile, _PROFILE_SCALARS, scalar_row)
+        profiles[site] = profile
+    return db

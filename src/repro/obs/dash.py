@@ -550,6 +550,7 @@ def _section_live_shards(shards: List[dict]) -> str:
                 f"{shard.get('sites', 0):,}",
                 f"{shard.get('counters', {}).get('shard.events', 0):,}",
                 f"{shard.get('journal_bytes', 0):,}",
+                f"{shard.get('snapshot_bytes', 0):,}",
                 _esc(
                     f"{shard['snapshot_age_s']:.1f}s"
                     if shard.get("snapshot_age_s") is not None
@@ -571,6 +572,7 @@ def _section_live_shards(shards: List[dict]) -> str:
             ("sites", True),
             ("events", True),
             ("journal B", True),
+            ("snapshot B", True),
             ("snapshot age", True),
             ("last fold", True),
             ("fold tick", True),

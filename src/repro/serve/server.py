@@ -286,7 +286,6 @@ class InlineShardRunner:
                     telemetry = _telemetry_for_ops(
                         self.index, client, core.take_ops(), _TRACER.epoch
                     )
-                    core.maybe_checkpoint(self.server.checkpoint_interval)
                 except Exception:  # noqa: BLE001 - a poisoned batch must not wedge the shard
                     _LOG.exception(
                         "shard %d failed applying batch %s/%d; dropped un-acked",
@@ -299,6 +298,9 @@ class InlineShardRunner:
                     self.server._on_done(
                         self.index, client, done_seq, telemetry.get(done_seq)
                     )
+                # After the done-reports: the triggering batch's ack
+                # never waits on the snapshot.
+                core.maybe_checkpoint(self.server.checkpoint_interval)
             self.queue.task_done()
             self.server._update_depth()
 
@@ -393,7 +395,6 @@ def _shard_process_main(
             try:
                 done = core.submit(client, seq, payloads, sidx, values, tc=tc)
                 telemetry = _telemetry_for_ops(index, client, core.take_ops(), epoch)
-                core.maybe_checkpoint(checkpoint_interval)
             except Exception:  # noqa: BLE001 - a poisoned batch must not kill the worker
                 _LOG.exception(
                     "shard %d worker failed applying batch %s/%d; dropped un-acked",
@@ -403,6 +404,7 @@ def _shard_process_main(
                 )
             for done_seq in done:
                 out_queue.put(("done", index, client, done_seq, telemetry.get(done_seq)))
+            core.maybe_checkpoint(checkpoint_interval)
         elif kind == "query":
             # Pickle the database *here*, in the worker's only mutating
             # thread: handing the live object to the queue's feeder

@@ -22,10 +22,14 @@ consistency story:
 Durability is write-ahead: a batch is journaled before it is folded,
 and the server acks only after every shard has journaled+folded it.  A
 checkpoint serializes the full shard state (profiles *with* exact
-reference statistics — a pickle, same as the experiment disk cache)
-and truncates the journal; restore loads the snapshot and replays the
-journal tail through the normal dedup path, so a crash between
-snapshot-rename and journal-truncate double-applies nothing.
+reference statistics — a pickle whose database travels as plain
+columns, see :meth:`ProfileDatabase.__reduce__`) and truncates the
+journal; restore loads the snapshot and replays the journal tail
+through the normal dedup path, so a crash between snapshot-rename and
+journal-truncate double-applies nothing.  The runtimes checkpoint
+*after* the triggering batch's done-reports leave, so no ack waits on
+a snapshot; a failed automatic checkpoint keeps the previous snapshot
+and the journal, and the next attempt comes an interval later.
 """
 
 from __future__ import annotations
@@ -40,8 +44,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import Site
 from repro.errors import ReproError
+from repro.obs import get_logger
 from repro.obs.hist import Histogram
 from repro.serve.protocol import site_from_payload
+
+_LOG = get_logger(__name__)
 
 #: bumped when the snapshot or journal layout changes.
 SNAPSHOT_FORMAT_VERSION = 1
@@ -78,10 +85,11 @@ class ShardCore:
         ahead_window: per-client reorder-buffer bound.
         telemetry: time journal writes and folds per applied batch into
             local histograms and the per-batch op log (:meth:`take_ops`)
-            the runtimes ship home with done-reports.  Boundary-level
-            only — two clock reads per applied sub-batch, never per
-            event — and off during journal-replay restores so a
-            restart's catch-up doesn't pollute live latency data.
+            the runtimes ship home with done-reports, and time each
+            checkpoint into ``shard.checkpoint``.  Boundary-level only —
+            two clock reads per applied sub-batch, never per event — and
+            off during journal-replay restores so a restart's catch-up
+            doesn't pollute live latency data.
     """
 
     def __init__(
@@ -114,6 +122,7 @@ class ShardCore:
             "ahead_dropped": 0,
             "wal_records": 0,
             "checkpoints": 0,
+            "checkpoint_failures": 0,
             "restores": 0,
         }
         self._wal_file = None
@@ -124,11 +133,14 @@ class ShardCore:
         self.hists: Dict[str, Histogram] = {
             "shard.journal_sync": Histogram(),
             "shard.fold": Histogram(),
+            "shard.checkpoint": Histogram(),
         }
         #: per-applied-batch op log the runtimes drain via take_ops():
         #: (seq, tc, start_monotonic, journal_s, fold_s, events).
         self._ops: List[tuple] = []
         self._journal_bytes = 0
+        #: size of the snapshot on disk (0 until one is written or loaded).
+        self._snapshot_bytes = 0
         self._last_checkpoint_m: Optional[float] = None
         self._last_fold_m: Optional[float] = None
         self._last_fold_tick = 0  # cumulative events at the last fold
@@ -298,8 +310,12 @@ class ShardCore:
         Write-to-temp + rename keeps the old snapshot valid until the
         new one is complete; truncating the journal *after* the rename
         means a crash in between replays journal records the snapshot
-        already contains — which the dedup high-water mark absorbs.
+        already contains — which the dedup high-water mark absorbs.  A
+        failure before the rename removes the partial temp file, counts
+        ``checkpoint_failures`` and re-raises; the previous snapshot and
+        the journal stay as they were.
         """
+        t0 = time.monotonic()
         payload = {
             "format": SNAPSHOT_FORMAT_VERSION,
             "index": self.index,
@@ -314,9 +330,16 @@ class ShardCore:
             "db": self.db,
         }
         tmp = self.snapshot_path.with_suffix(".snap.tmp")
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, self.snapshot_path)
+        try:
+            with open(tmp, "wb") as handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                size = handle.tell()
+            os.replace(tmp, self.snapshot_path)
+        except BaseException:
+            self.counters["checkpoint_failures"] += 1
+            tmp.unlink(missing_ok=True)
+            raise
+        self._snapshot_bytes = size
         if self._wal_file is not None:
             self._wal_file.close()
             self._wal_file = None
@@ -324,15 +347,34 @@ class ShardCore:
             pass
         self._batches_since_checkpoint = 0
         self._journal_bytes = 0
-        self._last_checkpoint_m = time.monotonic()
+        self._last_checkpoint_m = now = time.monotonic()
         self.counters["checkpoints"] += 1
+        if self.telemetry:
+            self.hists["shard.checkpoint"].observe(now - t0)
 
     def maybe_checkpoint(self, every: Optional[int]) -> bool:
-        """Checkpoint if ``every`` batches have been applied since the last."""
-        if every is not None and self._batches_since_checkpoint >= every:
+        """Checkpoint if ``every`` batches have been applied since the last.
+
+        Returns whether a checkpoint was written.  A failed one is
+        logged, not raised: its batches are already applied and acked,
+        so it must not read as a poisoned batch.  The interval restarts
+        either way, so a persistent fault (a full disk) costs one
+        attempt per interval rather than a full encode per batch.
+        """
+        if every is None or self._batches_since_checkpoint < every:
+            return False
+        self._batches_since_checkpoint = 0
+        try:
             self.checkpoint()
-            return True
-        return False
+        except Exception:  # noqa: BLE001 - the journal still holds every batch
+            _LOG.exception(
+                "shard %d checkpoint failed; keeping the previous snapshot "
+                "and the journal, retrying after %d more batches",
+                self.index,
+                every,
+            )
+            return False
+        return True
 
     def _restore(self) -> None:
         if self.snapshot_path.exists():
@@ -353,6 +395,7 @@ class ShardCore:
                     f"loaded as shard {self.index}"
                 )
             self.db = payload["db"]
+            self._snapshot_bytes = self.snapshot_path.stat().st_size
             self.applied = dict(payload["applied"])
             saved = payload.get("counters", {})
             for key in ("batches", "events", "checkpoints", "wal_records"):
@@ -402,10 +445,11 @@ class ShardCore:
         """Plain-dict shard statistics for ``/stats`` responses.
 
         Besides counters this carries the shard's *health* detail: how
-        much un-checkpointed journal is on disk, how stale the snapshot
-        is, and when the last fold landed — the numbers an operator
-        needs to judge "is this shard keeping up and how much would a
-        crash replay".  Ages are ``None`` until the event happens.
+        much un-checkpointed journal is on disk, how big and how stale
+        the snapshot is, and when the last fold landed — the numbers an
+        operator needs to judge "is this shard keeping up and how much
+        would a crash replay".  Ages are ``None`` until the event
+        happens.
         """
         now = time.monotonic()
         return {
@@ -417,6 +461,7 @@ class ShardCore:
             "counters": dict(self.counters),
             "pending_ahead": sum(len(parked) for parked in self._ahead.values()),
             "journal_bytes": self._journal_bytes,
+            "snapshot_bytes": self._snapshot_bytes,
             "snapshot_age_s": (
                 round(now - self._last_checkpoint_m, 3)
                 if self._last_checkpoint_m is not None

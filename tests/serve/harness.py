@@ -22,14 +22,18 @@ given) so CI can upload the harness transcript as an artifact.
 The module also provides the equivalence vocabulary: synthetic stream
 generation (:func:`make_stream`), the single-process reference fold
 (:func:`offline_reference`) and deep state comparison
-(:func:`assert_same_profile_state`) covering TNV entry order, health
-counters and exact statistics — not just rendered metrics.
+(:func:`assert_same_profile_state`) covering every slot of every
+profile — TNV entry order, the steady set, health counters and exact
+statistics — not just rendered metrics.
 """
 
 from __future__ import annotations
 
 import asyncio
+import copyreg
+import io
 import json
+import pickle
 import random
 import socket
 import threading
@@ -113,37 +117,55 @@ def offline_reference(
 # ----------------------------------------------------------------------
 
 
-def _exact_state(stats) -> Optional[tuple]:
-    if stats is None:
-        return None
-    return (
-        sorted(stats._histogram.items()),
-        stats._total,
-        stats._zeros,
-        stats._lvp_hits,
-        (stats._has_first, stats._first if stats._has_first else None),
-        (stats._has_last, stats._last if stats._has_last else None),
-    )
+def slot_state(obj) -> dict:
+    """Every slot of ``obj``; a dict as its type and items in stored order.
+
+    Reading the class's own ``__slots__`` means a slot added later is
+    compared without touching this function.  Dicts compare
+    order-blind, and a ``Counter`` equals a plain ``dict`` with the same
+    items, so both the order and the type are spelled out.
+    """
+    state = {}
+    for name in type(obj).__slots__:
+        value = getattr(obj, name)
+        if isinstance(value, dict):
+            value = (type(value), list(value.items()))
+        state[name] = value
+    return state
 
 
 def profile_state(profile) -> dict:
     """Everything that defines a :class:`SiteProfile`'s state.
 
-    ``tnv.to_dict()`` preserves entry order and the health counters;
-    the scalars cover LVP/zeros/boundary state; ``exact`` is the full
-    reference histogram.
+    Every slot of the profile, its TNV table and its exact statistics:
+    TNV entries and the exact histogram in stored order, the steady
+    set, the health counters, the LVP/zeros/boundary scalars — and the
+    site's ``opcode``, which ``Site`` equality ignores.
     """
-    return {
-        "scalars": (
-            profile._total,
-            profile._zeros,
-            profile._lvp_hits,
-            (profile._has_first, profile._first if profile._has_first else None),
-            (profile._has_last, profile._last if profile._has_last else None),
-        ),
-        "tnv": profile.tnv.to_dict(),
-        "exact": _exact_state(profile.exact),
-    }
+    state = slot_state(profile)
+    state["site"] = (profile.site, profile.site.opcode)
+    state["tnv"] = slot_state(profile.tnv)
+    state["exact"] = None if profile.exact is None else slot_state(profile.exact)
+    return state
+
+
+def object_graph_dumps(obj) -> bytes:
+    """Pickle ``obj`` with every database in the pre-columnar form.
+
+    Before :meth:`ProfileDatabase.__reduce__` existed, a database
+    pickled as ``copyreg.__newobj__`` plus its ``__dict__`` — the whole
+    object graph.  Snapshots and cache entries written then must load.
+    """
+
+    class ObjectGraphPickler(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value) is ProfileDatabase:
+                return copyreg.__newobj__, (ProfileDatabase,), value.__dict__
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    ObjectGraphPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
 
 
 def db_state(db: ProfileDatabase) -> Dict[Site, dict]:
@@ -156,7 +178,7 @@ def assert_same_profile_state(actual: ProfileDatabase, expected: ProfileDatabase
     Shards own disjoint site subsets, so a merged database lists sites
     in shard order rather than stream order; every query surface sorts,
     so cross-site order is not part of the contract.  *Within* a site,
-    everything is: TNV entry order, health counters, exact stats.
+    everything is: every slot of :func:`profile_state`.
     """
     actual_state = db_state(actual)
     expected_state = db_state(expected)

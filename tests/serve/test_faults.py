@@ -6,6 +6,8 @@ failure contract is "faults cost retries and latency, never data that
 was acknowledged."
 """
 
+import errno
+import os
 import socket
 import threading
 import time
@@ -14,6 +16,8 @@ import urllib.error
 import pytest
 
 from repro.serve import protocol as proto
+from repro.serve import shard as shard_module
+from repro.serve.shard import ShardCore
 
 from tests.serve.harness import (
     DropFirstSend,
@@ -100,6 +104,91 @@ def test_kill_mid_ingest_recovers_via_retries(tmp_path):
     assert_same_profile_state(merged, offline_reference(events))
     assert stats["counters"]["serve.shard_kills"] == 1
     assert stats["counters"]["serve.shard_restarts"] == 1
+
+
+def test_failed_checkpoint_is_not_a_poisoned_batch(tmp_path, monkeypatch):
+    """A checkpoint that fails (``os.replace`` raising once, as on a full
+    disk) costs nothing acked: the triggering batch is acked, the old
+    snapshot and the journal stay, the next batch does not re-attempt,
+    and the next interval's checkpoint succeeds."""
+    events = make_stream(num_sites=6, num_events=130, seed=23)
+    batches = [events[start:start + 10] for start in range(0, len(events), 10)]
+    real_replace = os.replace
+    snapshot_replaces = []
+
+    def replace_failing_once(src, dst):
+        if str(dst).endswith(".snap"):
+            snapshot_replaces.append(dst)
+            if len(snapshot_replaces) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(shard_module.os, "replace", replace_failing_once)
+
+    def push(cluster, client, chunk):
+        for batch in chunk:
+            client.push_events(batch, batch_size=10)
+        client.flush()  # every batch acked
+        return cluster.http_json("/stats")  # runs after the shard's step
+
+    with ServeCluster(
+        shards=1, checkpoint_interval=4, snapshot_dir=str(tmp_path)
+    ) as cluster:
+        core = cluster.server.runners[0].core
+        client = cluster.client("c1", stream="s")
+        push(cluster, client, batches[:4])  # checkpoint 1 succeeds
+        first_snapshot = core.snapshot_path.read_bytes()
+
+        stats = push(cluster, client, batches[4:8])  # checkpoint 2 fails
+        shard = stats["shards"][0]
+        assert len(snapshot_replaces) == 2
+        assert stats["counters"]["serve.acks"] == 8
+        assert stats["counters"].get("serve.poisoned_batches", 0) == 0
+        assert shard["counters"]["checkpoint_failures"] == 1
+        assert shard["counters"]["checkpoints"] == 1
+        assert core.snapshot_path.read_bytes() == first_snapshot
+        assert not core.snapshot_path.with_suffix(".snap.tmp").exists()
+        assert [record[1] for record in core._read_journal()] == [4, 5, 6, 7]
+
+        stats = push(cluster, client, batches[8:9])  # no re-attempt
+        assert len(snapshot_replaces) == 2
+        assert stats["shards"][0]["counters"]["checkpoints"] == 1
+
+        stats = push(cluster, client, batches[9:12])  # next interval succeeds
+        assert len(snapshot_replaces) == 3
+        assert stats["shards"][0]["counters"]["checkpoints"] == 2
+        assert stats["shards"][0]["counters"]["checkpoint_failures"] == 1
+        assert core._read_journal() == []
+
+        push(cluster, client, batches[12:])  # a journal-only tail
+        client.close()
+        cluster.stop(checkpoint=False)
+
+    with ServeCluster(
+        shards=1, checkpoint_interval=4, snapshot_dir=str(tmp_path), restore=True
+    ) as restored:
+        merged = restored.merged_database()
+    assert_same_profile_state(merged, offline_reference(events))
+
+
+def test_checkpoint_starts_after_its_batch_is_acked(tmp_path, monkeypatch):
+    """The batch that triggers a checkpoint is acked before the
+    checkpoint begins: ``serve.acks`` already counts it on entry."""
+    events = make_stream(num_sites=4, num_events=60, seed=24)
+    acks_at_checkpoint = []
+    real_checkpoint = ShardCore.checkpoint
+
+    with ServeCluster(
+        shards=1, checkpoint_interval=3, snapshot_dir=str(tmp_path)
+    ) as cluster:
+        def checkpoint(core):
+            acks_at_checkpoint.append(cluster.server.counters.get("serve.acks", 0))
+            real_checkpoint(core)
+
+        monkeypatch.setattr(ShardCore, "checkpoint", checkpoint)
+        cluster.push_events("c1", events, batch_size=10)  # six batches
+        cluster.http_json("/stats")
+    assert acks_at_checkpoint[:2] == [3, 6]
 
 
 def test_disconnect_mid_batch_leaves_no_partial_fold():

@@ -255,12 +255,19 @@ class TestSlowOpsAndHealth:
             cluster.push_events("c1", make_stream(num_sites=12, num_events=600))
             cluster.checkpoint()
             stats = cluster.http_json("/stats")
-        for shard in stats["shards"]:
+            snapshot_sizes = [
+                (tmp_path / f"shard-{index:03d}.snap").stat().st_size
+                for index in range(2)
+            ]
+        for shard, snapshot_size in zip(stats["shards"], snapshot_sizes):
             assert shard["journal_bytes"] == 0  # checkpoint truncated it
+            assert shard["snapshot_bytes"] == snapshot_size
             assert shard["snapshot_age_s"] is not None
             assert shard["last_fold_age_s"] is not None
             assert shard["last_fold_tick"] > 0
             assert shard["hists"]["shard.fold"]["count"] > 0
+            assert shard["hists"]["shard.checkpoint"]["count"] == 1
+            assert shard["counters"]["checkpoint_failures"] == 0
 
     def test_journal_bytes_grow_until_checkpoint(self, tmp_path):
         with ServeCluster(shards=1, snapshot_dir=str(tmp_path)) as cluster:
@@ -283,13 +290,16 @@ class TestLiveDashboard:
 
         with ServeCluster(shards=2, slow_op_threshold=0.0) as cluster:
             cluster.push_events("c1", make_stream(num_sites=12, num_events=600))
+            cluster.checkpoint()
             html = render_live_dashboard(
                 f"http://127.0.0.1:{cluster.http_port}"
             )
         for section in (
             "Shard health",
+            "snapshot B",
             "Serve latency histograms",
             "serve.batch_e2e",
+            "shard0.shard.checkpoint",
             "Producer sessions",
             "Slow operations",
             "raw /metrics scrape",

@@ -5,6 +5,8 @@ state the server acked — so a rolling restart is invisible in every
 query surface, byte for byte.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.profile import TNVConfig
@@ -17,6 +19,7 @@ from tests.serve.harness import (
     assert_same_profile_state,
     db_state,
     make_stream,
+    object_graph_dumps,
     offline_reference,
 )
 
@@ -87,6 +90,27 @@ def test_core_restore_tolerates_torn_journal_tail(tmp_path):
     restored.close()
 
 
+def test_restore_reads_object_graph_snapshot(tmp_path):
+    """A snapshot whose database was pickled as an object graph, as
+    every snapshot was before the columnar encoding, still restores
+    and continues exactly."""
+    events = make_stream(num_sites=6, num_events=500, seed=26)
+    config = TNVConfig(capacity=6, steady=3, clear_interval=40)
+    core = ShardCore(0, str(tmp_path), config=config, exact=True)
+    seq = _feed_core(core, events[:300])
+    core.checkpoint()
+    payload = pickle.loads(core.snapshot_path.read_bytes())
+    payload["db"] = core.db  # the live database, not the decoded copy
+    core.snapshot_path.write_bytes(object_graph_dumps(payload))
+    core.close()
+
+    restored = ShardCore(0, str(tmp_path), config=config, exact=True, restore=True)
+    assert_same_profile_state(restored.db, offline_reference(events[:300], config=config))
+    _feed_core(restored, events[300:], seq_base=seq)
+    assert_same_profile_state(restored.db, offline_reference(events, config=config))
+    restored.close()
+
+
 def test_snapshot_identity_checks(tmp_path):
     core = ShardCore(0, str(tmp_path), exact=True)
     _feed_core(core, make_stream(num_sites=3, num_events=50, seed=23))
@@ -107,12 +131,13 @@ def test_resume_seq_is_min_over_shards():
     assert resume_seq([4, 7, 4]) == 5
 
 
-def test_golden_restore_profile_byte_identical(tmp_path):
-    """checkpoint → kill server → --restore: /profile is byte-identical
-    to an uninterrupted run over the same stream."""
+def _golden_restore(tmp_path, config=None):
+    """checkpoint → kill server → --restore, against an uninterrupted
+    control run over the same stream; returns the events and the
+    restored run's merged database."""
     events = make_stream(num_sites=10, num_events=1200, seed=24)
     snapdir = str(tmp_path / "snaps")
-    kwargs = dict(shards=2, queue_size=16, checkpoint_interval=None)
+    kwargs = dict(shards=2, queue_size=16, checkpoint_interval=None, config=config)
 
     # Interrupted run: part 1 checkpointed, part 2 journal-only, then a
     # stop with no final checkpoint (the crash).
@@ -147,8 +172,29 @@ def test_golden_restore_profile_byte_identical(tmp_path):
     assert restored_text == control_text
     assert restored_json == control_json
     assert_same_profile_state(
-        restored_db, offline_reference(events, name="synth.train")
+        restored_db, offline_reference(events, config=config, name="synth.train")
     )
+    return events, restored_db
+
+
+def test_golden_restore_profile_byte_identical(tmp_path):
+    """checkpoint → kill server → --restore: /profile is byte-identical
+    to an uninterrupted run over the same stream."""
+    _golden_restore(tmp_path)
+
+
+def test_golden_restore_crosses_tnv_clears(tmp_path):
+    """The same, with a clear interval short enough that every site's
+    table clears before the checkpoint and several times after the
+    restore — so the restored steady sets and clear phases decide the
+    promotions and evictions that follow."""
+    config = TNVConfig(capacity=6, steady=3, clear_interval=7)
+    events, restored = _golden_restore(tmp_path, config)
+    before_restore = offline_reference(events[:900], config=config)
+    for profile in restored:
+        table_then = before_restore.profile_for(profile.site).tnv
+        assert table_then.clears >= 2 and table_then._steady_values
+        assert profile.tnv.clears - table_then.clears >= 3
 
 
 def test_http_endpoints_surface(tmp_path):
