@@ -23,15 +23,31 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.analysis.experiments import experiment, make_result, profiled, programs
+from repro.analysis.experiments import (
+    benchmark_run,
+    experiment,
+    make_result,
+    profiled,
+    programs,
+)
 from repro.analysis.tables import Table, percentage
-from repro.core.metrics import aggregate_metrics
 from repro.core.profile import ProfileDatabase
 from repro.core.sites import SiteKind
-from repro.isa.instrument import FanoutObserver, ProfileTarget, ValueProfiler
+from repro.isa.instrument import ProfileTarget
 from repro.isa.machine import Machine
 from repro.specialize.memoize import AdaptiveMemoizer, memoizability
 from repro.workloads.registry import get_workload
+
+
+def _context_profile(name: str, scale: float) -> ProfileDatabase:
+    """The train input's parameter profile, keyed by calling site."""
+    return profiled(
+        name,
+        "train",
+        scale=scale,
+        targets=(ProfileTarget.PARAMETERS,),
+        parameter_context=True,
+    ).database
 
 
 @experiment(
@@ -51,25 +67,14 @@ def table_calling_context(scale: float = 1.0):
     data: Dict[str, dict] = {}
     gains: List[float] = []
     for name in programs():
-        workload = get_workload(name)
-        dataset = workload.dataset("train", scale=scale)
-        program = workload.program()
-        merged_db = ProfileDatabase(name=f"{name}.merged")
-        context_db = ProfileDatabase(name=f"{name}.context")
-        fan = FanoutObserver(
-            [
-                ValueProfiler(program, merged_db, targets=(ProfileTarget.PARAMETERS,)),
-                ValueProfiler(
-                    program,
-                    context_db,
-                    targets=(ProfileTarget.PARAMETERS,),
-                    parameter_context=True,
-                ),
-            ]
-        )
-        machine = Machine(program, observer=fan)
-        machine.set_input(dataset.values)
-        machine.run()
+        # table-parameters profiles the same merged run.
+        merged_db = profiled(
+            name,
+            "train",
+            scale=scale,
+            targets=(ProfileTarget.PARAMETERS, ProfileTarget.RETURNS),
+        ).database
+        context_db = _context_profile(name, scale)
 
         merged = merged_db.summary(SiteKind.PARAMETER)
         contextual = context_db.summary(SiteKind.PARAMETER)
@@ -282,14 +287,12 @@ def table_memoization(scale: float = 1.0):
 )
 def table_isa_specialization(scale: float = 1.0):
     from repro.isa.instructions import REG_ARGS
-    from repro.isa.machine import run_program
+    from repro.isa.machine import resolve_engine
     from repro.isa.optimize import (
         patch_call_site,
         specialize_procedure,
         written_registers,
     )
-
-    from repro.isa.machine import resolve_engine
 
     table = Table(
         (
@@ -304,34 +307,23 @@ def table_isa_specialization(scale: float = 1.0):
         precision=2,
     )
     data: Dict[str, dict] = {}
-    # The profiling runs go through whatever interpreter tier the
+    # The specialized binary runs on whatever interpreter tier the
     # environment selects (``REPRO_ENGINE``/``REPRO_TIER2``), so under
-    # the tier-2 engine this experiment's own profiling is itself
+    # the tier-2 engine the specialized code is itself
     # profile-guided-specialized.  The engine and its quicken/deopt
     # stats land in ``data`` only; the rendered table must stay
     # byte-identical across engines (CI diffs it).
     engine = resolve_engine(None)
     data["engine"] = {"name": engine, "tier2": {}}
     for name in programs():
-        workload = get_workload(name)
-        dataset = workload.dataset("train", scale=scale)
-        program = workload.program()
-        baseline = run_program(program, input_values=dataset.values)
+        # With replay on, the baseline run and the profile come from
+        # the train input's capture: the specialized binary is the
+        # only program this experiment simulates.
+        dataset, baseline = benchmark_run(name, "train", scale)
+        program = get_workload(name).program()
 
         # 1. calling-context parameter profile
-        context_db = ProfileDatabase(name=f"{name}.context")
-        observer = ValueProfiler(
-            program,
-            context_db,
-            targets=(ProfileTarget.PARAMETERS,),
-            parameter_context=True,
-        )
-        machine = Machine(program, observer=observer, engine=engine)
-        machine.set_input(dataset.values)
-        machine.run()
-        tier2_stats = machine.tier2_stats()
-        if tier2_stats is not None:
-            data["engine"]["tier2"][name] = tier2_stats
+        context_db = _context_profile(name, scale)
 
         # 2. per call site: collect argument registers that were fully
         #    invariant at that site
@@ -375,7 +367,12 @@ def table_isa_specialization(scale: float = 1.0):
             variants += 1
             rewrites += report.rewrites
 
-        result = run_program(specialized, input_values=dataset.values)
+        machine = Machine(specialized, engine=engine)
+        machine.set_input(dataset.values)
+        result = machine.run()
+        tier2_stats = machine.tier2_stats()
+        if tier2_stats is not None:
+            data["engine"]["tier2"][name] = tier2_stats
         assert list(result.output) == list(dataset.expected_output), (
             f"{name}: specialized binary diverged"
         )

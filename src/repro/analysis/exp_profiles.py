@@ -13,7 +13,13 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from repro.analysis.experiments import experiment, make_result, profiled, programs
+from repro.analysis.experiments import (
+    benchmark_run,
+    experiment,
+    make_result,
+    profiled,
+    programs,
+)
 from repro.analysis.figures import bar_chart
 from repro.analysis.quantile import invariance_buckets
 from repro.analysis.tables import METRICS_COLUMNS, Table, metrics_row, percentage
@@ -21,25 +27,8 @@ from repro.core.metrics import SiteMetrics, aggregate_metrics
 from repro.core.sites import SiteKind
 from repro.isa.instructions import OPCODES
 from repro.isa.instrument import ProfileTarget
-from repro.workloads.harness import run_workload
+from repro.isa.machine import Machine
 from repro.workloads.registry import get_workload
-
-
-def _benchmark_run(name: str, variant: str, scale: float):
-    """``(dataset, result)`` of one uninstrumented program input.
-
-    With replay on, both come from the input's captured trace, which
-    other experiments capture or load in the same run anyway; the
-    trace's result is the same :class:`~repro.isa.machine.RunResult`
-    an uninstrumented run returns.  With replay off, the input runs.
-    """
-    from repro.analysis import experiments
-
-    if experiments.replay_enabled():
-        trace = experiments.load_events(name, variant, scale)
-        return trace.dataset, trace.result
-    dataset = get_workload(name).dataset(variant, scale=scale)
-    return dataset, run_workload(name, variant, scale=scale)
 
 
 @experiment(
@@ -58,7 +47,7 @@ def table_benchmarks(scale: float = 1.0):
         workload = get_workload(name)
         entry = {}
         for variant in ("train", "test"):
-            dataset, result = _benchmark_run(name, variant, scale)
+            dataset, result = benchmark_run(name, variant, scale)
             table.add_row(
                 name,
                 workload.spec_analogue,
@@ -421,6 +410,28 @@ def table_parameters(scale: float = 1.0):
     return make_result("table-parameters", text, data)
 
 
+def _train_pc_counts(name: str, scale: float):
+    """Per-pc execution counts of ``name``'s train input.
+
+    With replay on they come from the input's capture.  A tier-2
+    capture counts no pcs, and with replay off nothing is captured, so
+    then a ``count_pcs`` run counts them.
+    """
+    from repro.analysis import experiments
+
+    if experiments.replay_enabled():
+        trace = experiments.load_events(name, "train", scale)
+        if trace.pc_counts is not None:
+            return trace.pc_counts
+        dataset = trace.dataset
+    else:
+        dataset = get_workload(name).dataset("train", scale=scale)
+    machine = Machine(get_workload(name).program(), count_pcs=True)
+    machine.set_input(dataset.values)
+    machine.run()
+    return machine.pc_counts
+
+
 @experiment(
     "table-basic-blocks",
     "Basic block quantile table",
@@ -431,8 +442,6 @@ def table_parameters(scale: float = 1.0):
     "hot code.",
 )
 def table_basic_blocks(scale: float = 1.0):
-    from repro.isa.machine import Machine, block_counts
-
     quantiles = (0.01, 0.05, 0.10, 0.25, 0.50)
     table = Table(
         ("program", "blocks") + tuple(f"top {int(100 * q)}%" for q in quantiles),
@@ -441,19 +450,11 @@ def table_basic_blocks(scale: float = 1.0):
     )
     data: Dict[str, dict] = {}
     for name in programs():
-        workload = get_workload(name)
-        dataset = workload.dataset("train", scale=scale)
-        machine = Machine(workload.program(), count_pcs=True)
-        machine.set_input(dataset.values)
-        machine.run()
-        counts = block_counts(machine)
-        blocks = workload.program().basic_blocks()
+        pc_counts = _train_pc_counts(name, scale)
+        blocks = get_workload(name).program().basic_blocks()
         # Weight per block: sum the exact per-pc counts inside it
         # (the dynamic instructions the block contributed).
-        weights = []
-        for block in blocks:
-            weight = sum(machine.pc_counts[pc] for pc in range(block.start, block.end))
-            weights.append(weight)
+        weights = [sum(pc_counts[block.start : block.end]) for block in blocks]
         weights.sort(reverse=True)
         total = sum(weights) or 1
         row = [name, len(blocks)]

@@ -41,6 +41,7 @@ from repro.workloads.harness import (
     ProfiledRun,
     capture_workload_events,
     profile_workload,
+    run_workload,
     trace_workload,
 )
 from repro.workloads.registry import get_workload, workload_names
@@ -271,6 +272,21 @@ def load_events(name: str, variant: str = "train", scale: float = 1.0) -> EventT
     return trace
 
 
+def benchmark_run(name: str, variant: str = "train", scale: float = 1.0):
+    """``(dataset, result)`` of one uninstrumented program input.
+
+    With replay on, both come from the input's captured trace, which
+    other experiments capture or load in the same run anyway; the
+    trace's result is the same :class:`~repro.isa.machine.RunResult`
+    an uninstrumented run returns.  With replay off, the input runs.
+    """
+    if _REPLAY_ENABLED:
+        trace = load_events(name, variant, scale)
+        return trace.dataset, trace.result
+    dataset = get_workload(name).dataset(variant, scale=scale)
+    return dataset, run_workload(name, variant, scale=scale)
+
+
 def clear_event_cache() -> None:
     """Drop in-process event traces (tests use this to control memory)."""
     _EVENT_CACHE.clear()
@@ -282,6 +298,7 @@ def profiled(
     scale: float = 1.0,
     targets: Iterable[ProfileTarget] = (ProfileTarget.INSTRUCTIONS, ProfileTarget.LOADS),
     config: Optional[TNVConfig] = None,
+    parameter_context: bool = False,
 ) -> ProfiledRun:
     """Cached profiled run: replay from the event store (or simulate).
 
@@ -290,12 +307,14 @@ def profiled(
     :func:`profile_workload` (all database queries sort, and per-site
     batch replay is state-identical per site).  With replay off, falls
     back to the original simulate-per-call path with its own L2 pickle.
+    ``parameter_context`` keys parameter sites by calling site, as
+    :func:`profile_workload`'s option does.
     """
     target_key = tuple(sorted(t.value for t in targets))
     config_key = (
         (config.capacity, config.steady, config.clear_interval) if config else None
     )
-    key = (name, variant, scale, target_key, config_key)
+    key = (name, variant, scale, target_key, config_key, parameter_context)
     cached = _RUN_CACHE.get(key)
     if cached is not None:
         METRICS.inc("cache.memory_hits")
@@ -306,7 +325,11 @@ def profiled(
             "replay-profile", workload=name, variant=variant, scale=scale
         ), METRICS.time("tracestore.replay"):
             database = tracestore.replay_profile(
-                trace, targets, config=config, name=trace.dataset.name
+                trace,
+                targets,
+                config=config,
+                name=trace.dataset.name,
+                parameter_context=parameter_context,
             )
         run = ProfiledRun(
             workload=get_workload(name),
@@ -338,7 +361,12 @@ def profiled(
         "profile-workload", workload=name, variant=variant, scale=scale
     ), METRICS.time("profile_workload"):
         run = profile_workload(
-            name, variant, scale=scale, targets=targets, config=config
+            name,
+            variant,
+            scale=scale,
+            targets=targets,
+            config=config,
+            parameter_context=parameter_context,
         )
     _RUN_CACHE[key] = run
     if disk_path is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 class SiteKind(str, enum.Enum):
@@ -97,13 +98,21 @@ def memory_site(program: str, address: int) -> Site:
     return Site(kind=SiteKind.MEMORY, program=program, label=hex(address))
 
 
-def parameter_site(program: str, procedure: str, index: int) -> Site:
-    """Site for the ``index``-th argument of ``procedure``."""
+def parameter_site(
+    program: str, procedure: str, index: int, call_pc: Optional[int] = None
+) -> Site:
+    """Site for the ``index``-th argument of ``procedure``.
+
+    With ``call_pc`` the site is that argument as passed from one
+    calling site (``arg{index}@{call_pc}``), the key of
+    calling-context-sensitive parameter profiling.
+    """
+    label = f"arg{index}" if call_pc is None else f"arg{index}@{call_pc}"
     return Site(
         kind=SiteKind.PARAMETER,
         program=program,
         procedure=procedure,
-        label=f"arg{index}",
+        label=label,
     )
 
 

@@ -16,8 +16,14 @@ Replays filter by :class:`~repro.isa.instrument.ProfileTarget` — each
 family's sub-stream is exactly the event sequence a live observer
 subscribed to that family would have seen, in the same order.
 
+Two further columns carry what the capture run knew beyond the
+events: the call-site pc of every parameter event, so calling-context
+parameter profiles replay (:meth:`EventTrace.with_parameter_context`),
+and the run's per-pc execution counts, so basic-block counts need no
+second run.
+
 On disk a trace is one pickle under the source-hash-keyed cache
-(:mod:`repro.core.diskcache`): the site table pickled as-is and the two
+(:mod:`repro.core.diskcache`): the site table pickled as-is and the
 columns as zlib-compressed raw bytes.  The repetitive site-id column
 compresses to a few percent; values are stored at level 1 — cheap, and
 still a large win on the mostly-small integers the workloads produce.
@@ -27,14 +33,14 @@ from __future__ import annotations
 
 import zlib
 from array import array
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core import fold as foldmod
 from repro.core.fold import SiteFold, fold_values
 from repro.core.profile import ProfileDatabase, TNVConfig
-from repro.core.sites import Site, SiteKind
+from repro.core.sites import Site, SiteKind, parameter_site
 from repro.errors import ReproError
 from repro.isa.instrument import ALL_TARGETS, ProfileTarget, ValueProfiler
 from repro.isa.machine import MachineObserver
@@ -53,7 +59,7 @@ TARGET_KINDS: Dict[ProfileTarget, SiteKind] = {
 }
 
 #: bumped when the serialized trace layout changes.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 class TraceStoreError(ReproError):
@@ -73,6 +79,10 @@ class EventTrace:
         values: per-event value, in program order.
         result: the simulation's :class:`~repro.isa.machine.RunResult`.
         dataset: the exact input/expected-output pair simulated.
+        call_pcs: the calling pc of each parameter event, in program
+            order: one entry per event on a ``PARAMETER`` site.
+        pc_counts: how many times each pc executed, or ``None`` when
+            the capture did not count (tier-2 captures keep their tier).
         meta: capture provenance (engine, elapsed seconds, ...).
     """
 
@@ -84,6 +94,8 @@ class EventTrace:
     values: array
     result: object
     dataset: object
+    call_pcs: array = field(default_factory=lambda: array("I"))
+    pc_counts: Optional[array] = None
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -225,6 +237,43 @@ class EventTrace:
             out.append((site, fold_values(sorted_values[start:end], interval)))
         return out
 
+    def with_parameter_context(self) -> "EventTrace":
+        """This trace with each parameter event keyed by its call site.
+
+        The stream a live ``ValueProfiler(parameter_context=True)``
+        sees: every ``arg{i}`` event moves to the ``arg{i}@{pc}`` site
+        of its calling pc.  Those sites are appended to the site table
+        in order of first event; every other event keeps its site id.
+        """
+        sites = list(self.sites)
+        is_parameter = [site.kind is SiteKind.PARAMETER for site in sites]
+        site_ids = array("I", self.site_ids)
+        positions = list(
+            compress(range(len(site_ids)), map(is_parameter.__getitem__, site_ids))
+        )
+        if len(positions) != len(self.call_pcs):
+            raise TraceStoreError(
+                f"call-pc column length mismatch: {len(self.call_pcs)} call "
+                f"pcs vs {len(positions)} parameter events"
+            )
+        context_ids: Dict[Tuple[int, int], int] = {}
+        for position, call_pc in zip(positions, self.call_pcs):
+            key = (site_ids[position], call_pc)
+            sid = context_ids.get(key)
+            if sid is None:
+                merged = sites[key[0]]
+                sid = context_ids[key] = len(sites)
+                sites.append(
+                    parameter_site(
+                        merged.program,
+                        merged.procedure,
+                        int(merged.label.removeprefix("arg")),
+                        call_pc,
+                    )
+                )
+            site_ids[position] = sid
+        return replace(self, sites=sites, site_ids=site_ids)
+
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
@@ -237,8 +286,10 @@ class EventTrace:
             "variant": self.variant,
             "scale": self.scale,
             "sites": self.sites,
-            "site_ids": zlib.compress(self.site_ids.tobytes(), 1),
-            "values": zlib.compress(self.values.tobytes(), 1),
+            "site_ids": _pack(self.site_ids),
+            "values": _pack(self.values),
+            "call_pcs": _pack(self.call_pcs),
+            "pc_counts": None if self.pc_counts is None else _pack(self.pc_counts),
             "result": self.result,
             "dataset": self.dataset,
             "meta": self.meta,
@@ -246,19 +297,28 @@ class EventTrace:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "EventTrace":
+        """Rebuild a trace; any malformed payload raises :class:`TraceStoreError`."""
+        try:
+            return cls._decode(payload)
+        except (AttributeError, KeyError, TypeError, ValueError, zlib.error) as error:
+            raise TraceStoreError(
+                f"malformed trace payload: {type(error).__name__}: {error}"
+            ) from error
+
+    @classmethod
+    def _decode(cls, payload: dict) -> "EventTrace":
         if payload.get("format") != TRACE_FORMAT_VERSION:
             raise TraceStoreError(
                 f"unsupported trace format {payload.get('format')!r}"
             )
-        site_ids = array("I")
-        site_ids.frombytes(zlib.decompress(payload["site_ids"]))
-        values = array("q")
-        values.frombytes(zlib.decompress(payload["values"]))
+        site_ids = _unpack("I", payload["site_ids"])
+        values = _unpack("q", payload["values"])
         if len(site_ids) != len(values):
             raise TraceStoreError(
                 f"column length mismatch: {len(site_ids)} ids vs "
                 f"{len(values)} values"
             )
+        pc_counts = payload["pc_counts"]
         return cls(
             program=payload["program"],
             variant=payload["variant"],
@@ -266,10 +326,22 @@ class EventTrace:
             sites=payload["sites"],
             site_ids=site_ids,
             values=values,
+            call_pcs=_unpack("I", payload["call_pcs"]),
+            pc_counts=None if pc_counts is None else _unpack("q", pc_counts),
             result=payload["result"],
             dataset=payload["dataset"],
             meta=payload.get("meta", {}),
         )
+
+
+def _pack(column: array) -> bytes:
+    return zlib.compress(column.tobytes(), 1)
+
+
+def _unpack(typecode: str, data: bytes) -> array:
+    column = array(typecode)
+    column.frombytes(zlib.decompress(data))
+    return column
 
 
 def _discard(value) -> None:
@@ -282,6 +354,8 @@ class TraceCaptureObserver(MachineObserver):
     Site interning and event-family fan-out are delegated to an inner
     :class:`ValueProfiler` subscribed to every target, so the captured
     stream is exactly the union of what per-family observers would see.
+    Each call also appends its calling pc to ``call_pcs`` once per
+    argument, after the argument events themselves.
     """
 
     def __init__(self, program) -> None:
@@ -289,6 +363,7 @@ class TraceCaptureObserver(MachineObserver):
         self.sites: List[Site] = []
         self.site_ids: array = array("I")
         self.values: array = array("q")
+        self.call_pcs: array = array("I")
         self._index: Dict[Site, int] = {}
 
     # Recorder protocol (the inner ValueProfiler writes into us).
@@ -313,6 +388,7 @@ class TraceCaptureObserver(MachineObserver):
 
     def on_call(self, procedure, args, call_site=-1) -> None:
         self._profiler.on_call(procedure, args, call_site)
+        self.call_pcs.extend(repeat(call_site, len(args)))
 
     def on_return(self, procedure, value) -> None:
         self._profiler.on_return(procedure, value)
@@ -328,7 +404,16 @@ class TraceCaptureObserver(MachineObserver):
         return self._profiler.bind_store(inst)
 
     def bind_call(self, procedure, call_pc):
-        return self._profiler.bind_call(procedure, call_pc)
+        hook = self._profiler.bind_call(procedure, call_pc)
+        if not procedure.nargs:
+            return hook
+
+        def capture(args, _hook=hook, _extend=self.call_pcs.extend,
+                    _pcs=array("I", [call_pc] * procedure.nargs)):
+            _hook(args)
+            _extend(_pcs)
+
+        return capture
 
     def bind_return(self, procedure):
         return self._profiler.bind_return(procedure)
@@ -345,6 +430,7 @@ def replay_profile(
     config: Optional[TNVConfig] = None,
     exact: bool = True,
     name: str = "",
+    parameter_context: bool = False,
 ) -> ProfileDatabase:
     """Rebuild the :class:`ProfileDatabase` a live profiler would produce.
 
@@ -356,8 +442,13 @@ def replay_profile(
     database consumes grouped ``(value, count)`` chunks.  The flight
     recorder needs the raw event stream, so an enabled recorder — and
     ``REPRO_FOLD=event`` — falls back to the per-site batch path.
+
+    ``parameter_context`` keys parameter sites by calling site, as the
+    :class:`ValueProfiler` option of that name does.
     """
     database = ProfileDatabase(config=config, exact=exact, name=name)
+    if parameter_context:
+        trace = trace.with_parameter_context()
     events = 0
     if foldmod.grouped_enabled() and not _FLIGHT.enabled:
         folds = trace.site_folds(targets, database.config.clear_interval)

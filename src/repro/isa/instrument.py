@@ -146,7 +146,7 @@ class ValueProfiler(MachineObserver):
                 load_site(name, inst.procedure, inst.pc, inst.opcode) if info.is_load else None
             )
         self._memory_sites: Dict[int, Site] = {}
-        self._parameter_sites: Dict[Tuple[str, int, int], Site] = {}
+        self._parameter_sites: Dict[Tuple[str, int, Optional[int]], Site] = {}
         self._return_sites: Dict[str, Site] = {}
         self._want_instructions = ProfileTarget.INSTRUCTIONS in self.targets
         self._want_loads = ProfileTarget.LOADS in self.targets
@@ -222,22 +222,15 @@ class ValueProfiler(MachineObserver):
     def on_call(self, procedure: Procedure, args: Sequence[int], call_site: int = -1) -> None:
         if not self._want_parameters:
             return
-        context = call_site if self.parameter_context else -1
+        context = call_site if self.parameter_context and call_site >= 0 else None
         for index, value in enumerate(args):
             key = (procedure.name, index, context)
             site = self._parameter_sites.get(key)
             if site is None:
-                site = parameter_site(self.program.name, procedure.name, index)
-                if context >= 0:
-                    site = Site(
-                        kind=site.kind,
-                        program=site.program,
-                        procedure=site.procedure,
-                        label=f"{site.label}@{context}",
-                    )
-                self._parameter_sites[key] = site
+                site = self._parameter_sites[key] = parameter_site(
+                    self.program.name, procedure.name, index, context
+                )
             self._emit(site, value)
-
 
     def on_return(self, procedure: Procedure, value: int) -> None:
         if not self._want_returns:
@@ -363,21 +356,15 @@ class ValueProfiler(MachineObserver):
     def bind_call(self, procedure: Procedure, call_pc: int):
         if not self._want_parameters:
             return None
-        context = call_pc if self.parameter_context else -1
+        context = call_pc if self.parameter_context and call_pc >= 0 else None
         sites = []
         for index in range(procedure.nargs):
             key = (procedure.name, index, context)
             site = self._parameter_sites.get(key)
             if site is None:
-                site = parameter_site(self.program.name, procedure.name, index)
-                if context >= 0:
-                    site = Site(
-                        kind=site.kind,
-                        program=site.program,
-                        procedure=site.procedure,
-                        label=f"{site.label}@{context}",
-                    )
-                self._parameter_sites[key] = site
+                site = self._parameter_sites[key] = parameter_site(
+                    self.program.name, procedure.name, index, context
+                )
             sites.append(site)
 
         def hook(args, _emits=tuple(self._bind_emit(site) for site in sites)):

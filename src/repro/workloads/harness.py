@@ -9,6 +9,7 @@ simulation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -17,7 +18,7 @@ from repro.core.sampling import SamplingProfiler, SamplingPolicy
 from repro.core.sites import Site
 from repro.errors import ProfileError, WorkloadError
 from repro.isa.instrument import ProfileTarget, ValueProfiler, ValueTraceCollector
-from repro.isa.machine import Machine, RunResult
+from repro.isa.machine import Machine, RunResult, resolve_engine
 from repro.obs import TRACER, get_logger
 from repro.workloads.registry import DataSet, Workload, get_workload
 
@@ -60,6 +61,7 @@ def profile_workload(
     policy: Optional[SamplingPolicy] = None,
     verify: bool = True,
     buffered: Optional[bool] = None,
+    parameter_context: bool = False,
 ) -> ProfiledRun:
     """Run one workload under the value profiler.
 
@@ -81,6 +83,8 @@ def profile_workload(
             sampling's shared RNG) stay on the per-event path, and
             asking to buffer one raises :class:`ProfileError`.  The
             machine flushes the buffers when the program halts.
+        parameter_context: key parameter sites by calling site
+            (``arg{i}@{pc}``), as :class:`ValueProfiler`'s option does.
     """
     site_local = policy is None or getattr(policy, "site_local", False)
     if buffered and not site_local:
@@ -104,7 +108,13 @@ def profile_workload(
         buffered = site_local
 
     _LOG.debug("profiling %s (buffered=%s)", run_name, buffered)
-    observer = ValueProfiler(workload.program(), recorder, targets=targets, buffered=buffered)
+    observer = ValueProfiler(
+        workload.program(),
+        recorder,
+        targets=targets,
+        parameter_context=parameter_context,
+        buffered=buffered,
+    )
     machine = Machine(workload.program(), observer=observer)
     machine.set_input(dataset.values)
     with TRACER.span("machine-run", workload=run_name, instrumented=True):
@@ -157,7 +167,9 @@ def capture_workload_events(
     The returned :class:`~repro.core.tracestore.EventTrace` carries
     every event family plus the run result and dataset, so profiling,
     tracing and global-order experiments can all replay from it without
-    touching the interpreter again.
+    touching the interpreter again.  It also carries each parameter
+    event's calling pc and, except on the tier-2 engine (which counts
+    no pcs without leaving its tier), per-pc execution counts.
     """
     import time
 
@@ -166,7 +178,13 @@ def capture_workload_events(
     workload = get_workload(name)
     dataset = workload.dataset(variant, scale=scale)
     capture = TraceCaptureObserver(workload.program())
-    machine = Machine(workload.program(), observer=capture)
+    engine = resolve_engine(None)
+    machine = Machine(
+        workload.program(),
+        observer=capture,
+        count_pcs=engine != "tier2",
+        engine=engine,
+    )
     machine.set_input(dataset.values)
     started = time.perf_counter()
     with TRACER.span("capture-events", workload=dataset.name, scale=scale):
@@ -183,6 +201,8 @@ def capture_workload_events(
         values=capture.values,
         result=result,
         dataset=dataset,
+        call_pcs=capture.call_pcs,
+        pc_counts=None if machine.pc_counts is None else array("q", machine.pc_counts),
         meta={
             "engine": machine.engine,
             "events": len(capture.site_ids),

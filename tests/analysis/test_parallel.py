@@ -176,12 +176,15 @@ class TestObservabilityFanout:
     def test_jitlog_merges_from_workers(self, isolated_cache, monkeypatch):
         from repro.obs.jitlog import JITLOG
 
-        # Workers inherit the environment, so forcing tier-2 (and fresh
-        # simulation, so machines actually run) makes each worker
+        # Forked workers inherit the environment and this process's
+        # replay switch, so forcing tier-2 and turning replay off the
+        # way ``--no-replay`` does makes each worker simulate fresh and
         # journal its own specialization lifecycle; the parent merges
         # in ids order even though metrics/tracing stay disabled.
+        # (Tier-2 captures are covered by tests/analysis/test_tracestore.py.)
         monkeypatch.setenv("REPRO_ENGINE", "tier2")
-        monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+        replay_before = experiments.replay_enabled()
+        experiments.set_replay_enabled(False)
         JITLOG.enable()
         try:
             run_experiments(CHEAP_IDS, scale=SCALE, jobs=2, use_cache=False)
@@ -193,6 +196,7 @@ class TestObservabilityFanout:
         finally:
             JITLOG.disable()
             JITLOG.reset()
+            experiments.set_replay_enabled(replay_before)
 
 
 class TestProfileFanout:
