@@ -16,7 +16,7 @@ from collections import Counter
 
 from helpers import append_history, write_bench_json
 
-from repro.core import fold as foldmod
+from repro.core import tracestore
 from repro.core.metrics import ValueStreamStats
 from repro.core.profile import ProfileDatabase
 from repro.core.sampling import ConvergentSampling, SamplingProfiler
@@ -178,57 +178,58 @@ def _replay_per_event(trace: EventTrace) -> ProfileDatabase:
     return database
 
 
-def test_replay_fold_throughput(benchmark):
-    """Replay→fold pipeline: grouped columnar folds vs per-event replay.
+def test_replay_fold_throughput(benchmark, monkeypatch):
+    """Replay→fold pipeline: the default replay, its numpy-free gather,
+    and per-event replay.
 
-    Emits ``BENCH_replay_fold.json`` with events/s for the per-event
-    reference, the pure-Python grouped kernel, and (when installed) the
-    numpy kernel, plus the pure-Python speedup the PR is gated on.
+    Every replay folds each site's run with the one ``Counter`` kernel;
+    they differ in how ``EventTrace.site_values`` gathers the runs.
+    Both replays must equal the per-event reference.  Emits
+    ``BENCH_replay_fold.json`` with:
+
+    * ``events_per_s_default`` / ``events_per_s_default_mean``: the
+      default replay, timed by the benchmark (best / mean round); it
+      gathers with numpy's argsort when ``numpy`` is true;
+    * ``events_per_s_python``: the replay with numpy hidden from the
+      gather (the per-event loop), best of five;
+    * ``events_per_s_event``: one ``record`` call per event, best of
+      five;
+    * ``speedup_python_vs_event``: the ratio of those two.
     """
     trace = _synthetic_trace()
-    saved = foldmod.fold_mode()
-    try:
-        foldmod.set_fold_mode(foldmod.FOLD_PYTHON)
-        reference = replay_profile(trace, _TARGETS)
+    reference = _replay_per_event(trace).to_json()
 
-        def fold_python():
-            return replay_profile(trace, _TARGETS)
+    def replay_default():
+        return replay_profile(trace, _TARGETS)
 
-        database = benchmark(fold_python)
-        assert database.to_json() == reference.to_json()
-
-        event_eps = _events_per_second(trace, _replay_per_event)
-        numpy_eps = None
-        if foldmod.have_numpy():
-            foldmod.set_fold_mode(foldmod.FOLD_NUMPY)
-            assert replay_profile(trace, _TARGETS).to_json() == reference.to_json()
-            numpy_eps = _events_per_second(
-                trace, lambda t: replay_profile(t, _TARGETS)
-            )
-    finally:
-        foldmod.set_fold_mode(saved)
+    assert benchmark(replay_default).to_json() == reference
+    event_eps = _events_per_second(trace, _replay_per_event)
+    numpy_gather = tracestore._np is not None
+    monkeypatch.setattr(tracestore, "_np", None)
+    assert replay_profile(trace, _TARGETS).to_json() == reference
+    python_eps = _events_per_second(trace, lambda t: replay_profile(t, _TARGETS))
 
     stats = getattr(getattr(benchmark, "stats", None), "stats", None)
     if stats is None:
         return
-    # Best-vs-best: the reference numbers above are best-of-N, so the
-    # fold number uses the benchmark's min too.
-    python_eps = len(trace) / stats.min
+    # Best-vs-best: the other numbers are best-of-N, so the default
+    # replay's uses the benchmark's min too.
+    default_eps = len(trace) / stats.min
     write_bench_json(
         benchmark,
         "replay_fold",
         events=len(trace),
         sites=_REPLAY_SITES,
+        numpy=numpy_gather,
+        events_per_s_default=default_eps,
+        events_per_s_default_mean=len(trace) / stats.mean,
         events_per_s_python=python_eps,
-        events_per_s_python_mean=len(trace) / stats.mean,
         events_per_s_event=event_eps,
-        events_per_s_numpy=numpy_eps,
         speedup_python_vs_event=python_eps / event_eps,
     )
+    append_history("replay_fold", "events_per_s_default", default_eps)
     append_history("replay_fold", "events_per_s_python", python_eps)
     append_history("replay_fold", "events_per_s_event", event_eps)
-    if numpy_eps is not None:
-        append_history("replay_fold", "events_per_s_numpy", numpy_eps)
 
 
 def _run_go(observer=None):

@@ -307,12 +307,12 @@ def table_isa_specialization(scale: float = 1.0):
         precision=2,
     )
     data: Dict[str, dict] = {}
-    # The specialized binary runs on whatever interpreter tier the
-    # environment selects (``REPRO_ENGINE``/``REPRO_TIER2``), so under
-    # the tier-2 engine the specialized code is itself
-    # profile-guided-specialized.  The engine and its quicken/deopt
-    # stats land in ``data`` only; the rendered table must stay
-    # byte-identical across engines (CI diffs it).
+    # The specialized binary runs on whatever interpreter tier
+    # ``REPRO_ENGINE`` selects, so under the tier-2 engine the
+    # specialized code is itself profile-guided-specialized.  The
+    # engine and its quicken/deopt stats land in ``data`` only; the
+    # rendered table must stay byte-identical across engines (CI
+    # diffs it).
     engine = resolve_engine(None)
     data["engine"] = {"name": engine, "tier2": {}}
     for name in programs():

@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.analysis.experiments import experiment, make_result
 from repro.analysis.tables import Table, percentage
@@ -26,19 +26,30 @@ from repro.specialize.demos import DEMOS, demo_calls
 from repro.specialize.runtime import SpecializedFunction
 
 
-def _best_time(func: Callable, calls: List[tuple], repeats: int = 9) -> float:
-    """Minimum-of-N wall time for replaying ``calls`` through ``func``.
+def _best_times(
+    baseline: Tuple[Callable, List[tuple]],
+    candidate: Tuple[Callable, List[tuple]],
+    repeats: int = 9,
+) -> Tuple[float, float]:
+    """Minimum-of-N wall times of two ``(func, calls)`` replays.
 
-    Minimum over several repeats suppresses scheduler noise, which
-    matters because the measured bodies run for only milliseconds.
+    Every round times both sides, so a host slowdown that outlasts
+    several rounds slows both alike instead of flipping their ratio.
+    The side that goes first swaps each round: a process sharing the
+    CPU tends to preempt every other millisecond-long body, and in a
+    fixed order it would keep hitting the same side.  The minimum over
+    rounds suppresses the remaining scheduler noise.
     """
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for args in calls:
-            func(*args)
-        best = min(best, time.perf_counter() - start)
-    return best
+    sides = (baseline, candidate)
+    best = [float("inf"), float("inf")]
+    for round_ in range(repeats):
+        for side in (0, 1) if round_ % 2 == 0 else (1, 0):
+            func, calls = sides[side]
+            start = time.perf_counter()
+            for args in calls:
+                func(*args)
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 @experiment(
@@ -106,7 +117,6 @@ def table_specialization(scale: float = 1.0):
             variant.hits = 0
 
         # 5. timing: general vs specialized-direct vs guarded dispatch
-        general_time = _best_time(demo.func, test_calls)
         matching = [
             args
             for args in test_calls
@@ -116,9 +126,12 @@ def table_specialization(scale: float = 1.0):
             tuple(v for k, v in zip(param_names, args) if k not in bindings)
             for args in matching
         ]
-        general_on_matching = _best_time(demo.func, matching)
-        direct_time = _best_time(specialized, stripped)
-        guarded_time = _best_time(dispatcher, test_calls)
+        general_on_matching, direct_time = _best_times(
+            (demo.func, matching), (specialized, stripped)
+        )
+        general_time, guarded_time = _best_times(
+            (demo.func, test_calls), (dispatcher, test_calls)
+        )
         for args in test_calls:
             dispatcher(*args)
         guard_hit_rate = dispatcher.guard_hits / max(

@@ -46,7 +46,7 @@ specialization journal as JSONL / perf-map-style pc-range dump) and
 With none of them given the observability layer stays disabled and
 experiment output is byte-identical to an uninstrumented build.
 
-They also accept ``--engine {threaded,simple,tier2,auto}`` to pick
+They also accept ``--engine {threaded,simple,tier2}`` to pick
 the interpreter engine (``threaded`` is the pre-decoded
 direct-threaded engine, ``simple`` the reference loop, ``tier2`` the
 profile-guided superinstruction specializer; all are bit-identical),
@@ -389,22 +389,14 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     """Interpreter/replay selection shared by the simulating commands."""
     parser.add_argument(
         "--engine",
-        choices=("threaded", "simple", "tier2", "auto"),
-        help="interpreter engine (default: auto = threaded unless "
-        "REPRO_ENGINE names one or REPRO_TIER2 opts into tier2)",
+        choices=("threaded", "simple", "tier2"),
+        help="interpreter engine (default: REPRO_ENGINE, else threaded)",
     )
     parser.add_argument(
         "--no-replay",
         action="store_true",
         help="re-simulate for every consumer instead of replaying from "
         "the simulate-once event-trace store",
-    )
-    parser.add_argument(
-        "--fold",
-        choices=("grouped", "numpy", "python", "event"),
-        help="replay fold path (default: grouped = columnar folds, numpy "
-        "kernel when available; event = legacy per-site event batches; "
-        "REPRO_FOLD says otherwise)",
     )
 
 
@@ -417,18 +409,12 @@ def _apply_engine_args(args: argparse.Namespace):
     """
     import os
 
-    from repro.core import fold as foldmod
     from repro.isa import machine as machine_module
 
     engine = getattr(args, "engine", None)
     no_replay = getattr(args, "no_replay", False)
-    fold = getattr(args, "fold", None)
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_ENGINE", "REPRO_NO_REPLAY", "REPRO_FOLD")
-    }
+    saved = {key: os.environ.get(key) for key in ("REPRO_ENGINE", "REPRO_NO_REPLAY")}
     replay_before = experiments.replay_enabled()
-    fold_before = foldmod.fold_mode()
     # Fail a bad selector (e.g. a typo'd REPRO_ENGINE inherited from
     # the environment) here at startup, with the same clear error for
     # every command, instead of deep inside Machine construction.
@@ -438,9 +424,6 @@ def _apply_engine_args(args: argparse.Namespace):
     if no_replay:
         os.environ["REPRO_NO_REPLAY"] = "1"
         experiments.set_replay_enabled(False)
-    if fold:
-        os.environ["REPRO_FOLD"] = fold
-        foldmod.set_fold_mode(fold)
 
     def restore() -> None:
         for key, value in saved.items():
@@ -449,7 +432,6 @@ def _apply_engine_args(args: argparse.Namespace):
             else:
                 os.environ[key] = value
         experiments.set_replay_enabled(replay_before)
-        foldmod.set_fold_mode(fold_before)
 
     return restore
 
@@ -498,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(profile_parser)
     profile_parser.add_argument(
         "--engine",
-        choices=("threaded", "simple", "tier2", "auto"),
-        help="interpreter engine (default: auto = threaded unless "
-        "REPRO_ENGINE names one or REPRO_TIER2 opts into tier2)",
+        choices=("threaded", "simple", "tier2"),
+        help="interpreter engine (default: REPRO_ENGINE, else threaded)",
     )
     profile_parser.set_defaults(func=_cmd_profile)
 

@@ -1,9 +1,9 @@
-"""Columnar fold kernels for the replay → profile hot path.
+"""The columnar fold kernel for the replay → profile hot path.
 
 The event-trace store captures each simulation as columnar arrays, but
 until this module existed every replay consumer re-materialized the
 stream as per-event Python calls that TNV/metrics folded straight back
-down.  The kernels here keep the stream columnar end to end: a site's
+down.  The kernel here keeps the stream columnar end to end: a site's
 value run is reduced **once** into a :class:`SiteFold` — run-length
 splitting at clearing-interval boundaries, per-chunk ``(value, count)``
 group-by in first-appearance order, plus the order-sensitive scalars
@@ -12,38 +12,17 @@ cannot carry — and every profile structure consumes that fold through
 the grouped fast paths (:meth:`~repro.core.tnv.TNVTable.record_grouped`,
 :meth:`~repro.core.profile.SiteProfile.record_fold`).
 
-Two interchangeable kernels produce byte-identical folds:
-
-* **numpy** (optional, auto-detected): vectorized adjacency/zero scans
-  and per-chunk ``unique`` with first-appearance reordering, operating
-  zero-copy on the trace store's ``array`` columns via the buffer
-  protocol.  Results are converted to Python ints at the boundary so
-  downstream ``repr``-tiebreak ordering and JSON serialization are
-  unchanged.
-* **pure Python** (always available): one C-level ``Counter`` pass per
-  clear-interval chunk (``Counter`` preserves first-appearance order)
-  and a C-level ``sum(map(eq, ...))`` adjacency pass.  No third-party
-  dependency — the ``array`` module and the stdlib are enough.
-
-Selection happens at import time and can be overridden with the
-``REPRO_FOLD`` environment variable or :func:`set_fold_mode`:
-
-* ``grouped`` (default) — columnar folds, numpy kernel when numpy is
-  importable, pure-Python kernel otherwise.
-* ``numpy`` / ``python`` — grouped folds with a forced kernel
-  (``numpy`` raises at fold time if numpy is missing).
-* ``event`` — disable the columnar path; replay consumers fall back to
-  the original per-site ``record_many`` batches.  The CI equivalence
-  job diffs experiment output between ``grouped`` and ``event``.
-
-``REPRO_NO_NUMPY=1`` hides numpy from the auto-detection entirely,
-which is how the test suite pins the pure-Python kernel on machines
-that have numpy installed.
+One kernel does the reduction, in pure Python: one C-level ``Counter``
+pass per clear-interval chunk (``Counter`` preserves first-appearance
+order) and a C-level ``sum(map(eq, ...))`` adjacency pass.  It outran
+a sort-based vectorized kernel on the skewed small-integer runs the
+workloads produce; only the per-site gather ahead of it
+(:meth:`repro.core.tracestore.EventTrace.site_values`) is vectorized,
+and it hands each run over as a list of Python ints.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -51,79 +30,8 @@ from operator import eq
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import is_zero
-from repro.errors import ProfileError
 
 Value = Hashable
-
-#: fold-mode names (``REPRO_FOLD`` values).
-FOLD_GROUPED = "grouped"
-FOLD_NUMPY = "numpy"
-FOLD_PYTHON = "python"
-FOLD_EVENT = "event"
-
-_MODES = (FOLD_GROUPED, FOLD_NUMPY, FOLD_PYTHON, FOLD_EVENT)
-
-_np = None
-if os.environ.get("REPRO_NO_NUMPY", "") == "":
-    try:  # pragma: no cover - exercised via the numpy-present test leg
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy genuinely absent
-        _np = None
-
-
-def have_numpy() -> bool:
-    """Whether the numpy kernel is available (import gated, never hard)."""
-    return _np is not None
-
-
-def numpy_module():
-    """The numpy module if available, else ``None`` (import gated once)."""
-    return _np
-
-
-_MODE = os.environ.get("REPRO_FOLD", FOLD_GROUPED)
-if _MODE not in _MODES:
-    raise ProfileError(
-        f"REPRO_FOLD must be one of {_MODES}, got {_MODE!r}"
-    )
-
-
-def fold_mode() -> str:
-    """The active fold mode (``grouped``/``numpy``/``python``/``event``)."""
-    return _MODE
-
-
-def set_fold_mode(mode: str) -> None:
-    """Override the fold mode (tests and the ``--fold`` CLI flag)."""
-    global _MODE
-    if mode not in _MODES:
-        raise ProfileError(f"fold mode must be one of {_MODES}, got {mode!r}")
-    _MODE = mode
-
-
-def grouped_enabled() -> bool:
-    """Whether replay consumers should use the columnar grouped path."""
-    return _MODE != FOLD_EVENT
-
-
-def kernel_name() -> str:
-    """Which kernel a grouped fold would run right now."""
-    if _MODE == FOLD_PYTHON:
-        return FOLD_PYTHON
-    if _MODE == FOLD_NUMPY:
-        return FOLD_NUMPY
-    return FOLD_NUMPY if _np is not None else FOLD_PYTHON
-
-
-#: ``tracestore.fold_mode`` gauge encoding (docs/observability.md).
-FOLD_MODE_GAUGE = {FOLD_EVENT: 0.0, FOLD_PYTHON: 1.0, FOLD_NUMPY: 2.0}
-
-
-def fold_mode_gauge() -> float:
-    """Numeric encoding of the active mode for the metrics gauge."""
-    if not grouped_enabled():
-        return FOLD_MODE_GAUGE[FOLD_EVENT]
-    return FOLD_MODE_GAUGE[kernel_name()]
 
 
 @dataclass
@@ -161,9 +69,6 @@ class SiteFold:
     since: int = 0
 
 
-_EMPTY_INTERVAL_SENTINEL = object()
-
-
 def _chunk_bounds(n: int, interval: Optional[int], since: int) -> List[Tuple[int, int]]:
     """(start, end) chunk offsets mirroring ``record_many``'s splits."""
     if interval is None:
@@ -193,9 +98,24 @@ def _merge_chunk_counts(chunks: List[Tuple[Dict[Value, int], int]]) -> Dict[Valu
     return merged
 
 
-def _fold_python(values: Sequence[Value], interval: Optional[int], since: int) -> SiteFold:
-    """Pure-Python kernel: C-level Counter/eq passes, no numpy."""
+def fold_values(
+    values: Sequence[Value],
+    interval: Optional[int],
+    since: int = 0,
+) -> SiteFold:
+    """Reduce one site's value run to its :class:`SiteFold`.
+
+    ``interval``/``since`` must describe the TNV table the fold will be
+    fed to (:meth:`~repro.core.profile.SiteProfile.record_fold`
+    validates them), so chunk splits land exactly where per-event
+    recording would clear.  Lists and tuples fold as they are; any
+    other sequence is copied into a list first.
+    """
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
     n = len(values)
+    if n == 0:
+        return SiteFold(0, None, None, 0, 0, {}, [], interval, since)
     # Adjacent-equal pairs in one C pass (map+operator.eq beat both the
     # zip genexpr and itertools.groupby on every tested distribution).
     lvp_hits = sum(map(eq, values, islice(values, 1, None))) if n > 1 else 0
@@ -230,108 +150,6 @@ def _fold_python(values: Sequence[Value], interval: Optional[int], since: int) -
         interval=interval,
         since=since,
     )
-
-
-def _grouped_chunk_numpy(chunk) -> Dict[int, int]:
-    """First-appearance-ordered ``value -> count`` map of one chunk."""
-    uniques, first_index, counts = _np.unique(
-        chunk, return_index=True, return_counts=True
-    )
-    if len(uniques) == 1:
-        return {int(uniques[0]): int(counts[0])}
-    order = _np.argsort(first_index)
-    return dict(zip(uniques[order].tolist(), counts[order].tolist()))
-
-
-def _fold_numpy(a, interval: Optional[int], since: int) -> SiteFold:
-    """numpy kernel over an ``int64`` ndarray (values already columnar).
-
-    Every value leaving this function is a Python ``int`` (``tolist``/
-    ``int(...)`` at the boundary), so fold consumers see exactly the
-    objects per-event recording would have seen.
-    """
-    n = int(a.shape[0])
-    lvp_hits = int((a[1:] == a[:-1]).sum()) if n > 1 else 0
-    chunks: List[Tuple[Dict[Value, int], int]] = []
-    for start, end in _chunk_bounds(n, interval, since):
-        chunks.append((_grouped_chunk_numpy(a[start:end]), end - start))
-    if len(chunks) == 1:
-        counts = chunks[0][0]
-    else:
-        # Whole-array unique pass: same global first-appearance order as
-        # merging the chunk maps in sequence, but vectorized.
-        counts = _grouped_chunk_numpy(a)
-    # Keys are Python ints here, so the zero total is one dict lookup.
-    zeros = counts.get(0, 0)
-    return SiteFold(
-        n=n,
-        first=int(a[0]),
-        last=int(a[n - 1]),
-        lvp_hits=lvp_hits,
-        zeros=zeros,
-        counts=counts,
-        chunks=chunks,
-        interval=interval,
-        since=since,
-    )
-
-
-def _as_ndarray(values):
-    """``values`` as an int64-compatible ndarray, or ``None``.
-
-    Zero-copy for ``array``-module columns (buffer protocol) and for
-    integer ndarrays; Python lists return ``None`` — converting a list
-    costs more than the pure-Python kernel saves, and lists may hold
-    arbitrary hashables the numpy kernel cannot represent.
-    """
-    if _np is None:
-        return None
-    if isinstance(values, _np.ndarray):
-        return values if values.dtype.kind in "iu" else None
-    typecode = getattr(values, "typecode", None)
-    if typecode in ("q", "l", "i", "h", "b", "Q", "L", "I", "H", "B"):
-        try:
-            return _np.frombuffer(values, dtype=_np.dtype(typecode))
-        except (ValueError, TypeError):  # pragma: no cover - exotic platforms
-            return None
-    return None
-
-
-def fold_values(
-    values: Sequence[Value],
-    interval: Optional[int],
-    since: int = 0,
-) -> SiteFold:
-    """Reduce one site's value run to its :class:`SiteFold`.
-
-    ``interval``/``since`` must describe the TNV table the fold will be
-    fed to (:meth:`~repro.core.profile.SiteProfile.record_fold`
-    validates them), so chunk splits land exactly where per-event
-    recording would clear.
-    """
-    n = len(values)
-    if n == 0:
-        return SiteFold(0, None, None, 0, 0, {}, [], interval, since)
-    mode = _MODE
-    if mode != FOLD_PYTHON:
-        a = _as_ndarray(values)
-        if a is not None:
-            return _fold_numpy(a, interval, since)
-        if mode == FOLD_NUMPY:
-            if _np is None:
-                raise ProfileError(
-                    "REPRO_FOLD=numpy but numpy is not importable"
-                )
-            raise ProfileError(
-                f"REPRO_FOLD=numpy cannot fold {type(values).__name__} values"
-            )
-    if isinstance(values, (list, tuple)):
-        return _fold_python(values, interval, since)
-    if _np is not None and isinstance(values, _np.ndarray):
-        # Forced-python kernel over an ndarray: drop to Python ints so
-        # repr-tiebreaks and serialization stay identical.
-        return _fold_python(values.tolist(), interval, since)
-    return _fold_python(list(values), interval, since)
 
 
 # ----------------------------------------------------------------------

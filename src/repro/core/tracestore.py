@@ -37,7 +37,6 @@ from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core import fold as foldmod
 from repro.core.fold import SiteFold, fold_values
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import Site, SiteKind, parameter_site
@@ -47,6 +46,11 @@ from repro.isa.machine import MachineObserver
 from repro.obs.flight import FLIGHT as _FLIGHT
 from repro.obs.metrics import METRICS as _METRICS
 from repro.obs.timeseries import TIMESERIES as _TIMESERIES
+
+try:  # numpy is optional: it only vectorizes the per-site gather.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised with numpy hidden
+    _np = None
 
 #: which site kind each profile target's events carry.  CALL/PYTHON
 #: sites never flow through the machine-event capture path.
@@ -118,41 +122,14 @@ class EventTrace:
         ``targets`` would have seen — cross-site interleaving preserved,
         which global-order consumers (finite prediction tables, sampling
         policies with shared state) depend on.
-
-        With the numpy kernel active the family filter runs vectorized
-        over the raw columns and the returned generator only pays the
-        zip; the values are plain Python ints either way.
         """
         wanted = self._wanted(targets)
         sites = self.sites
-        cols = self._filtered_columns(wanted)
-        if cols is not None:
-            sids, values = cols
-            return ((sites[sid], value) for sid, value in zip(sids, values))
         return (
             (sites[sid], value)
             for sid, value in zip(self.site_ids, self.values)
             if wanted[sid]
         )
-
-    def _filtered_columns(
-        self, wanted: List[bool]
-    ) -> Optional[Tuple[List[int], List[int]]]:
-        """Family-filtered (site_ids, values) as Python-int lists.
-
-        Vectorized mask + ``tolist`` when the numpy kernel is active;
-        ``None`` otherwise (callers keep their per-event loop, which
-        beats converting the columns by hand).
-        """
-        np = foldmod.numpy_module() if foldmod.kernel_name() == foldmod.FOLD_NUMPY else None
-        if np is None:
-            return None
-        sids = np.frombuffer(self.site_ids, dtype=np.uint32)
-        values = np.frombuffer(self.values, dtype=np.int64)
-        mask = np.asarray(wanted, dtype=bool)[sids]
-        if mask.all():
-            return sids.tolist(), values.tolist()
-        return sids[mask].tolist(), values[mask].tolist()
 
     def site_values(
         self, targets: Iterable[ProfileTarget]
@@ -161,10 +138,42 @@ class EventTrace:
 
         First-appearance ordering matches what any per-event consumer's
         site dict would have ended up with, so replayed dictionaries
-        iterate identically to live-collected ones.
+        iterate identically to live-collected ones.  Each run is a list
+        of Python ints in program order.
+
+        With numpy importable the gather is one stable argsort of the
+        site-id column; without it, one pass appending each event to
+        its site's list.  Both give the same runs in the same order.
         """
         wanted = self._wanted(targets)
         sites = self.sites
+        if _np is not None:
+            sids = _np.frombuffer(self.site_ids, dtype=_np.uint32)
+            values = _np.frombuffer(self.values, dtype=_np.int64)
+            mask = _np.asarray(wanted, dtype=bool)[sids]
+            if not mask.all():
+                sids = sids[mask]
+                values = values[mask]
+            if sids.shape[0] == 0:
+                return []
+            # A stable sort keeps each site's events in program order, so
+            # every group starts with its site's earliest event; ordering
+            # the groups by that event's position gives first appearance.
+            perm = _np.argsort(sids, kind="stable")
+            sorted_sids = sids[perm]
+            sorted_values = values[perm]
+            starts = _np.flatnonzero(sorted_sids[1:] != sorted_sids[:-1]) + 1
+            starts = _np.concatenate(([0], starts))
+            ends = _np.append(starts[1:], sorted_sids.shape[0])
+            order = _np.argsort(perm[starts])
+            return [
+                (sites[sid], sorted_values[start:end].tolist())
+                for sid, start, end in zip(
+                    sorted_sids[starts[order]].tolist(),
+                    starts[order].tolist(),
+                    ends[order].tolist(),
+                )
+            ]
         sink: List[Optional[callable]] = [None] * len(sites)
         order: List[int] = []
         runs: List[Optional[List[int]]] = [None] * len(sites)
@@ -185,57 +194,19 @@ class EventTrace:
     def site_folds(
         self, targets: Iterable[ProfileTarget], interval: Optional[int]
     ) -> List[Tuple[Site, SiteFold]]:
-        """Per-site folded runs, sites in order of first appearance.
+        """Per-site folded runs, sites in the order of :meth:`site_values`.
 
-        The columnar replay path: each site's value run is reduced once
-        to its :class:`~repro.core.fold.SiteFold` (grouped counts split
-        at ``interval`` boundaries, adjacency/zero scalars), so the
-        profile fold downstream touches one object per *distinct* value
-        instead of one per event.  Every fold assumes a fresh table
+        Each site's value run is reduced once to its
+        :class:`~repro.core.fold.SiteFold` (grouped counts split at
+        ``interval`` boundaries, adjacency/zero scalars), so a profile
+        fold downstream touches one object per *distinct* value instead
+        of one per event.  Every fold assumes a fresh table
         (``since == 0``), which is what replay always builds.
-
-        With the numpy kernel active the per-site gather itself is
-        vectorized — stable argsort over the site-id column, group
-        split, first-appearance reordering — and each group folds as an
-        ndarray without ever becoming a Python list.
         """
-        wanted = self._wanted(targets)
-        np = foldmod.numpy_module() if foldmod.kernel_name() == foldmod.FOLD_NUMPY else None
-        if np is not None:
-            return self._site_folds_numpy(np, wanted, interval)
         return [
             (site, fold_values(values, interval))
             for site, values in self.site_values(targets)
         ]
-
-    def _site_folds_numpy(self, np, wanted: List[bool], interval: Optional[int]):
-        sids = np.frombuffer(self.site_ids, dtype=np.uint32)
-        values = np.frombuffer(self.values, dtype=np.int64)
-        mask = np.asarray(wanted, dtype=bool)[sids]
-        if not mask.all():
-            sids = sids[mask]
-            values = values[mask]
-        if sids.shape[0] == 0:
-            return []
-        # Stable sort keeps each site's events in program order; the
-        # first element of every group is therefore the site's earliest
-        # event, so ordering groups by that element's original position
-        # reproduces first-appearance order.
-        perm = np.argsort(sids, kind="stable")
-        sorted_sids = sids[perm]
-        sorted_values = values[perm]
-        boundaries = np.flatnonzero(sorted_sids[1:] != sorted_sids[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_sids.shape[0]]))
-        order = np.argsort(perm[starts], kind="stable")
-        sites = self.sites
-        out = []
-        for group in order.tolist():
-            start = int(starts[group])
-            end = int(ends[group])
-            site = sites[int(sorted_sids[start])]
-            out.append((site, fold_values(sorted_values[start:end], interval)))
-        return out
 
     def with_parameter_context(self) -> "EventTrace":
         """This trace with each parameter event keyed by its call site.
@@ -436,12 +407,10 @@ def replay_profile(
 
     Every profiling structure keeps per-site state only, so feeding each
     site's run in one piece yields a database state-identical to
-    per-event recording.  In grouped fold mode (the default) the run
-    never materializes as per-event Python objects at all: the trace
-    folds each site columnarly (:meth:`EventTrace.site_folds`) and the
-    database consumes grouped ``(value, count)`` chunks.  The flight
-    recorder needs the raw event stream, so an enabled recorder — and
-    ``REPRO_FOLD=event`` — falls back to the per-site batch path.
+    per-event recording.  Each run is folded once
+    (:func:`~repro.core.fold.fold_values`) and the database consumes the
+    grouped ``(value, count)`` chunks; an enabled flight recorder sees
+    the raw run first.
 
     ``parameter_context`` keys parameter sites by calling site, as the
     :class:`ValueProfiler` option of that name does.
@@ -449,27 +418,22 @@ def replay_profile(
     database = ProfileDatabase(config=config, exact=exact, name=name)
     if parameter_context:
         trace = trace.with_parameter_context()
+    interval = database.config.clear_interval
+    flight = _FLIGHT if _FLIGHT.enabled else None
+    runs = trace.site_values(targets)
     events = 0
-    if foldmod.grouped_enabled() and not _FLIGHT.enabled:
-        folds = trace.site_folds(targets, database.config.clear_interval)
-        chunks = 0
-        for site, fold in folds:
-            events += fold.n
-            chunks += len(fold.chunks)
-            database.record_fold(site, fold)
-        if _METRICS.enabled:
-            _METRICS.inc("tracestore.fold_events", events)
-            _METRICS.inc("tracestore.fold_sites", len(folds))
-            _METRICS.inc("tracestore.fold_chunks", chunks)
-            _METRICS.gauge("tracestore.fold_mode", foldmod.fold_mode_gauge())
-    else:
-        flight = _FLIGHT if _FLIGHT.enabled else None
-        for site, values in trace.site_values(targets):
-            events += len(values)
-            if flight is not None:
-                flight.record_batch(site, values)
-            database.record_batch(site, values)
+    chunks = 0
+    for site, values in runs:
+        if flight is not None:
+            flight.record_batch(site, values)
+        fold = fold_values(values, interval)
+        events += fold.n
+        chunks += len(fold.chunks)
+        database.record_fold(site, fold)
     if _METRICS.enabled:
+        _METRICS.inc("tracestore.fold_events", events)
+        _METRICS.inc("tracestore.fold_sites", len(runs))
+        _METRICS.inc("tracestore.fold_chunks", chunks)
         _METRICS.inc("tracestore.replays")
         _METRICS.inc("tracestore.replay_events", events)
     return database

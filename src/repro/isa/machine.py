@@ -21,8 +21,8 @@ Three engines share these semantics bit for bit:
   that deopt back to the per-pc handlers on a guard miss.
 
 Select with ``Machine(engine=...)`` — ``"auto"`` (the default) follows
-the ``REPRO_ENGINE`` environment variable, engages ``tier2`` when
-``REPRO_TIER2`` is truthy, and falls back to ``threaded``.
+the ``REPRO_ENGINE`` environment variable and falls back to
+``threaded``.
 """
 
 from __future__ import annotations
@@ -52,22 +52,12 @@ DEFAULT_BUDGET = 200_000_000
 
 _ENGINES = ("simple", "threaded", "tier2")
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-
-def tier2_opted_in() -> bool:
-    """Whether ``REPRO_TIER2`` asks ``auto`` to engage the tier-2 engine."""
-    return os.environ.get("REPRO_TIER2", "").strip().lower() in _TRUTHY
-
 
 def resolve_engine(engine: Optional[str]) -> str:
     """Normalize an engine selector to a member of ``_ENGINES``.
 
-    Resolution for ``"auto"`` (or ``None``), in order:
-
-    1. ``REPRO_ENGINE`` names an engine → that engine.
-    2. ``REPRO_TIER2`` is truthy → ``"tier2"``.
-    3. otherwise → ``"threaded"``.
+    ``"auto"`` (or ``None``) resolves to the engine ``REPRO_ENGINE``
+    names, or to ``"threaded"`` when it names none.
 
     Unknown names — from the argument or from ``REPRO_ENGINE`` — raise
     :class:`~repro.errors.MachineError` immediately, so a typo fails at
@@ -79,7 +69,7 @@ def resolve_engine(engine: Optional[str]) -> str:
     if engine == "auto":
         engine = os.environ.get("REPRO_ENGINE", "").strip().lower()
         if not engine or engine == "auto":
-            engine = "tier2" if tier2_opted_in() else "threaded"
+            engine = "threaded"
     if engine not in _ENGINES:
         raise MachineError(
             f"unknown engine {engine!r} "
@@ -213,9 +203,10 @@ class Machine:
         memory_words: data-memory size; the data image is loaded at
             address 0 and the stack starts at the top growing down.
         observer: optional instrumentation sink.
-        engine: ``"threaded"`` (pre-decoded dispatch, the default via
-            ``"auto"``), ``"simple"`` (the reference loop), or
-            ``"auto"`` (honours ``REPRO_ENGINE``).
+        engine: ``"threaded"`` (pre-decoded dispatch), ``"simple"``
+            (the reference loop), ``"tier2"`` (threaded plus online
+            specialization), or ``"auto"`` (the default: the engine
+            ``REPRO_ENGINE`` names, else ``"threaded"``).
     """
 
     def __init__(

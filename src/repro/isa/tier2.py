@@ -39,13 +39,11 @@ specializer uses (``net_benefit_terms``).
 Semantics are bit-identical to the reference loop on every exit path
 (results, traps, profiles, counters), enforced by
 ``tests/isa/test_engine_differential.py``.  Select with
-``Machine(engine="tier2")``, ``REPRO_ENGINE=tier2``, or opt in for
-``auto`` via ``REPRO_TIER2=1``.
+``Machine(engine="tier2")``, ``--engine tier2`` or ``REPRO_ENGINE=tier2``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -100,24 +98,13 @@ _CODE_CACHE: Dict[str, object] = {}
 _CODE_CACHE_CAP = 4096
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise MachineError(f"{name} must be an integer, got {raw!r}") from None
-
-
 class Tier2Config:
     """Tunables for the quicken/deopt lifecycle.
 
-    Environment overrides (read at engine construction):
-    ``REPRO_TIER2_THRESHOLD`` (block entries before quickening),
-    ``REPRO_TIER2_FAIL_LIMIT`` (guard failures before respecializing),
-    ``REPRO_TIER2_REQUICKEN`` (rebind attempts before permanent
-    despecialization).
+    ``hot_threshold`` is the block entries before quickening,
+    ``fail_limit`` the guard failures before respecializing, and
+    ``requicken_budget`` the rebind attempts before permanent
+    despecialization.
     """
 
     __slots__ = ("hot_threshold", "fail_limit", "requicken_budget",
@@ -126,9 +113,9 @@ class Tier2Config:
 
     def __init__(
         self,
-        hot_threshold: Optional[int] = None,
-        fail_limit: Optional[int] = None,
-        requicken_budget: Optional[int] = None,
+        hot_threshold: int = 8,
+        fail_limit: int = 4,
+        requicken_budget: int = 2,
         max_guards: int = 4,
         min_fused: int = 2,
         max_quickened: int = 4096,
@@ -136,15 +123,9 @@ class Tier2Config:
         extrapolation: int = 64,
         model: Optional[BenefitModel] = None,
     ) -> None:
-        self.hot_threshold = (
-            _env_int("REPRO_TIER2_THRESHOLD", 8) if hot_threshold is None else hot_threshold
-        )
-        self.fail_limit = (
-            _env_int("REPRO_TIER2_FAIL_LIMIT", 4) if fail_limit is None else fail_limit
-        )
-        self.requicken_budget = (
-            _env_int("REPRO_TIER2_REQUICKEN", 2) if requicken_budget is None else requicken_budget
-        )
+        self.hot_threshold = hot_threshold
+        self.fail_limit = fail_limit
+        self.requicken_budget = requicken_budget
         self.max_guards = max_guards
         self.min_fused = min_fused
         self.max_quickened = max_quickened

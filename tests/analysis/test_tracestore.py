@@ -199,54 +199,96 @@ class TestReplayEquivalence:
         assert dropped == collector.dropped == 0
 
 
-class TestFoldModeEquivalence:
-    """Every fold mode must replay to byte-identical profile databases.
+def _runs_by_site(trace, targets):
+    """Per-site runs grouped straight from the per-event stream: the
+    oracle both gathers of ``site_values`` must reproduce."""
+    runs = {}
+    for site, value in trace.events(targets):
+        runs.setdefault(site, []).append(value)
+    return list(runs.items())
 
-    ``grouped`` (kernel auto-selected), forced ``python``, and the
-    legacy ``event`` path all sit behind ``replay_profile``; the CI
-    equivalence job additionally diffs whole-experiment output between
-    ``REPRO_FOLD=grouped`` and ``REPRO_FOLD=event``.
+
+#: every family alone, all of them, and all of them keyed by call site.
+GATHER_VIEWS = [((target,), False) for target in ProfileTarget] + [
+    (tuple(ALL_TARGETS), False),
+    (tuple(ALL_TARGETS), True),
+]
+
+
+@pytest.fixture(params=["numpy", "python"])
+def gather(request, monkeypatch):
+    """Run under one per-site gather: numpy's argsort, or the loop."""
+    from repro.core import tracestore
+
+    if request.param == "numpy":
+        if tracestore._np is None:
+            pytest.skip("numpy not installed")
+    else:
+        monkeypatch.setattr(tracestore, "_np", None)
+    return request.param
+
+
+class TestGatherEquivalence:
+    """Both per-site gathers must replay byte-identically.
+
+    ``EventTrace.site_values`` groups a trace by site with one stable
+    argsort when numpy imports and with a per-event loop otherwise.
+    Either way the runs are lists of Python ints, the sites come in
+    first-appearance order, and every replay built on them matches
+    the live profiler.
     """
 
-    @pytest.fixture(autouse=True)
-    def _restore_mode(self):
-        from repro.core import fold as foldmod
-
-        before = foldmod.fold_mode()
-        yield
-        foldmod.set_fold_mode(before)
-
-    @pytest.mark.parametrize("mode", ["grouped", "python", "event"])
     @pytest.mark.parametrize(
         "targets",
         [(ProfileTarget.LOADS,), tuple(ALL_TARGETS)],
         ids=["loads", "all"],
     )
-    def test_replay_profile_matches_live_in_every_mode(self, captured, mode, targets):
-        from repro.core import fold as foldmod
-
+    def test_replay_profile_matches_live(self, captured, gather, targets):
         live = ProfileDatabase(name=NAME)
         _live_machine(
             ValueProfiler(get_workload(NAME).program(), live, targets=targets)
         )
-        foldmod.set_fold_mode(mode)
         replayed = replay_profile(captured, targets, name=NAME)
         assert replayed.to_json() == live.to_json()
 
+    @pytest.mark.parametrize(
+        "targets,context",
+        GATHER_VIEWS,
+        ids=[target.value for target in ProfileTarget] + ["all", "context"],
+    )
+    def test_site_values_equal_per_event_grouping(
+        self, captured, gather, targets, context
+    ):
+        trace = captured.with_parameter_context() if context else captured
+        runs = trace.site_values(targets)
+        assert runs == _runs_by_site(trace, targets)
+        assert all(type(run) is list for _, run in runs)
+        assert all(type(value) is int for _, run in runs for value in run)
+
+
+class TestFoldModeEquivalence:
+    """``site_folds``, the fold path :mod:`repro.analysis.parallel`
+    takes, must fold exactly the runs ``site_values`` gathers.
+
+    ``site_folds`` is ``fold_values`` over ``site_values``, so these
+    run under the default gather; ``TestGatherEquivalence`` holds both
+    gathers to the same runs.
+    """
+
     def test_site_folds_order_matches_site_values(self, captured):
-        """Fold gather (numpy path included) must yield sites in the
-        same first-appearance order as the list gather."""
         targets = tuple(ALL_TARGETS)
-        by_values = [site for site, _ in captured.site_values(targets)]
-        by_folds = [site for site, _ in captured.site_folds(targets, 2000)]
-        assert by_folds == by_values
+        for trace in (captured, captured.with_parameter_context()):
+            by_values = [site for site, _ in trace.site_values(targets)]
+            by_folds = [site for site, _ in trace.site_folds(targets, 2000)]
+            assert by_folds == by_values
 
     def test_site_folds_counts_are_python_ints(self, captured):
-        for _, fold in captured.site_folds((ProfileTarget.LOADS,), 2000):
-            value, count = next(iter(fold.counts.items()))
-            assert type(value) is int
-            assert type(count) is int
-            break
+        trace = captured.with_parameter_context()
+        for _, fold in trace.site_folds(tuple(ALL_TARGETS), 2000):
+            assert all(
+                type(value) is int and type(count) is int
+                for value, count in fold.counts.items()
+            )
 
 
 class TestValueTraceCollectorDropped:

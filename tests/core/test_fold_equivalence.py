@@ -7,8 +7,8 @@ order-sensitive scalars — and the grouped fast paths
 and friends) consume that reduction.  Every observable result must match
 the per-event path bit for bit: resident TNV entries *and* their dict
 order, clear positions, health telemetry, LVP/zero/first/last scalars,
-exact histograms, serialized JSON.  Both kernels (pure Python and
-numpy, when installed) must produce identical folds.
+exact histograms, serialized JSON.  The kernel must fold an
+``array`` column exactly as it folds the same run as a list.
 """
 
 from array import array
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fold as foldmod
 from repro.core.fold import fold_from_payload, fold_to_payload, fold_values
 from repro.core.metrics import ValueStreamStats
 from repro.core.profile import ProfileDatabase, SiteProfile, TNVConfig
@@ -159,9 +158,9 @@ def test_stream_stats_record_run_matches_expanded_stream(runs):
 @settings(max_examples=40, deadline=None)
 @given(values=values_strategy)
 def test_kernels_produce_identical_folds(config, values):
-    """The ``array('q')`` column (numpy kernel when installed) and the
-    plain-list run (pure-Python kernel) must fold identically — chunk
-    maps in the same order with the same Python-int values."""
+    """An ``array('q')`` column and the same run as a plain list must
+    fold identically — chunk maps in the same order with the same
+    Python-int values."""
     interval = config["clear_interval"]
     from_list = fold_values(values, interval)
     from_column = fold_values(array("q", values), interval)
@@ -213,21 +212,6 @@ class TestGuards:
         profile.record(5)
         with pytest.raises(ProfileError):
             profile.record_fold(fold_values([1, 2, 3], 10))  # since=0, table at 1
-
-    def test_forced_numpy_mode_requires_numpy_compatible_input(self):
-        if not foldmod.have_numpy():
-            pytest.skip("numpy not installed")
-        before = foldmod.fold_mode()
-        foldmod.set_fold_mode(foldmod.FOLD_NUMPY)
-        try:
-            with pytest.raises(ProfileError):
-                fold_values(["a", "b"], None)
-        finally:
-            foldmod.set_fold_mode(before)
-
-    def test_set_fold_mode_rejects_unknown_mode(self):
-        with pytest.raises(ProfileError):
-            foldmod.set_fold_mode("vectorized")
 
 
 class TestDatabaseFold:

@@ -252,7 +252,6 @@ def test_engine_selection_resolves_env(monkeypatch):
     source = ".program tiny\n.text\n.proc main nargs=0\n    halt\n.endproc\n"
     program = assemble(source)
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_TIER2", raising=False)
     assert Machine(program).engine == "threaded"
     assert Machine(program, engine="simple").engine == "simple"
     assert Machine(program, engine="tier2").engine == "tier2"
@@ -264,25 +263,3 @@ def test_engine_selection_resolves_env(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "bogus")
     with pytest.raises(MachineError):
         Machine(program)
-
-
-def test_auto_engages_tier2_only_on_opt_in(monkeypatch):
-    """``auto`` prefers threaded unless ``REPRO_TIER2`` opts in.
-
-    The tier-2 engine is bit-identical but pays warm-up costs, so
-    ``auto`` only engages it when asked; an explicit ``REPRO_ENGINE``
-    still wins over the opt-in flag.
-    """
-    source = ".program tiny\n.text\n.proc main nargs=0\n    halt\n.endproc\n"
-    program = assemble(source)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    for flag in ("1", "true", "yes", "on"):
-        monkeypatch.setenv("REPRO_TIER2", flag)
-        assert Machine(program).engine == "tier2"
-        assert Machine(program, engine="auto").engine == "tier2"
-    for flag in ("", "0", "false", "no", "off"):
-        monkeypatch.setenv("REPRO_TIER2", flag)
-        assert Machine(program).engine == "threaded"
-    monkeypatch.setenv("REPRO_TIER2", "1")
-    monkeypatch.setenv("REPRO_ENGINE", "threaded")
-    assert Machine(program).engine == "threaded"
