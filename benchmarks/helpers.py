@@ -32,20 +32,33 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 HISTORY_FILE = "BENCH_history.jsonl"
 
 
-def git_sha() -> str:
-    """The current commit sha, or ``"unknown"`` outside a checkout."""
+def _git(directory: pathlib.Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["git", *args], cwd=directory, capture_output=True, text=True, timeout=10
+    )
+
+
+def git_sha(directory: pathlib.Path = None) -> str:
+    """The checkout's short commit sha, ``"unknown"`` outside a checkout.
+
+    A tracked file that differs from ``HEAD`` appends ``-dirty``, so a
+    run of uncommitted code is not recorded under its parent commit.
+    Files under ``benchmarks/results/`` do not count: they are tracked,
+    and every benchmark run rewrites them.
+    """
+    directory = directory if directory is not None else pathlib.Path(__file__).parent
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=pathlib.Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
+        head = _git(directory, "rev-parse", "--short", "HEAD")
+        sha = head.stdout.strip()
+        if head.returncode != 0 or not sha:
+            return "unknown"
+        diff = _git(
+            directory, "diff", "--quiet", "HEAD", "--",
+            ":(top)", ":(top,exclude)benchmarks/results",
         )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+    return f"{sha}-dirty" if diff.returncode == 1 else sha
 
 
 def append_history(bench: str, metric: str, value: float, sha: str = None) -> None:

@@ -12,18 +12,25 @@ cannot carry — and every profile structure consumes that fold through
 the grouped fast paths (:meth:`~repro.core.tnv.TNVTable.record_grouped`,
 :meth:`~repro.core.profile.SiteProfile.record_fold`).
 
-One kernel does the reduction, in pure Python: one C-level ``Counter``
-pass per clear-interval chunk (``Counter`` preserves first-appearance
-order) and a C-level ``sum(map(eq, ...))`` adjacency pass.  It outran
-a sort-based vectorized kernel on the skewed small-integer runs the
-workloads produce; only the per-site gather ahead of it
+One kernel does the reduction, in pure Python: one C-level counting
+pass per clear-interval chunk (the counting helper behind ``Counter``,
+which preserves first-appearance order) and a C-level
+``sum(map(eq, ...))`` adjacency pass.  It outran a sort-based
+vectorized kernel on the skewed small-integer runs the workloads
+produce; only the per-site gather ahead of it
 (:meth:`repro.core.tracestore.EventTrace.site_values`) is vectorized,
 and it hands each run over as a list of Python ints.
+
+Most runs are short (a live shard's buffered runs have a median length
+of one event), so the kernel's fixed cost per call matters as much as
+its cost per event: it counts into plain dicts rather than building a
+``Counter`` per run, and a run that stays inside one clearing interval
+is counted once, with no chunk split.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
 from itertools import islice
 from operator import eq
@@ -119,19 +126,18 @@ def fold_values(
     # Adjacent-equal pairs in one C pass (map+operator.eq beat both the
     # zip genexpr and itertools.groupby on every tested distribution).
     lvp_hits = sum(map(eq, values, islice(values, 1, None))) if n > 1 else 0
-    chunks: List[Tuple[Dict[Value, int], int]] = []
-    for start, end in _chunk_bounds(n, interval, since):
-        if start == 0 and end == n:
-            counts = Counter(values)
-        else:
-            counts = Counter(values[start:end])
-        chunks.append((counts, end - start))
-    if len(chunks) == 1:
-        counts = chunks[0][0]
+    # ``Counter``'s own C counting loop, into a plain dict: a ``Counter``
+    # per run costs more to construct than a short run costs to count.
+    counts: Dict[Value, int] = {}
+    _count_elements(counts, values)
+    if interval is None or since + n <= interval:
+        chunks = [(counts, n)]
     else:
-        # One extra C-level counting pass beats merging the chunk dicts
-        # in Python, and yields the same global first-appearance order.
-        counts = Counter(values)
+        chunks = []
+        for start, end in _chunk_bounds(n, interval, since):
+            chunk: Dict[Value, int] = {}
+            _count_elements(chunk, values[start:end])
+            chunks.append((chunk, end - start))
     try:
         # Everything ``== 0`` shares one dict slot (equal keys collide),
         # so the zero total is a single lookup — exactly the
@@ -140,15 +146,7 @@ def fold_values(
     except TypeError:
         zeros = sum(count for value, count in counts.items() if is_zero(value))
     return SiteFold(
-        n=n,
-        first=values[0],
-        last=values[n - 1],
-        lvp_hits=lvp_hits,
-        zeros=zeros,
-        counts=counts,
-        chunks=chunks,
-        interval=interval,
-        since=since,
+        n, values[0], values[n - 1], lvp_hits, zeros, counts, chunks, interval, since
     )
 
 

@@ -165,7 +165,15 @@ class ValueStreamStats:
         """
         if n == 0:
             return
-        self._histogram.update(counts)
+        histogram = self._histogram
+        if histogram:
+            # ``Counter.update``'s loop, without its generic dispatch
+            # (a Mapping ABC check and a method call per run).
+            get = histogram.get
+            for value, count in counts.items():
+                histogram[value] = get(value, 0) + count
+        else:
+            dict.update(histogram, counts)
         self._total += n
         self._zeros += zeros
         self._lvp_hits += lvp_hits

@@ -185,12 +185,7 @@ class SiteProfile:
             tnv.record_grouped(counts, chunk_n)
         if self.exact is not None:
             self.exact.record_parts(
-                counts=fold.counts,
-                n=fold.n,
-                zeros=fold.zeros,
-                lvp_hits=fold.lvp_hits,
-                first=fold.first,
-                last=fold.last,
+                fold.counts, fold.n, fold.zeros, fold.lvp_hits, fold.first, fold.last
             )
 
     @property
@@ -309,9 +304,13 @@ class ProfileDatabase:
             profile = SiteProfile(site, self.config, exact=self.exact)
             self._profiles[site] = profile
             _METRICS.inc("profile.sites_created")
-        _METRICS.inc("profile.batches")
-        _METRICS.inc("profile.batch_events", len(values))
-        _TIMESERIES.advance(len(values))
+        # Most runs are a few events long, so the registries are only
+        # called while they are on: a disabled call still costs a frame.
+        if _METRICS.enabled:
+            _METRICS.inc("profile.batches")
+            _METRICS.inc("profile.batch_events", len(values))
+        if _TIMESERIES.enabled:
+            _TIMESERIES.advance(len(values))
         profile.record_many(values)
 
     def record_fold(self, site: Site, fold: SiteFold) -> None:
@@ -330,9 +329,11 @@ class ProfileDatabase:
             profile = SiteProfile(site, self.config, exact=self.exact)
             self._profiles[site] = profile
             _METRICS.inc("profile.sites_created")
-        _METRICS.inc("profile.batches")
-        _METRICS.inc("profile.batch_events", fold.n)
-        _TIMESERIES.advance(fold.n)
+        if _METRICS.enabled:
+            _METRICS.inc("profile.batches")
+            _METRICS.inc("profile.batch_events", fold.n)
+        if _TIMESERIES.enabled:
+            _TIMESERIES.advance(fold.n)
         profile.record_fold(fold)
 
     def profile_for(self, site: Site) -> SiteProfile:

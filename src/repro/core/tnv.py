@@ -199,7 +199,8 @@ class TNVTable:
         # Batch-boundary instrumentation: one call per group, never per
         # event, which is what keeps the disabled-mode overhead at zero
         # on the per-event path (see docs/observability.md).
-        _METRICS.inc("tnv.batch_records", n)
+        if _METRICS.enabled:
+            _METRICS.inc("tnv.batch_records", n)
         entries = self._entries
         if isinstance(pairs, dict):
             # Resident bumps and admissions are independent: bumping

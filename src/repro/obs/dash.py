@@ -538,17 +538,23 @@ def _section_live_hists(hists: dict, title: str) -> str:
 
 
 def _section_live_shards(shards: List[dict]) -> str:
+    from repro.obs.hist import Histogram
+
     if not shards:
         return ""
     rows = []
     for shard in shards:
+        counters = shard.get("counters", {})
+        flush = shard.get("hists", {}).get("shard.flush")
         rows.append(
             (
                 f"{shard.get('index', '?')}",
                 "yes" if shard.get("alive") else '<span class="up">DEAD</span>',
                 f"{shard.get('queue_depth', 0)}",
                 f"{shard.get('sites', 0):,}",
-                f"{shard.get('counters', {}).get('shard.events', 0):,}",
+                f"{counters.get('events', 0):,}",
+                f"{counters.get('flushes', 0):,}",
+                _fmt_seconds(Histogram.from_snapshot(flush).total) if flush else "-",
                 f"{shard.get('journal_bytes', 0):,}",
                 f"{shard.get('snapshot_bytes', 0):,}",
                 _esc(
@@ -571,11 +577,13 @@ def _section_live_shards(shards: List[dict]) -> str:
             ("queue", True),
             ("sites", True),
             ("events", True),
+            ("flushes", True),
+            ("flush time", True),
             ("journal B", True),
             ("snapshot B", True),
             ("snapshot age", True),
-            ("last fold", True),
-            ("fold tick", True),
+            ("last apply", True),
+            ("apply tick", True),
         ),
         rows,
     )

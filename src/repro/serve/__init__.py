@@ -4,8 +4,9 @@ The paper's convergence result — value profiles stabilize quickly and
 merge associatively — is what makes a long-lived, shard-parallel
 profiling service feasible: per-site state is order-dependent only on
 its *own* sub-stream, so the site space can be hashed across shards and
-each shard folds its slice through the existing batched/columnar fast
-paths while merged snapshots answer live queries.
+each shard buffers its slice per site and folds the runs through the
+existing batched/columnar fast paths while merged snapshots answer
+live queries.
 
 Layout:
 

@@ -38,10 +38,11 @@ Server → client messages:
 * ``{"t": "welcome", "shards": N, "next": SEQ}`` — session resume
   point: every batch below ``SEQ`` is applied on every shard, so the
   client drops those from its unacked buffer and resends the rest.
-* ``{"t": "ack", "seq": N}`` — batch ``N`` has been folded *and
-  journaled* on every shard.  An acked batch survives any single-shard
-  crash (restart replays the journal), which is what bounds loss to
-  the unacknowledged window.
+* ``{"t": "ack", "seq": N}`` — batch ``N`` has been journaled and
+  applied on every shard: its events sit in the shard's pending runs,
+  which every query folds first.  An acked batch survives any
+  single-shard crash (restart replays the journal), which is what
+  bounds loss to the unacknowledged window.
 * ``{"t": "flow", "state": "pause" | "resume"}`` — bounded-queue flow
   control: a saturated shard queue pauses all producers; draining
   below the low watermark resumes them.

@@ -12,8 +12,9 @@ acknowledged.  Every batch fans out to **every** shard — the events
 whose sites a shard owns, or an empty sub-batch — so each shard sees a
 gapless per-client sequence (see :mod:`repro.serve.shard` for why that
 invariant carries the whole consistency story).  A batch is
-acknowledged when all shards report it done (journaled + folded, or
-recognized as an already-applied duplicate).
+acknowledged when all shards report it done (journaled and buffered
+for the shard's next fold, or recognized as an already-applied
+duplicate).
 
 Backpressure is the shard queue: it is bounded, the router ``await``s
 the put, and a saturated queue therefore stops the router reading from
@@ -27,7 +28,8 @@ Shard runtimes
 * ``inline`` (default) — each shard is an asyncio task in the server
   process draining an ``asyncio.Queue``.  Deterministic, cheap, fully
   fault-injectable (the test harness's mode); profiling folds run on
-  the loop, which is fine because folds are batched C-level passes.
+  the loop, which is fine because a shard folds its buffered per-site
+  runs in bulk, before a query or checkpoint or at a size bound.
 * ``process`` — each shard is a spawned worker process draining a
   bounded ``multiprocessing.Queue``, acks and query responses flowing
   back over a result queue serviced by one reader thread per shard.
@@ -37,7 +39,8 @@ Shard runtimes
 Queries
 -------
 
-A second listener answers plain HTTP/1.1 GETs from merged snapshots:
+A second listener answers plain HTTP/1.1 GETs from merged snapshots
+(each shard folds its pending runs before it answers):
 ``/profile`` (the exact ``repro profile`` table, or the database JSON),
 ``/inspect`` (TNV health overview), ``/stats`` (service counters,
 queue depths, per-shard state and health, latency histograms, the
@@ -51,8 +54,9 @@ Observability
 
 Every client batch carries a wire trace context (``tc``); the server
 emits ``serve.enqueue`` and ``serve.ack`` child spans on its own
-tracer, while the shard runtimes time journal and fold per applied
-sub-batch and ship those observations *with their done-reports* —
+tracer, while the shard runtimes time the journal write and the apply
+(site decoding and buffering) per applied sub-batch and ship those
+observations *with their done-reports* —
 ``_telemetry_for_ops`` shapes them into pre-parented span records and
 latency samples the server folds into its always-on histograms.
 Folding on the server is deliberate: a shard's own op log dies with a
@@ -241,11 +245,11 @@ def _telemetry_for_ops(
 class InlineShardRunner:
     """One shard as an asyncio task draining a bounded queue.
 
-    ``kill`` models SIGKILL: the worker stops and everything not yet
-    journaled — queued sub-batches and the in-memory fold state since
-    the last checkpoint — is discarded.  ``restart`` rebuilds the core
-    from snapshot + journal.  ``delay`` injects per-batch latency (the
-    slow-consumer fault).
+    ``kill`` models SIGKILL: the worker stops and everything in memory —
+    queued sub-batches, the profiles folded since the last checkpoint
+    and the pending runs not yet folded — is discarded.  ``restart``
+    rebuilds the core from snapshot + journal.  ``delay`` injects
+    per-batch latency (the slow-consumer fault).
     """
 
     runtime = "inline"

@@ -10,6 +10,8 @@ section comparing ``BENCH_history.jsonl`` against the committed
 import importlib.util
 import json
 import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -175,3 +177,39 @@ class TestBenchHistory:
             for line in (tmp_path / helpers.HISTORY_FILE).read_text().splitlines()
         ]
         assert record["git_sha"]  # real sha inside the repo, "unknown" outside
+
+    @pytest.fixture
+    def checkout(self, tmp_path):
+        """A throwaway repository with one source file and one result."""
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        repo = tmp_path / "checkout"
+        (repo / "benchmarks" / "results").mkdir(parents=True)
+        (repo / "main.py").write_text("print(1)\n")
+        (repo / "benchmarks" / "results" / "BENCH_x.json").write_text("{}\n")
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=repo, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        return repo, git("rev-parse", "--short", "HEAD")
+
+    def test_git_sha_of_clean_tree_is_bare(self, helpers, checkout):
+        repo, sha = checkout
+        assert helpers.git_sha(repo) == sha
+
+    def test_git_sha_marks_edited_tracked_file_dirty(self, helpers, checkout):
+        repo, sha = checkout
+        (repo / "main.py").write_text("print(2)\n")
+        assert helpers.git_sha(repo) == f"{sha}-dirty"
+
+    def test_git_sha_ignores_rewritten_results(self, helpers, checkout):
+        repo, sha = checkout
+        (repo / "benchmarks" / "results" / "BENCH_x.json").write_text('{"mean": 1}\n')
+        assert helpers.git_sha(repo) == sha

@@ -4,7 +4,9 @@ The property the whole service stands on: per-site profile state
 depends only on the site's own value subsequence, so hashing the site
 space across shards and folding per-shard sub-batches yields state
 identical to one process recording the stream event by event — TNV
-entry order, health counters and exact statistics included.
+entry order, health counters and exact statistics included.  The same
+holds when a shard buffers its sub-batches into per-site pending runs
+and folds them only at reads, checkpoints and a size bound.
 """
 
 import tempfile
@@ -16,6 +18,7 @@ from repro.analysis.tables import profile_table
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import SiteKind
 from repro.serve import protocol as proto
+from repro.serve import shard as shard_module
 from repro.serve.shard import ShardCore
 
 from tests.serve.harness import (
@@ -30,43 +33,57 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
-def fold_through_shards(events, batch_sizes, shards, config, client="c"):
-    """Route an event stream through real ShardCores, return the merge.
+def split_batches(events, batch_sizes):
+    """Cut ``events`` into batches, cycling through ``batch_sizes``."""
+    batches = []
+    position = 0
+    sizes = list(batch_sizes)
+    while position < len(events):
+        size = max(1, sizes[len(batches) % len(sizes)] if sizes else 64)
+        batches.append(events[position : position + size])
+        position += size
+    return batches
 
-    Mirrors the server's routing exactly: every batch fans out to every
-    shard as a self-contained (site-dictionary, indices, values)
-    sub-batch, empty ones included, so per-shard sequences stay gapless.
+
+def route(batch, shards):
+    """One batch as the server routes it: a sub-batch for every shard.
+
+    Each sub-batch is self-contained (site dictionary, indices, values);
+    shards that own none of the batch's sites get an empty one, so
+    per-shard sequences stay gapless.
     """
+    buckets = [([], {}, [], []) for _ in range(shards)]
+    for site, value in batch:
+        owner = proto.shard_for_site(site, shards)
+        payloads, index_of, sidx, values = buckets[owner]
+        local = index_of.get(site)
+        if local is None:
+            local = index_of[site] = len(payloads)
+            payloads.append(proto.site_to_payload(site))
+        sidx.append(local)
+        values.append(value)
+    return [(payloads, sidx, values) for payloads, _, sidx, values in buckets]
+
+
+def merge_cores(cores, config):
+    merged = ProfileDatabase(config=config, exact=True)
+    for core in cores:
+        merged.merge(core.db)
+    return merged
+
+
+def fold_through_shards(events, batch_sizes, shards, config, client="c"):
+    """Route an event stream through real ShardCores, return the merge."""
     with tempfile.TemporaryDirectory() as tmp:
         cores = [
             ShardCore(index, tmp, config=config, exact=True)
             for index in range(shards)
         ]
-        position = 0
-        seq = 0
-        sizes = list(batch_sizes)
-        while position < len(events):
-            size = sizes[seq % len(sizes)] if sizes else 64
-            batch = events[position : position + max(1, size)]
-            position += max(1, size)
-            buckets = [([], {}, [], []) for _ in range(shards)]
-            for site, value in batch:
-                owner = proto.shard_for_site(site, shards)
-                payloads, index_of, sidx, values = buckets[owner]
-                local = index_of.get(site)
-                if local is None:
-                    local = index_of[site] = len(payloads)
-                    payloads.append(proto.site_to_payload(site))
-                sidx.append(local)
-                values.append(value)
-            for index, core in enumerate(cores):
-                payloads, _, sidx, values = buckets[index]
+        for seq, batch in enumerate(split_batches(events, batch_sizes)):
+            for core, (payloads, sidx, values) in zip(cores, route(batch, shards)):
                 done = core.submit(client, seq, payloads, sidx, values, journal=False)
                 assert done == [seq]
-            seq += 1
-        merged = ProfileDatabase(config=config, exact=True)
-        for core in cores:
-            merged.merge(core.db)
+        merged = merge_cores(cores, config)
         for core in cores:
             core.close()
         return merged
@@ -95,6 +112,67 @@ def test_any_partition_matches_single_process(data):
     merged = fold_through_shards(stream, batch_sizes, shards, config)
     reference = offline_reference(stream, config=config, exact=True)
     assert_same_profile_state(merged, reference)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_buffered_folds_survive_reads_checkpoints_and_kills(data):
+    """Pending runs never show, and never get lost or folded twice.
+
+    Between submits the schedule reads the merged database, checkpoints
+    every shard (as ``/checkpoint`` does), or kills one shard and
+    rebuilds it from its snapshot and journal.  The flush bound is
+    drawn small, so bound-triggered flushes land anywhere in the
+    schedule.  Every read must equal the per-event fold of everything
+    submitted so far.
+    """
+    sites = make_sites(6)
+    events = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 7)),
+            min_size=0,
+            max_size=160,
+        ),
+        label="events",
+    )
+    stream = [(sites[index], value) for index, value in events]
+    shards = data.draw(st.integers(1, 3), label="shards")
+    batch_sizes = data.draw(
+        st.lists(st.integers(1, 17), min_size=1, max_size=5), label="batch_sizes"
+    )
+    bound = data.draw(st.integers(1, 40), label="flush_bound")
+    config = TNVConfig(capacity=4, steady=2, clear_interval=16)
+    schedule = st.lists(st.sampled_from(["read", "checkpoint", "kill"]), max_size=3)
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(shard_module, "FLUSH_EVENTS", bound)
+        cores = [
+            ShardCore(index, tmp, config=config, exact=True)
+            for index in range(shards)
+        ]
+        try:
+            submitted = []
+            for seq, batch in enumerate(split_batches(stream, batch_sizes)):
+                for core, (payloads, sidx, values) in zip(cores, route(batch, shards)):
+                    assert core.submit("c", seq, payloads, sidx, values) == [seq]
+                submitted.extend(batch)
+                for op in data.draw(schedule, label=f"after batch {seq}"):
+                    if op == "read":
+                        reference = offline_reference(submitted, config=config)
+                        assert_same_profile_state(merge_cores(cores, config), reference)
+                    elif op == "checkpoint":
+                        for core in cores:
+                            core.checkpoint()
+                    else:
+                        index = data.draw(st.integers(0, shards - 1), label="killed")
+                        cores[index].close()
+                        cores[index] = ShardCore(
+                            index, tmp, config=config, exact=True, restore=True
+                        )
+            reference = offline_reference(submitted, config=config)
+            assert_same_profile_state(merge_cores(cores, config), reference)
+        finally:
+            for core in cores:
+                core.close()
 
 
 def test_record_batch_grouping_matches_per_event():

@@ -253,6 +253,7 @@ class TestSlowOpsAndHealth:
     def test_stats_carries_shard_health(self, tmp_path):
         with ServeCluster(shards=2, snapshot_dir=str(tmp_path)) as cluster:
             cluster.push_events("c1", make_stream(num_sites=12, num_events=600))
+            cluster.merged_database()  # a query folds the pending runs
             cluster.checkpoint()
             stats = cluster.http_json("/stats")
             snapshot_sizes = [
@@ -268,6 +269,9 @@ class TestSlowOpsAndHealth:
             assert shard["hists"]["shard.fold"]["count"] > 0
             assert shard["hists"]["shard.checkpoint"]["count"] == 1
             assert shard["counters"]["checkpoint_failures"] == 0
+            flushes = shard["hists"]["shard.flush"]["count"]
+            assert flushes >= 1
+            assert shard["counters"]["flushes"] == flushes
 
     def test_journal_bytes_grow_until_checkpoint(self, tmp_path):
         with ServeCluster(shards=1, snapshot_dir=str(tmp_path)) as cluster:
