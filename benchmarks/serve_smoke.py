@@ -19,8 +19,7 @@ A restore leg closes the run: it forces ``/checkpoint``, stops the
 cluster with no final checkpoint, starts a second cluster with
 ``restore=True`` on the same snapshot directory, and requires every
 producer's resume point, the ``/profile`` JSON and the deep profile
-state to match the first cluster's.  On the process runtime the
-restored databases also travel home pickled, as query responses.
+state to match the first cluster's.
 
 Exit status is the verdict (assertions fail loudly); ``--log-dir``
 captures the harness event log, the span trace, the final ``/metrics``
@@ -67,8 +66,6 @@ def parse_args(argv=None):
     parser.add_argument("--scale", type=float, default=0.1,
                         help="compress/train input scale (default 0.1)")
     parser.add_argument("--shards", type=int, default=2)
-    parser.add_argument("--runtime", choices=("inline", "process"),
-                        default="inline")
     parser.add_argument("--queue-size", type=int, default=32)
     parser.add_argument("--batch-size", type=int, default=512)
     parser.add_argument("--synthetic-events", type=int, default=4000,
@@ -92,7 +89,6 @@ def restore_leg(args, snapshot_dir, producers, clients, expected_json, offline):
     """Restart on the stopped cluster's snapshots; nothing acked is lost."""
     with ServeCluster(
         shards=args.shards,
-        runtime=args.runtime,
         queue_size=args.queue_size,
         snapshot_dir=snapshot_dir,
         restore=True,
@@ -127,7 +123,7 @@ def main(argv=None) -> int:
          synthetic_stream("smoke2", args.synthetic_events, seed=202)),
     ]
     total_events = sum(len(events) for _, _, events in producers)
-    print(f"serve smoke: {args.shards} shards ({args.runtime} runtime), "
+    print(f"serve smoke: {args.shards} shards, "
           f"{len(producers)} producers, {total_events} events")
 
     query_counts = {"stats": 0, "profile": 0, "metrics": 0, "depth_gauge_seen": 0}
@@ -138,7 +134,6 @@ def main(argv=None) -> int:
     with ServeCluster(
         log_path=str(log_dir / "serve-smoke-harness.log") if log_dir else None,
         shards=args.shards,
-        runtime=args.runtime,
         queue_size=args.queue_size,
         snapshot_dir=snapshots.name,
     ) as cluster:
@@ -264,7 +259,6 @@ def main(argv=None) -> int:
     bench = {
         "name": "serve",
         "shards": args.shards,
-        "runtime": args.runtime,
         "events": total_events,
         "ingest_seconds": round(ingest_seconds, 6),
         "events_per_s": round(events_per_s, 1),
@@ -282,7 +276,6 @@ def main(argv=None) -> int:
 
     summary = {
         "shards": args.shards,
-        "runtime": args.runtime,
         "producers": len(producers),
         "events": total_events,
         "queries_mid_ingest": dict(query_counts),

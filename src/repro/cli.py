@@ -249,7 +249,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval or None,
         snapshot_dir=args.snapshot_dir,
         restore=args.restore,
-        runtime=args.runtime,
         timeseries_interval=getattr(args, "timeseries_interval", None),
         **(
             {"slow_op_threshold": args.slow_op_threshold}
@@ -261,7 +260,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _run() -> None:
         await server.start()
         print(
-            f"serving {args.shards} shard(s) [{args.runtime}]: "
+            f"serving {args.shards} shard(s): "
             f"ingest {server.host}:{server.ingest_port}, "
             f"http {server.host}:{server.http_port}",
             flush=True,
@@ -593,10 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--runtime",
-        choices=("inline", "process"),
-        default="process",
-        help="shard execution model: worker processes (default) or "
-        "asyncio tasks in the server process",
+        choices=("inline",),
+        default="inline",
+        help="shard execution model; the one model is asyncio tasks in "
+        "the server process",
     )
     serve_parser.add_argument(
         "--queue-size",

@@ -697,7 +697,6 @@ def render_live_dashboard(base_url: str, timeout: float = 5.0) -> str:
     )
     header = (
         f'<p class="muted">Scraped {_esc(base)} &mdash; '
-        f"runtime <b>{_esc(health.get('runtime', '?'))}</b>, "
         f"{health.get('shards', '?')} shard(s), {status}"
         + (", <b>ingest paused</b>" if stats.get("paused") else "")
         + ".</p>"

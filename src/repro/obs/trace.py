@@ -161,7 +161,7 @@ class Tracer:
         The context-manager stack models strictly nested phases of one
         thread of control; the serve plane's spans are neither — dozens
         of client batches are in flight at once and their child spans
-        close on shard runtimes, reader threads and reconnect paths.
+        close on shard tasks and reconnect paths.
         Those callers mint their own deterministic ids (the wire trace
         context) and record finished spans directly.  ``list.append``
         is atomic under the GIL, so cross-thread emission is safe.

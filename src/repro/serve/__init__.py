@@ -14,11 +14,11 @@ Layout:
   frames), site payload encoding, and the deterministic shard-routing
   hash.
 * :mod:`repro.serve.shard` — :class:`~repro.serve.shard.ShardCore`, the
-  runtime-agnostic shard engine: per-client in-order apply with
+  synchronous shard engine: per-client in-order apply with
   dedup/reorder buffering, write-ahead journal, snapshot/restore.
 * :mod:`repro.serve.server` — the asyncio front: ingest listener,
-  HTTP query listener, inline (asyncio-task) and worker-process shard
-  runtimes, bounded-queue backpressure with client-visible flow
+  HTTP query listener, one asyncio task per shard in the server
+  process, bounded-queue backpressure with client-visible flow
   control, periodic checkpoints.
 * :mod:`repro.serve.client` — the blocking client used by ``repro
   push`` and the test harness: windowed sends, ack tracking,

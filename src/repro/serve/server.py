@@ -22,25 +22,22 @@ client sockets (TCP backpressure) — while a high-watermark crossing
 additionally broadcasts an explicit ``flow: pause`` frame so
 well-behaved producers stop *before* the kernel buffers fill.
 
-Shard runtimes
---------------
+Shards
+------
 
-* ``inline`` (default) — each shard is an asyncio task in the server
-  process draining an ``asyncio.Queue``.  Deterministic, cheap, fully
-  fault-injectable (the test harness's mode); profiling folds run on
-  the loop, which is fine because a shard folds its buffered per-site
-  runs in bulk, before a query or checkpoint or at a size bound.
-* ``process`` — each shard is a spawned worker process draining a
-  bounded ``multiprocessing.Queue``, acks and query responses flowing
-  back over a result queue serviced by one reader thread per shard.
-  This is the multi-core deployment shape; queries ship the shard's
-  pickled database home for merging.
+Each shard is an asyncio task in the server process, draining its
+bounded ``asyncio.Queue`` into its :class:`~repro.serve.shard.ShardCore`.
+That keeps the service deterministic and fully fault-injectable (kill,
+restart and per-batch delay).  Profiling folds run on the loop, which
+is fine because a shard folds its buffered per-site runs in bulk,
+before a query or checkpoint or at a size bound.
 
 Queries
 -------
 
-A second listener answers plain HTTP/1.1 GETs from merged snapshots
-(each shard folds its pending runs before it answers):
+A second listener answers plain HTTP/1.1 GETs from merged snapshots,
+read straight from the shard cores (each folds its pending runs before
+it answers):
 ``/profile`` (the exact ``repro profile`` table, or the database JSON),
 ``/inspect`` (TNV health overview), ``/stats`` (service counters,
 queue depths, per-shard state and health, latency histograms, the
@@ -54,25 +51,22 @@ Observability
 
 Every client batch carries a wire trace context (``tc``); the server
 emits ``serve.enqueue`` and ``serve.ack`` child spans on its own
-tracer, while the shard runtimes time the journal write and the apply
-(site decoding and buffering) per applied sub-batch and ship those
-observations *with their done-reports* —
+tracer, while each shard times the journal write and the apply (site
+decoding and buffering) per applied sub-batch and hands those
+observations over *with its done-reports* —
 ``_telemetry_for_ops`` shapes them into pre-parented span records and
 latency samples the server folds into its always-on histograms.
 Folding on the server is deliberate: a shard's own op log dies with a
-SIGKILL, the done-report does not, so ``serve.journal_sync`` /
+kill, the done-report does not, so ``serve.journal_sync`` /
 ``serve.shard_fold`` stay cumulative across shard generations and the
-span tree stays a single tree across both runtimes.
+span tree stays a single tree.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
-import pickle
 import tempfile
-import threading
 import time
 import urllib.parse
 from collections import deque
@@ -189,27 +183,24 @@ class _Session:
 
 
 # ----------------------------------------------------------------------
-# shard runtimes
+# shards
 # ----------------------------------------------------------------------
 
 
 def _telemetry_for_ops(
-    shard_index: int, client: str, ops: List[tuple], epoch: float
+    shard_index: int, client: str, ops: List[tuple]
 ) -> Dict[int, dict]:
     """Shape a core's drained op log into per-seq done-report telemetry.
 
-    Shared by both runtimes so the wire shape is identical: ``{seq:
-    {"journal_s", "fold_s", "events", "spans"}}``.  The spans are
-    complete records pre-parented under the batch's client span id
-    (``tc[1]``) with deterministic ids — ``<tc>.s<shard>.journal`` /
-    ``.fold`` — so :meth:`Tracer.adopt` threads them into one tree no
-    matter which process or shard generation produced them, and a
-    duplicate apply can never mint a second span (dedup means a
-    (client, seq) applies at most once per shard).  ``epoch`` is the
-    producing process's span clock zero: the server's tracer epoch
-    inline, the worker's start instant in the process runtime (worker
-    spans are on the worker's own clock, as with the parallel runner).
+    ``{seq: {"journal_s", "fold_s", "events", "spans"}}``.  The spans
+    are complete records on the server tracer's clock, pre-parented
+    under the batch's client span id (``tc[1]``) with deterministic ids
+    — ``<tc>.s<shard>.journal`` / ``.fold`` — so :meth:`Tracer.adopt`
+    threads them into one tree whichever shard generation produced
+    them, and a duplicate apply can never mint a second span (dedup
+    means a (client, seq) applies at most once per shard).
     """
+    epoch = _TRACER.epoch
     telemetry: Dict[int, dict] = {}
     for seq, tc, start_m, journal_s, fold_s, events in ops:
         spans: List[dict] = []
@@ -245,14 +236,14 @@ def _telemetry_for_ops(
 class InlineShardRunner:
     """One shard as an asyncio task draining a bounded queue.
 
-    ``kill`` models SIGKILL: the worker stops and everything in memory —
-    queued sub-batches, the profiles folded since the last checkpoint
-    and the pending runs not yet folded — is discarded.  ``restart``
-    rebuilds the core from snapshot + journal.  ``delay`` injects
-    per-batch latency (the slow-consumer fault).
+    ``core`` is the shard's :class:`ShardCore`, read directly by queries
+    and checkpoints, or ``None`` while the shard is dead.  ``kill``
+    models SIGKILL: the task stops and everything in memory — queued
+    sub-batches, the profiles folded since the last checkpoint and the
+    pending runs not yet folded — is discarded.  ``restart`` rebuilds
+    the core from snapshot + journal.  ``delay`` injects per-batch
+    latency (the slow-consumer fault).
     """
-
-    runtime = "inline"
 
     def __init__(self, server: "ServeServer", index: int) -> None:
         self.server = server
@@ -260,7 +251,6 @@ class InlineShardRunner:
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=server.queue_size)
         self.core: Optional[ShardCore] = self._make_core(restore=server.restore)
         self.delay = 0.0
-        self.alive = False
         self._task: Optional[asyncio.Task] = None
 
     def _make_core(self, restore: bool) -> ShardCore:
@@ -272,9 +262,12 @@ class InlineShardRunner:
             restore=restore,
         )
 
-    async def start(self) -> None:
+    @property
+    def alive(self) -> bool:
+        return self._task is not None
+
+    def start(self) -> None:
         self._task = asyncio.get_running_loop().create_task(self._run())
-        self.alive = True
 
     async def _run(self) -> None:
         while True:
@@ -287,9 +280,7 @@ class InlineShardRunner:
                 telemetry: Dict[int, dict] = {}
                 try:
                     done = core.submit(client, seq, payloads, sidx, values, tc=tc)
-                    telemetry = _telemetry_for_ops(
-                        self.index, client, core.take_ops(), _TRACER.epoch
-                    )
+                    telemetry = _telemetry_for_ops(self.index, client, core.take_ops())
                 except Exception:  # noqa: BLE001 - a poisoned batch must not wedge the shard
                     _LOG.exception(
                         "shard %d failed applying batch %s/%d; dropped un-acked",
@@ -315,25 +306,14 @@ class InlineShardRunner:
     def depth(self) -> int:
         return self.queue.qsize()
 
-    async def query(self) -> Tuple[Optional[ProfileDatabase], dict]:
-        if self.core is None:
-            return None, {"index": self.index, "dead": True}
-        return self.core.db, self.core.stats()
-
-    async def applied_high(self, client: str) -> int:
-        if self.core is None:
-            return -1
-        return self.core.applied.get(client, -1)
-
-    async def checkpoint(self) -> None:
-        if self.core is not None:
-            self.core.checkpoint()
-
-    async def kill(self) -> int:
-        """Abrupt death: drop queued work and all un-journaled state."""
+    def _cancel(self) -> None:
         if self._task is not None:
             self._task.cancel()
             self._task = None
+
+    def kill(self) -> int:
+        """Abrupt death: drop queued work and all un-journaled state."""
+        self._cancel()
         dropped = 0
         while True:
             try:
@@ -344,294 +324,32 @@ class InlineShardRunner:
         if self.core is not None:
             self.core.close()
             self.core = None
-        self.alive = False
         self.server._update_depth()
         return dropped
 
-    async def restart(self) -> None:
-        """Rolling restart: rebuild from snapshot + journal tail."""
-        if self._task is not None:
-            self._task.cancel()
-        self.core = self._make_core(restore=True)
-        self._task = asyncio.get_running_loop().create_task(self._run())
-        self.alive = True
+    def restart(self) -> None:
+        """Rolling restart: rebuild from snapshot + journal tail.
 
-    async def stop(self, checkpoint: bool = True) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
+        A live shard's core is closed first.  Its queue is kept; its
+        pending runs are in the journal, and batches it parked ahead of
+        a gap were never reported done, so the client resends them.
+        """
+        self._cancel()
         if self.core is not None:
-            if checkpoint:
-                self.core.checkpoint()
             self.core.close()
-        self.alive = False
+            self.core = None  # dead, like a kill, if the rebuild fails
+        self.core = self._make_core(restore=True)
+        self.start()
 
-
-def _shard_process_main(
-    index: int,
-    directory: str,
-    config_tuple: tuple,
-    exact: bool,
-    restore: bool,
-    checkpoint_interval: Optional[int],
-    in_queue,
-    out_queue,
-) -> None:
-    """Worker-process entry point: drain sub-batches, report done seqs."""
-    core = ShardCore(
-        index,
-        directory,
-        config=TNVConfig(*config_tuple),
-        exact=exact,
-        restore=restore,
-    )
-    # The worker's span clock zero: its spans ship home as plain records
-    # on this clock (same contract as the parallel runner's workers).
-    epoch = time.monotonic()
-    while True:
-        message = in_queue.get()
-        kind = message[0]
-        if kind == "batch":
-            _, client, seq, payloads, sidx, values, tc = message
-            tc = tuple(tc) if tc is not None else None
-            done = []
-            telemetry: Dict[int, dict] = {}
+    def stop(self, checkpoint: bool = True) -> None:
+        """Stop the task, checkpoint unless told not to, close the core."""
+        self._cancel()
+        if self.core is not None:
             try:
-                done = core.submit(client, seq, payloads, sidx, values, tc=tc)
-                telemetry = _telemetry_for_ops(index, client, core.take_ops(), epoch)
-            except Exception:  # noqa: BLE001 - a poisoned batch must not kill the worker
-                _LOG.exception(
-                    "shard %d worker failed applying batch %s/%d; dropped un-acked",
-                    index,
-                    client,
-                    seq,
-                )
-            for done_seq in done:
-                out_queue.put(("done", index, client, done_seq, telemetry.get(done_seq)))
-            core.maybe_checkpoint(checkpoint_interval)
-        elif kind == "query":
-            # Pickle the database *here*, in the worker's only mutating
-            # thread: handing the live object to the queue's feeder
-            # thread races its pickling against ongoing folds
-            # ("dictionary changed size during iteration"), and the
-            # lost response would wedge the query future forever.
-            out_queue.put(("query", message[1], pickle.dumps(core.db), core.stats()))
-        elif kind == "applied":
-            out_queue.put(("applied", message[1], core.applied.get(message[2], -1)))
-        elif kind == "checkpoint":
-            core.checkpoint()
-            out_queue.put(("checkpointed", message[1]))
-        elif kind == "stop":
-            core.checkpoint()
-            core.close()
-            out_queue.put(("stopped", index))
-            return
-
-
-class ProcessShardRunner:
-    """One shard as a spawned worker process behind bounded queues.
-
-    The multi-core deployment shape.  Acks, query responses and
-    checkpoint confirmations flow back over an out-queue; one daemon
-    reader thread per worker generation relays them onto the event
-    loop.  ``spawn`` (not ``fork``) keeps the child free of the
-    parent's loop and threads.
-
-    Kill discipline: SIGKILLing a child that holds a shared queue lock
-    poisons the lock for everyone else, so a killed generation's queues
-    are *abandoned*, never reused — each spawn gets fresh queues and a
-    fresh reader, and everything is generation-tagged so stragglers
-    from a dead worker are ignored.  For the same reason the router
-    never blocks a thread on ``Queue.put``: a full queue is retried
-    with short async sleeps, re-reading the current queue so a restart
-    redirects waiting batches to the new worker.
-    """
-
-    runtime = "process"
-
-    def __init__(self, server: "ServeServer", index: int) -> None:
-        import multiprocessing
-
-        self.server = server
-        self.index = index
-        self._ctx = multiprocessing.get_context("spawn")
-        self.in_queue = None
-        self.out_queue = None
-        self._gen = 0
-        self._process = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._responses: Dict[int, asyncio.Future] = {}
-        self._request_ids = itertools.count()
-        self.alive = False
-        self.delay = 0.0  # unsupported in process runtime (documented)
-
-    def _spawn(self, restore: bool) -> None:
-        config = self.server.config
-        self._gen += 1
-        self.in_queue = self._ctx.Queue(maxsize=self.server.queue_size)
-        self.out_queue = self._ctx.Queue()
-        self._process = self._ctx.Process(
-            target=_shard_process_main,
-            args=(
-                self.index,
-                self.server.snapshot_dir,
-                (config.capacity, config.steady, config.clear_interval),
-                self.server.exact,
-                restore,
-                self.server.checkpoint_interval,
-                self.in_queue,
-                self.out_queue,
-            ),
-            daemon=True,
-        )
-        self._process.start()
-        threading.Thread(
-            target=self._read_loop,
-            args=(self._gen, self.out_queue),
-            name=f"shard-{self.index}-reader-g{self._gen}",
-            daemon=True,
-        ).start()
-
-    async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._spawn(restore=self.server.restore)
-        self.alive = True
-
-    def _read_loop(self, gen: int, out_queue) -> None:
-        while gen == self._gen:
-            try:
-                message = out_queue.get()
-            except (OSError, EOFError, ValueError):
-                return  # queue torn down under us: this generation is over
-            if message is None or gen != self._gen:
-                return
-            loop = self._loop
-            if loop is None or loop.is_closed():
-                return
-            loop.call_soon_threadsafe(self._dispatch, gen, message)
-
-    def _dispatch(self, gen: int, message: tuple) -> None:
-        kind = message[0]
-        if kind == "done":
-            # Done reports are durable facts (journaled before reported)
-            # and stay valid even if their worker died since — and so is
-            # the telemetry riding along: folding it server-side is what
-            # lets histograms survive (and merge across) shard
-            # generations the worker itself did not.
-            _, index, client, seq, telemetry = message
-            self.server._on_done(index, client, seq, telemetry)
-            self.server._update_depth()
-        elif gen != self._gen:
-            return  # stale response from a killed generation
-        elif kind in ("query", "applied", "checkpointed"):
-            future = self._responses.pop(message[1], None)
-            if future is not None and not future.done():
-                future.set_result(message[2:])
-        elif kind == "stopped":
-            self.alive = False
-
-    async def _request(self, *message) -> tuple:
-        request_id = next(self._request_ids)
-        future = asyncio.get_running_loop().create_future()
-        self._responses[request_id] = future
-        await self._put((message[0], request_id, *message[1:]))
-        return await future
-
-    async def _put(self, item: tuple) -> None:
-        import queue as _queue
-
-        while True:
-            target = self.in_queue
-            if target is None:
-                return  # runner torn down: the client's retry redelivers
-            try:
-                target.put_nowait(item)
-                return
-            except _queue.Full:
-                if not self.alive and target is self.in_queue:
-                    # Dead worker behind a saturated queue: drop — the
-                    # batch stays unacked, so the client resends it
-                    # once the shard is back.
-                    return
-                await asyncio.sleep(0.005)
-                # Loop re-reads self.in_queue: a restart swaps in the
-                # new worker's queue and we deliver there instead.
-
-    async def submit(self, item: tuple) -> None:
-        await self._put(("batch", *item))
-        self.server._update_depth()
-
-    def depth(self) -> int:
-        try:
-            return self.in_queue.qsize() if self.in_queue is not None else 0
-        except (NotImplementedError, OSError):  # pragma: no cover - macOS
-            return 0
-
-    async def query(self) -> Tuple[Optional[ProfileDatabase], dict]:
-        if not self.alive:
-            return None, {"index": self.index, "dead": True}
-        db_bytes, stats = await self._request("query")
-        return pickle.loads(db_bytes), stats
-
-    async def applied_high(self, client: str) -> int:
-        if not self.alive:
-            return -1
-        (high,) = await self._request("applied", client)
-        return high
-
-    async def checkpoint(self) -> None:
-        if self.alive:
-            await self._request("checkpoint")
-
-    def _abandon_queues(self) -> int:
-        """Detach from a dead generation's queues; returns depth lost."""
-        dropped = self.depth()
-        self._gen += 1  # invalidates the reader thread and stale messages
-        for old in (self.in_queue, self.out_queue):
-            if old is not None:
-                old.close()
-                old.cancel_join_thread()
-        self.in_queue = None
-        self.out_queue = None
-        return dropped
-
-    async def kill(self) -> int:
-        process, self._process = self._process, None
-        if process is not None:
-            process.kill()
-            await asyncio.get_running_loop().run_in_executor(None, process.join)
-        dropped = self._abandon_queues()
-        for future in self._responses.values():
-            if not future.done():
-                future.cancel()
-        self._responses.clear()
-        self.alive = False
-        self.server._update_depth()
-        return dropped
-
-    async def restart(self) -> None:
-        if self._process is not None:
-            await self.kill()
-        self._spawn(restore=True)
-        self.alive = True
-
-    async def stop(self, checkpoint: bool = True) -> None:
-        import queue as _queue
-
-        process, self._process = self._process, None
-        if process is not None and process.is_alive():
-            graceful = False
-            if checkpoint and self.in_queue is not None:
-                try:
-                    self.in_queue.put_nowait(("stop",))
-                    graceful = True
-                except _queue.Full:
-                    pass
-            if not graceful:
-                process.kill()
-            await asyncio.get_running_loop().run_in_executor(None, process.join)
-        self._abandon_queues()
-        self.alive = False
+                if checkpoint:
+                    self.core.checkpoint()
+            finally:
+                self.core.close()
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +361,7 @@ class ServeServer:
     """The profiling-as-a-service daemon.
 
     Args:
-        shards: number of shard workers the site space hashes across.
+        shards: number of shards the site space hashes across.
         host / ingest_port / http_port: listener addresses (port 0 =
             ephemeral; the bound ports are exposed after ``start``).
         queue_size: bound of each shard's sub-batch queue — the
@@ -656,7 +374,6 @@ class ServeServer:
         restore: load shard snapshots/journals on startup (rolling
             restart); sessions resume at ``min`` applied + 1.
         config / exact: profile knobs, as in :class:`ProfileDatabase`.
-        runtime: ``"inline"`` or ``"process"`` (see module docstring).
         timeseries_interval: if set, enable the global time-series
             collector for this server's lifetime (``/timeseries``).
         slow_op_threshold: seconds above which a fold or HTTP query is
@@ -682,15 +399,12 @@ class ServeServer:
         restore: bool = False,
         config: Optional[TNVConfig] = None,
         exact: bool = True,
-        runtime: str = "inline",
         reorder_window: int = DEFAULT_REORDER_WINDOW,
         timeseries_interval: Optional[int] = None,
         slow_op_threshold: float = DEFAULT_SLOW_OP_THRESHOLD,
     ) -> None:
         if shards < 1:
             raise ServeError(f"need at least one shard, got {shards}")
-        if runtime not in ("inline", "process"):
-            raise ServeError(f"unknown shard runtime {runtime!r}")
         self.nshards = shards
         self.host = host
         self._ingest_port = ingest_port
@@ -700,7 +414,6 @@ class ServeServer:
         self.restore = restore
         self.config = config or TNVConfig()
         self.exact = exact
-        self.runtime = runtime
         self.reorder_window = reorder_window
         self.timeseries_interval = timeseries_interval
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
@@ -708,7 +421,7 @@ class ServeServer:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
             snapshot_dir = self._tmpdir.name
         self.snapshot_dir = snapshot_dir
-        self.runners: List = []
+        self.runners: List[InlineShardRunner] = []
         self.sessions: Dict[str, _Session] = {}
         self._conns: Set[asyncio.StreamWriter] = set()
         self._ingest_server: Optional[asyncio.base_events.Server] = None
@@ -777,15 +490,12 @@ class ServeServer:
     def http_port(self) -> int:
         return self._http_port
 
-    def _make_runner(self, index: int):
-        if self.runtime == "process":
-            return ProcessShardRunner(self, index)
-        return InlineShardRunner(self, index)
-
     async def start(self) -> None:
-        self.runners = [self._make_runner(index) for index in range(self.nshards)]
+        self.runners = [
+            InlineShardRunner(self, index) for index in range(self.nshards)
+        ]
         for runner in self.runners:
-            await runner.start()
+            runner.start()
         self._ingest_server = await asyncio.start_server(
             self._handle_ingest, self.host, self._ingest_port
         )
@@ -799,9 +509,8 @@ class ServeServer:
 
             TIMESERIES.enable(interval=self.timeseries_interval)
         _LOG.info(
-            "serving %d shard(s) [%s]: ingest on %s:%d, http on %s:%d",
+            "serving %d shard(s): ingest on %s:%d, http on %s:%d",
             self.nshards,
-            self.runtime,
             self.host,
             self._ingest_port,
             self.host,
@@ -809,6 +518,12 @@ class ServeServer:
         )
 
     async def stop(self, checkpoint: bool = True) -> None:
+        """Close the listeners, then stop every shard and tear down.
+
+        A shard whose final checkpoint fails does not stop the others:
+        every shard is stopped and closed and the teardown finishes
+        before the first error is re-raised.
+        """
         for server in (self._ingest_server, self._http_server):
             if server is not None:
                 server.close()
@@ -817,8 +532,13 @@ class ServeServer:
         for writer in list(self._conns):
             writer.close()
         self._conns.clear()
+        errors: List[Exception] = []
         for runner in self.runners:
-            await runner.stop(checkpoint=checkpoint)
+            try:
+                runner.stop(checkpoint=checkpoint)
+            except Exception as error:  # noqa: BLE001 - the first is re-raised below
+                _LOG.exception("shard %d failed to stop cleanly", runner.index)
+                errors.append(error)
         if self.timeseries_interval is not None:
             from repro.obs.timeseries import TIMESERIES
 
@@ -826,6 +546,8 @@ class ServeServer:
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
+        if errors:
+            raise errors[0]
 
     # ------------------------------------------------------------------
     # ingest path
@@ -844,7 +566,7 @@ class ServeServer:
                     break
                 kind = message["t"]
                 if kind == "hello":
-                    session = await self._hello(message, writer)
+                    session = self._hello(message, writer)
                 elif session is None:
                     self._send(writer, proto.error("hello must come first"))
                     break
@@ -874,7 +596,7 @@ class ServeServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _hello(self, message: dict, writer) -> _Session:
+    def _hello(self, message: dict, writer) -> _Session:
         client = message.get("client")
         if not isinstance(client, str) or not client:
             raise ProtocolError("hello needs a non-empty client id")
@@ -884,7 +606,10 @@ class ServeServer:
             # A server restored from snapshots has applied state for
             # clients it has never talked to in this process; the
             # resume point is min(applied) + 1 across shards.
-            highs = [await runner.applied_high(client) for runner in self.runners]
+            highs = [
+                -1 if runner.core is None else runner.core.applied.get(client, -1)
+                for runner in self.runners
+            ]
             session.expected_seq = resume_seq(highs)
             self.sessions[client] = session
             self._gauge("serve.sessions", float(len(self.sessions)))
@@ -1094,30 +819,30 @@ class ServeServer:
             self._send(writer, message)
 
     # ------------------------------------------------------------------
-    # fault-injection / admin surface (also used by rolling restarts)
+    # fault-injection / admin surface (also used by rolling restarts).
+    # Like the queries below, these touch the shard queues and cores,
+    # so they run on the server's event loop.
     # ------------------------------------------------------------------
 
-    async def kill_shard(self, index: int) -> int:
+    def kill_shard(self, index: int) -> int:
         """SIGKILL semantics; returns the number of queued batches lost."""
-        dropped = await self.runners[index].kill()
+        dropped = self.runners[index].kill()
         self._inc("serve.shard_kills")
         return dropped
 
-    async def restart_shard(self, index: int) -> None:
+    def restart_shard(self, index: int) -> None:
         """Restore a shard from its snapshot + journal."""
-        await self.runners[index].restart()
+        self.runners[index].restart()
         self._inc("serve.shard_restarts")
 
     def set_shard_delay(self, index: int, seconds: float) -> None:
-        """Inject per-batch latency (slow-consumer fault; inline only)."""
-        runner = self.runners[index]
-        if runner.runtime != "inline":
-            raise ServeError("shard delay injection requires the inline runtime")
-        runner.delay = seconds
+        """Inject per-batch latency (the slow-consumer fault)."""
+        self.runners[index].delay = seconds
 
-    async def checkpoint_all(self) -> int:
+    def checkpoint_all(self) -> int:
         for runner in self.runners:
-            await runner.checkpoint()
+            if runner.core is not None:
+                runner.core.checkpoint()
         self._inc("serve.checkpoints")
         return self.nshards
 
@@ -1129,33 +854,33 @@ class ServeServer:
         streams = sorted({s.stream for s in self.sessions.values() if s.stream})
         return "+".join(streams)
 
-    async def merged_database(self) -> ProfileDatabase:
-        """A merged view of every shard's profiles.
+    def merged_database(self) -> ProfileDatabase:
+        """A merged view of every live shard's profiles.
 
         Shards own disjoint site sets, so the merge is a union and all
-        per-site state is exact.  In the inline runtime this references
-        live shard profiles and is rendered without yielding to the
-        loop, i.e. it is a consistent snapshot; in the process runtime
-        each shard ships a pickled copy (per-shard consistent).
+        per-site state is exact.  It references live shard profiles and
+        is rendered without yielding to the loop, i.e. it is a
+        consistent snapshot.
         """
         merged = ProfileDatabase(
             config=self.config, exact=self.exact, name=self._stream_name()
         )
         for runner in self.runners:
-            db, _ = await runner.query()
-            if db is not None:
-                merged.merge(db)
+            if runner.core is not None:
+                merged.merge(runner.core.db)
         return merged
 
-    async def stats_payload(self) -> dict:
+    def stats_payload(self) -> dict:
         shard_stats = []
         for runner in self.runners:
-            _, stats = await runner.query()
+            if runner.core is None:
+                stats = {"index": runner.index, "dead": True}
+            else:
+                stats = runner.core.stats()
             stats["queue_depth"] = runner.depth()
             stats["alive"] = runner.alive
             shard_stats.append(stats)
         return {
-            "runtime": self.runtime,
             "paused": self._paused,
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
@@ -1202,7 +927,7 @@ class ServeServer:
                 path, _, query = target.partition("?")
                 params = urllib.parse.parse_qs(query)
                 t_request = time.monotonic()
-                status, ctype, body = await self._http_route(path, params)
+                status, ctype, body = self._http_route(path, params)
                 elapsed = time.monotonic() - t_request
                 self._observe("serve.http_request", elapsed)
                 self._slow_op(f"GET {path}", elapsed, f"status={status}")
@@ -1256,26 +981,25 @@ class ServeServer:
                 f"query param {name} must be a site kind ({valid}), got {raw!r}"
             ) from None
 
-    async def _http_route(self, path: str, params: dict) -> Tuple[int, str, str]:
+    def _http_route(self, path: str, params: dict) -> Tuple[int, str, str]:
         self._inc("serve.queries")
         if path == "/healthz":
             body = json.dumps(
                 {
                     "status": "ok",
                     "shards": self.nshards,
-                    "runtime": self.runtime,
                     "alive": [runner.alive for runner in self.runners],
                 }
             )
             return 200, "application/json", body + "\n"
         if path == "/stats":
-            payload = await self.stats_payload()
+            payload = self.stats_payload()
             return 200, "application/json", json.dumps(payload, indent=2) + "\n"
         if path == "/checkpoint":
-            count = await self.checkpoint_all()
+            count = self.checkpoint_all()
             return 200, "application/json", json.dumps({"checkpointed": count}) + "\n"
         if path == "/profile":
-            merged = await self.merged_database()
+            merged = self.merged_database()
             if self._param(params, "format", "text") == "json":
                 return 200, "application/json", merged.to_json() + "\n"
             from repro.analysis.tables import profile_table
@@ -1286,7 +1010,7 @@ class ServeServer:
         if path == "/inspect":
             from repro.obs.inspect import render_overview
 
-            merged = await self.merged_database()
+            merged = self.merged_database()
             kind = self._kind_param(params, "kind", "")
             top = self._int_param(params, "top", "10")
             return 200, "text/plain", render_overview(merged, kind=kind, top=top) + "\n"
@@ -1308,8 +1032,8 @@ class ServeServer:
         """The live Prometheus scrape: counters, gauges, histograms.
 
         Built from server-local state and per-runner depth probes only
-        — no shard round-trips — so a scrape is cheap and can never
-        block behind a busy (or dead) shard.  Per-shard queue depth and
+        — it reads no shard core, so a scrape is cheap and never flushes
+        a shard's pending runs.  Per-shard queue depth and
         liveness ride as labeled series; when the global registry is
         enabled, its sections are appended under any names the serve
         dicts don't already cover (the serve counters mirror into the

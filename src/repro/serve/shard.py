@@ -1,4 +1,4 @@
-"""The runtime-agnostic shard engine.
+"""The shard engine.
 
 One :class:`ShardCore` owns the profiles of every site that hashes to
 its index.  The server fans **every** client batch out to **every**
@@ -39,10 +39,10 @@ reference statistics — a pickle whose database travels as plain
 columns, see :meth:`ProfileDatabase.__reduce__`) and truncates the
 journal; restore loads the snapshot and replays the journal tail
 through the normal dedup path, so a crash between snapshot-rename and
-journal-truncate double-applies nothing.  The runtimes checkpoint
-*after* the triggering batch's done-reports leave, so no ack waits on
-a snapshot; a failed automatic checkpoint keeps the previous snapshot
-and the journal, and the next attempt comes an interval later.
+journal-truncate double-applies nothing.  The server checkpoints a
+shard *after* the triggering batch's done-reports leave, so no ack
+waits on a snapshot; a failed automatic checkpoint keeps the previous
+snapshot and the journal, and the next attempt comes an interval later.
 """
 
 from __future__ import annotations
@@ -88,9 +88,8 @@ class ShardStateError(ReproError):
 class ShardCore:
     """All profiling state and durability logic of one shard.
 
-    Pure synchronous code with no event-loop or process assumptions:
-    the inline runtime drives it from an asyncio task, the process
-    runtime from a worker process's receive loop, and the test harness
+    Pure synchronous code with no event-loop assumptions: the server
+    drives it from one asyncio task per shard, and tests drive it
     directly.
 
     Args:
@@ -105,7 +104,7 @@ class ShardCore:
         telemetry: time the journal write and the apply (site decoding
             and buffering into pending runs) of each applied batch into
             local histograms and the per-batch op log (:meth:`take_ops`)
-            the runtimes ship home with done-reports, and time each
+            the server reads with each done-report, and time each
             flush into ``shard.flush`` and each checkpoint into
             ``shard.checkpoint``.  Boundary-level only — a few clock
             reads per applied sub-batch or flush, never per event — and
@@ -162,7 +161,7 @@ class ShardCore:
             "shard.flush": Histogram(),
             "shard.checkpoint": Histogram(),
         }
-        #: per-applied-batch op log the runtimes drain via take_ops():
+        #: per-applied-batch op log the server drains via take_ops():
         #: (seq, tc, start_monotonic, journal_s, fold_s, events).
         self._ops: List[tuple] = []
         self._journal_bytes = 0
@@ -345,8 +344,8 @@ class ShardCore:
         """Drain the per-batch op log accumulated since the last drain.
 
         Each entry is ``(seq, tc, start_monotonic, journal_s, fold_s,
-        events)``.  The runtimes attach these to done-reports so the
-        *server* can fold them into its histograms and span tree — the
+        events)``.  The server attaches these to done-reports so it
+        can fold them into its histograms and span tree — the
         op log itself never survives a shard kill, which is exactly why
         observations must leave with the ack.
         """

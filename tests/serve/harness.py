@@ -271,26 +271,30 @@ class ServeCluster:
         self._thread.start()
         self.run(self.server.start())
         self.log(
-            f"cluster up: {self.server.nshards} shard(s) [{self.server.runtime}] "
+            f"cluster up: {self.server.nshards} shard(s) "
             f"ingest={self.ingest_port} http={self.http_port} "
             f"queue_size={self.server.queue_size}"
         )
         return self
 
     def stop(self, checkpoint: bool = True) -> None:
+        """Stop the server, then the loop thread, even if the server's
+        stop raised (its error propagates once the thread is down)."""
         if self._thread is None:
             return
         self.log(f"cluster stopping (checkpoint={checkpoint})")
         self.log(f"final counters: {json.dumps(self.server.counters, sort_keys=True)}")
-        self.run(self.server.stop(checkpoint=checkpoint))
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._thread = None
-        self._loop.close()
-        if self.log_path:
-            with open(self.log_path, "a") as handle:
-                for line in self.events:
-                    handle.write(line + "\n")
+        try:
+            self.run(self.server.stop(checkpoint=checkpoint))
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout=10)
+            self._thread = None
+            self._loop.close()
+            if self.log_path:
+                with open(self.log_path, "a") as handle:
+                    for line in self.events:
+                        handle.write(line + "\n")
 
     def __enter__(self) -> "ServeCluster":
         return self.start()
@@ -303,6 +307,14 @@ class ServeCluster:
     def run(self, coro, timeout: float = 30.0):
         """Run a coroutine on the cluster loop and wait for its result."""
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
+
+    def call(self, fn, *args):
+        """Run a synchronous server method on the cluster loop; its result."""
+
+        async def _call():
+            return fn(*args)
+
+        return self.run(_call())
 
     def log(self, message: str) -> None:
         self.events.append(f"[{time.monotonic() - self._started:8.3f}] {message}")
@@ -403,23 +415,20 @@ class ServeCluster:
     # -- faults ---------------------------------------------------------
 
     def kill_shard(self, index: int) -> int:
-        dropped = self.run(self.server.kill_shard(index))
+        dropped = self.call(self.server.kill_shard, index)
         self.log(f"shard {index} killed ({dropped} queued batches lost)")
         return dropped
 
     def restart_shard(self, index: int) -> None:
-        self.run(self.server.restart_shard(index))
+        self.call(self.server.restart_shard, index)
         self.log(f"shard {index} restarted from snapshot+journal")
 
     def set_shard_delay(self, index: int, seconds: float) -> None:
-        async def _set() -> None:
-            self.server.set_shard_delay(index, seconds)
-
-        self.run(_set())
+        self.call(self.server.set_shard_delay, index, seconds)
         self.log(f"shard {index} delay set to {seconds}s")
 
     def checkpoint(self) -> None:
-        self.run(self.server.checkpoint_all())
+        self.call(self.server.checkpoint_all)
         self.log("checkpoint forced on all shards")
 
     # -- queries --------------------------------------------------------
@@ -436,7 +445,7 @@ class ServeCluster:
         return self.http(f"/profile?kind={kind}&top={top}")
 
     def merged_database(self) -> ProfileDatabase:
-        return self.run(self.server.merged_database())
+        return self.call(self.server.merged_database)
 
     def queue_depth(self) -> float:
         return self.server.gauges.get("serve.queue_depth", 0.0)

@@ -242,8 +242,7 @@ def test_concurrent_producers_with_queries_mid_stream():
         for thread in threads:
             thread.start()
         # Query while ingest is in flight: must answer, not crash.
-        mid_stats = cluster.http_json("/stats")
-        assert mid_stats["runtime"] == "inline"
+        cluster.http_json("/stats")
         cluster.http("/profile?kind=load&top=5")
         for thread in threads:
             thread.join(timeout=60)

@@ -8,6 +8,7 @@ was acknowledged."
 
 import errno
 import os
+import pathlib
 import socket
 import threading
 import time
@@ -189,6 +190,60 @@ def test_checkpoint_starts_after_its_batch_is_acked(tmp_path, monkeypatch):
         cluster.push_events("c1", events, batch_size=10)  # six batches
         cluster.http_json("/stats")
     assert acks_at_checkpoint[:2] == [3, 6]
+
+
+def test_restarting_a_live_shard_closes_its_journal(tmp_path):
+    """A restart without a kill closes the live core before rebuilding
+    it from snapshot + journal, and the stream stays exact."""
+    events = make_stream(num_sites=8, num_events=400, seed=32)
+    with ServeCluster(
+        shards=2, checkpoint_interval=None, snapshot_dir=str(tmp_path)
+    ) as cluster:
+        client = cluster.client("c1", stream="s")
+        client.push_events(events[:200], batch_size=25)
+        client.flush()
+        live = cluster.server.runners[0].core
+        journal = live._wal_file
+        assert journal is not None and not journal.closed
+        cluster.restart_shard(0)
+        assert cluster.server.runners[0].core is not live
+        client.push_events(events[200:], batch_size=25)
+        client.flush()
+        client.close()
+        merged = cluster.merged_database()
+    assert journal.closed
+    assert_same_profile_state(merged, offline_reference(events))
+
+
+def test_failed_final_checkpoint_still_stops_every_shard(monkeypatch):
+    """A final checkpoint failing on shard 0 (``os.replace`` raising
+    ENOSPC) does not cut the stop short: shard 1 is still checkpointed,
+    every journal is closed, the time-series collector is disabled and
+    the temporary snapshot directory removed; then the error surfaces."""
+    from repro.obs.timeseries import TIMESERIES
+
+    real_replace = os.replace
+
+    def replace_failing_shard_0(src, dst):
+        if str(dst).endswith("shard-000.snap"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_replace(src, dst)
+
+    with ServeCluster(
+        shards=2, checkpoint_interval=None, timeseries_interval=1000
+    ) as cluster:
+        cluster.push_events("c1", make_stream(num_sites=8, num_events=200))
+        cores = [runner.core for runner in cluster.server.runners]
+        snapshot_dir = pathlib.Path(cluster.server.snapshot_dir)
+        assert TIMESERIES.enabled
+        monkeypatch.setattr(shard_module.os, "replace", replace_failing_shard_0)
+        with pytest.raises(OSError) as raised:
+            cluster.stop()
+    assert raised.value.errno == errno.ENOSPC
+    assert [core.counters["checkpoints"] for core in cores] == [0, 1]
+    assert [core._wal_file for core in cores] == [None, None]
+    assert not TIMESERIES.enabled
+    assert not snapshot_dir.exists()
 
 
 def test_disconnect_mid_batch_leaves_no_partial_fold():

@@ -118,26 +118,17 @@ class TestMetricsEndpoint:
 
 class TestTracePropagation:
     def test_single_tree_inline(self, tracer):
-        with ServeCluster(shards=2, runtime="inline") as cluster:
+        with ServeCluster(shards=2) as cluster:
             cluster.push_events("c1", make_stream(num_sites=10, num_events=600))
         by_name = _assert_serve_tree(tracer.drain(), shards=2)
         acked = len(by_name["serve.ack"])
         assert len(by_name["serve.batch"]) == acked
         assert len(by_name["serve.enqueue"]) == acked
 
-    def test_single_tree_process_runtime(self, tracer):
-        """Worker processes build span records on their own clock and ship
-        them home; adoption must still yield one coherent tree."""
-        with ServeCluster(shards=2, runtime="process") as cluster:
-            cluster.push_events("c1", make_stream(num_sites=10, num_events=600))
-        _assert_serve_tree(tracer.drain(), shards=2)
-
     def test_tree_survives_shard_kill_and_restart(self, tracer, tmp_path):
         """SIGKILL-style shard death between pushes: spans from both shard
         generations join the same tree — no orphans, no duplicate ids."""
-        with ServeCluster(
-            shards=2, runtime="inline", snapshot_dir=str(tmp_path)
-        ) as cluster:
+        with ServeCluster(shards=2, snapshot_dir=str(tmp_path)) as cluster:
             cluster.push_events("c1", make_stream(num_sites=10, num_events=400))
             cluster.checkpoint()
             cluster.kill_shard(0)
@@ -150,7 +141,7 @@ class TestTracePropagation:
     def test_tree_survives_dropped_frame_retry(self, tracer):
         """A dropped-then-retried batch reuses its deterministic span ids,
         so the retry cannot orphan children or duplicate the enqueue span."""
-        with ServeCluster(shards=2, runtime="inline") as cluster:
+        with ServeCluster(shards=2) as cluster:
             hook = DropFirstSend([1, 3])
             cluster.push_events(
                 "c1",
@@ -162,7 +153,7 @@ class TestTracePropagation:
         _assert_serve_tree(tracer.drain(), shards=2)
 
     def test_disabled_tracer_records_nothing(self):
-        with ServeCluster(shards=1, runtime="inline") as cluster:
+        with ServeCluster(shards=1) as cluster:
             cluster.push_events("c1", make_stream(num_events=200))
         assert TRACER.drain() == []
 
@@ -186,9 +177,7 @@ class TestServeHistograms:
         """Observations ride done-reports into server-side histograms, so
         a shard generation swap loses nothing already reported and the
         replacement keeps folding into the same family."""
-        with ServeCluster(
-            shards=1, runtime="inline", snapshot_dir=str(tmp_path)
-        ) as cluster:
+        with ServeCluster(shards=1, snapshot_dir=str(tmp_path)) as cluster:
             cluster.push_events(
                 "c1", make_stream(num_sites=8, num_events=320), batch_size=64
             )
@@ -269,6 +258,7 @@ class TestSlowOpsAndHealth:
             assert shard["hists"]["shard.fold"]["count"] > 0
             assert shard["hists"]["shard.checkpoint"]["count"] == 1
             assert shard["counters"]["checkpoint_failures"] == 0
+            assert shard["alive"] is True
             flushes = shard["hists"]["shard.flush"]["count"]
             assert flushes >= 1
             assert shard["counters"]["flushes"] == flushes
