@@ -25,7 +25,11 @@ Most runs are short (a live shard's buffered runs have a median length
 of one event), so the kernel's fixed cost per call matters as much as
 its cost per event: it counts into plain dicts rather than building a
 ``Counter`` per run, and a run that stays inside one clearing interval
-is counted once, with no chunk split.
+is counted once, with no chunk split.  A run that crosses a clearing
+boundary is counted once per chunk and never as a whole: its whole-run
+map is merged from the chunk maps only if someone asks for it, and the
+exact histogram takes the chunk maps or recounts the run itself
+(:meth:`~repro.core.metrics.ValueStreamStats.record_parts`).
 """
 
 from __future__ import annotations
@@ -55,14 +59,15 @@ class SiteFold:
         lvp_hits: adjacent-equal pairs *inside* the run (the recorder
             adds the run-boundary hit against its own previous value).
         zeros: events whose value is zero (:func:`is_zero`).
-        counts: whole-run ``value -> count`` map in first-appearance
-            order (feeds the exact histogram).
         chunks: ``(counts, n)`` per clearing-interval chunk, split
             exactly where per-event recording would clear; each chunk's
             map is first-appearance ordered, which is what makes grouped
             TNV admission bit-identical to per-event recording.
         interval: the clearing interval the chunks were split for.
         since: the table's ``since_clear`` position the split assumed.
+        values: the run itself when the kernel folded it, ``None`` for
+            a fold rebuilt from a payload; the exact histogram may
+            recount it in C instead of merging distinct values in Python.
     """
 
     n: int
@@ -70,10 +75,34 @@ class SiteFold:
     last: Value
     lvp_hits: int
     zeros: int
-    counts: Dict[Value, int]
     chunks: List[Tuple[Dict[Value, int], int]]
     interval: Optional[int]
     since: int = 0
+    values: Optional[Sequence[Value]] = None
+    #: whole-run map when one exists; ``None`` for a kernel fold split
+    #: into several chunks until :attr:`counts` merges it.
+    _counts: Optional[Dict[Value, int]] = None
+
+    @property
+    def counts(self) -> Dict[Value, int]:
+        """Whole-run ``value -> count`` map in first-appearance order.
+
+        A run the kernel split at clearing boundaries was counted per
+        chunk only; its whole-run map is merged from the chunk maps on
+        first use.
+        """
+        counts = self._counts
+        if counts is None:
+            counts = self._counts = _merge_chunk_counts(self.chunks)
+        return counts
+
+    def count_maps(self) -> List[Dict[Value, int]]:
+        """The run's counts as the fewest maps at hand: the whole-run
+        map when one exists, else one map per chunk."""
+        counts = self._counts
+        if counts is not None:
+            return [counts]
+        return [chunk for chunk, _ in self.chunks]
 
 
 def _chunk_bounds(n: int, interval: Optional[int], since: int) -> List[Tuple[int, int]]:
@@ -116,23 +145,28 @@ def fold_values(
     fed to (:meth:`~repro.core.profile.SiteProfile.record_fold`
     validates them), so chunk splits land exactly where per-event
     recording would clear.  Lists and tuples fold as they are; any
-    other sequence is copied into a list first.
+    other sequence is copied into a list first.  The fold keeps a
+    reference to the run (:attr:`SiteFold.values`), so a caller that
+    reuses its list must finish with the fold first.
     """
     if not isinstance(values, (list, tuple)):
         values = list(values)
     n = len(values)
     if n == 0:
-        return SiteFold(0, None, None, 0, 0, {}, [], interval, since)
+        return SiteFold(0, None, None, 0, 0, [], interval, since, values, {})
     # Adjacent-equal pairs in one C pass (map+operator.eq beat both the
     # zip genexpr and itertools.groupby on every tested distribution).
     lvp_hits = sum(map(eq, values, islice(values, 1, None))) if n > 1 else 0
     # ``Counter``'s own C counting loop, into a plain dict: a ``Counter``
     # per run costs more to construct than a short run costs to count.
-    counts: Dict[Value, int] = {}
-    _count_elements(counts, values)
+    # Every event is counted exactly once: the whole run when it stays
+    # inside one clearing interval, else each chunk on its own.
     if interval is None or since + n <= interval:
+        counts: Optional[Dict[Value, int]] = {}
+        _count_elements(counts, values)
         chunks = [(counts, n)]
     else:
+        counts = None
         chunks = []
         for start, end in _chunk_bounds(n, interval, since):
             chunk: Dict[Value, int] = {}
@@ -140,13 +174,22 @@ def fold_values(
             chunks.append((chunk, end - start))
     try:
         # Everything ``== 0`` shares one dict slot (equal keys collide),
-        # so the zero total is a single lookup — exactly the
+        # so the zero total is one lookup per map — exactly the
         # :func:`is_zero` test for values whose ``==`` doesn't raise.
-        zeros = counts.get(0, 0)
+        if counts is not None:
+            zeros = counts.get(0, 0)
+        else:
+            zeros = sum(chunk.get(0, 0) for chunk, _ in chunks)
     except TypeError:
-        zeros = sum(count for value, count in counts.items() if is_zero(value))
+        zeros = sum(
+            count
+            for chunk, _ in chunks
+            for value, count in chunk.items()
+            if is_zero(value)
+        )
     return SiteFold(
-        n, values[0], values[n - 1], lvp_hits, zeros, counts, chunks, interval, since
+        n, values[0], values[n - 1], lvp_hits, zeros, chunks, interval, since,
+        values, counts,
     )
 
 
@@ -181,14 +224,16 @@ def fold_from_payload(payload: dict) -> SiteFold:
     chunks = [
         (dict(pairs), chunk_n) for pairs, chunk_n in payload["chunks"]
     ]
+    # No run travels with a payload, so the whole-run map is rebuilt
+    # here: the exact histogram then merges one map, not every chunk's.
     return SiteFold(
         n=payload["n"],
         first=payload["first"],
         last=payload["last"],
         lvp_hits=payload["lvp_hits"],
         zeros=payload["zeros"],
-        counts=_merge_chunk_counts(chunks) if chunks else {},
         chunks=chunks,
         interval=payload["interval"],
         since=payload["since"],
+        _counts=_merge_chunk_counts(chunks) if chunks else {},
     )

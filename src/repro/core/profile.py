@@ -185,7 +185,8 @@ class SiteProfile:
             tnv.record_grouped(counts, chunk_n)
         if self.exact is not None:
             self.exact.record_parts(
-                fold.counts, fold.n, fold.zeros, fold.lvp_hits, fold.first, fold.last
+                fold.count_maps(), fold.n, fold.zeros, fold.lvp_hits,
+                fold.first, fold.last, fold.values,
             )
 
     @property

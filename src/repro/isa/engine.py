@@ -39,6 +39,7 @@ import weakref
 from typing import Callable, List, Optional
 
 from repro.errors import MachineError
+from repro.isa import machine as _machine_module
 from repro.isa.instructions import REG_ARGS, REG_LINK, REG_RETURN
 from repro.obs.metrics import METRICS as _METRICS
 from repro.obs.timeseries import TIMESERIES as _TIMESERIES
@@ -145,6 +146,12 @@ class ThreadedEngine:
         same value the reference loop reports: traps, halts and
         computed bad jumps count their instruction (+1); falling off
         the code segment does not (the handler never ran).
+
+        An observer that overrides :meth:`MachineObserver.poll` gets the
+        same loop cut into slices of ``POLL_INSTRUCTIONS`` iterations
+        with a poll after each; any other run is one slice.  Each
+        slice's ``range`` picks up where the last one stopped, so every
+        exit lands where it would have.
         """
         machine = self._machine
         observer = machine.observer
@@ -170,15 +177,25 @@ class ThreadedEngine:
         executed_at_entry = executed
         started = time.perf_counter() if _METRICS.enabled else 0.0
 
+        poll = _machine_module.observer_poll(observer)
+        # Without a poll the whole budget is one slice.
+        interval = max_instructions if poll is None else _machine_module.POLL_INSTRUCTIONS
+
         try:
             if not machine.halted:
-                if pc_counts is None:
-                    for executed in range(executed, max_instructions):
-                        pc = handlers[pc]()
-                else:
-                    for executed in range(executed, max_instructions):
-                        pc_counts[pc] += 1
-                        pc = handlers[pc]()
+                start = executed
+                while start < max_instructions:
+                    stop = min(start + interval, max_instructions)
+                    if pc_counts is None:
+                        for executed in range(start, stop):
+                            pc = handlers[pc]()
+                    else:
+                        for executed in range(start, stop):
+                            pc_counts[pc] += 1
+                            pc = handlers[pc]()
+                    if poll is not None:
+                        poll()
+                    start = stop
                 # Range exhausted: the budget ran out.  The reference
                 # loop notices at the top of the next iteration, with
                 # the counter unchanged.

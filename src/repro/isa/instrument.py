@@ -28,7 +28,7 @@ from repro.core.sites import (
     return_site,
 )
 from repro.isa.instructions import Instruction
-from repro.isa.machine import MachineObserver
+from repro.isa.machine import MachineObserver, observer_poll
 from repro.isa.program import Procedure, Program
 from repro.obs.flight import FLIGHT as _FLIGHT
 from repro.obs.metrics import METRICS as _METRICS
@@ -79,8 +79,16 @@ class ValueProfiler(MachineObserver):
             whose sampling policy has cross-site state
             (``site_local == False``), which must stay unbuffered.
         flush_threshold: buffered events per site before that site's
-            buffer is flushed; :meth:`flush` drains the rest at run end
-            (the machine calls it when the program halts).
+            buffer is flushed.  The per-event ``on_*`` path (the simple
+            engine) flushes a buffer the moment it holds this many.
+            The bound hooks the threaded and tier-2 engines call only
+            append, so there a buffer that has reached the threshold is
+            flushed at the next :meth:`poll`, within
+            :data:`~repro.isa.machine.POLL_INSTRUCTIONS` retired
+            instructions.  :meth:`flush` drains the rest at run end (the
+            machine calls it when the program halts or fails).  Where
+            the flushes fall never changes a profile: each site's
+            profile depends only on its own value sequence.
     """
 
     def __init__(
@@ -181,16 +189,37 @@ class ValueProfiler(MachineObserver):
                 record(site, value)
         buffer.clear()
 
+    def _buffer_for(self, site: Site) -> List[Hashable]:
+        """The site's buffer, created on first request.  Bound hooks
+        capture it at bind time; ``_flush_site`` clears it in place, so
+        it stays the site's buffer for the profiler's life."""
+        buffer = self._buffers.get(site)
+        if buffer is None:
+            buffer = self._buffers[site] = []
+        return buffer
+
+    def poll(self) -> None:
+        """Flush every buffer that has reached ``flush_threshold``.
+
+        The threaded and tier-2 engines call this every
+        :data:`~repro.isa.machine.POLL_INSTRUCTIONS` retired
+        instructions, because the bound hooks only append.
+        """
+        threshold = self.flush_threshold
+        for site, buffer in self._buffers.items():
+            if len(buffer) >= threshold:
+                self._flush_site(site, buffer)
+
     def flush(self) -> None:
         """Drain every per-site buffer into the recorder.
 
         Called by the machine when the program halts; safe (and a
         no-op) for unbuffered profilers.
         """
-        _METRICS.gauge("profiler.buffered_sites", len(self._buffers))
-        for site, buffer in self._buffers.items():
-            if buffer:
-                self._flush_site(site, buffer)
+        pending = [(site, buffer) for site, buffer in self._buffers.items() if buffer]
+        _METRICS.gauge("profiler.buffered_sites", len(pending))
+        for site, buffer in pending:
+            self._flush_site(site, buffer)
 
     # ------------------------------------------------------------------
     # MachineObserver interface
@@ -247,50 +276,21 @@ class ValueProfiler(MachineObserver):
     #
     # The on_* handlers above re-decide "do I want this family?" and
     # re-look-up the interned site on *every event*.  Both decisions
-    # depend only on the static instruction, so for the threaded engine
-    # they are made once at decode: the returned hook is the emit sink
-    # with its site pre-bound, or None when the event family is off —
-    # in which case the engine skips the call entirely.  The resulting
-    # event stream is byte-identical to the on_* path.
+    # depend only on the static instruction, so for the threaded and
+    # tier-2 engines they are made once at decode: the returned hook is
+    # the emit sink with its site pre-bound, or None when the event
+    # family is off — in which case the engine skips the call entirely.
+    # A buffered profiler's hook is the site buffer's own bound
+    # ``list.append``, so an event runs no Python frame; the flush
+    # threshold is checked at :meth:`poll` instead of per event.  The
+    # resulting profiles are byte-identical to the on_* path.
 
     def _bind_emit(self, site: Site):
-        """Per-site emit sink for decode-time binding.
-
-        Unbuffered profilers get the generic emit with the site
-        pre-bound.  Buffered profilers get a closure that caches the
-        site's buffer list after the first event, replacing
-        :meth:`_emit_buffered`'s per-event dict lookup with a cell
-        load; the cache stays valid because ``_flush_site`` clears the
-        list in place.  Buffer creation stays lazy (first event, not
-        decode), so flush order — and therefore recorder call order —
-        is identical to the unbound path.
-        """
-        if not self.buffered:
-            return partial(self._emit, site)
-
-        def emit(value, _cell=[], _buffers=self._buffers, _site=site,
-                 _threshold=self.flush_threshold, _flush=self._flush_site):
-            if _cell:
-                buffer = _cell[0]
-            else:
-                buffer = _buffers.get(_site)
-                if buffer is None:
-                    buffer = _buffers[_site] = []
-                _cell.append(buffer)
-            buffer.append(value)
-            if len(buffer) >= _threshold:
-                _flush(_site, buffer)
-
-        # Inline contract for the tier-2 engine: the hook's whole
-        # per-event effect is append + threshold flush on this site's
-        # buffer, so a superinstruction may compile those two
-        # statements in place of the call.  Valid only once the buffer
-        # exists (creation order is part of the observable flush
-        # order), which tier-2 guarantees by quickening only blocks
-        # whose hooks have already fired.
-        emit.__vp_inline__ = (self._buffers, site, self.flush_threshold,
-                              self._flush_site)
-        return emit
+        """Per-site emit sink for decode-time binding: the site buffer's
+        ``append`` when buffered, else the emit with the site bound."""
+        if self.buffered:
+            return self._buffer_for(site).append
+        return partial(self._emit, site)
 
     def bind_define(self, inst: Instruction):
         if not self._want_instructions:
@@ -307,26 +307,11 @@ class ValueProfiler(MachineObserver):
         if site is None:
             return None
         if self.buffered:
-            # Same cached-buffer emit as _bind_emit, inlined so the
-            # (address, value) load hook is a single call deep.
-            def hook(address, value, _cell=[], _buffers=self._buffers,
-                     _site=site, _threshold=self.flush_threshold,
-                     _flush=self._flush_site):
-                if _cell:
-                    buffer = _cell[0]
-                else:
-                    buffer = _buffers.get(_site)
-                    if buffer is None:
-                        buffer = _buffers[_site] = []
-                    _cell.append(buffer)
-                buffer.append(value)
-                if len(buffer) >= _threshold:
-                    _flush(_site, buffer)
+            # The engines call load hooks as ``(address, value)``, so
+            # this one stays a function around the buffer's append.
+            def hook(address, value, _append=self._buffer_for(site).append):
+                _append(value)
 
-            # Same tier-2 inline contract as _bind_emit (the load hook
-            # ignores the address, so the inlined form is identical).
-            hook.__vp_inline__ = (self._buffers, site, self.flush_threshold,
-                                  self._flush_site)
             return hook
 
         def hook(address, value, _emit=self._emit, _site=site):
@@ -571,6 +556,14 @@ class FanoutObserver(MachineObserver):
             flush = getattr(observer, "flush", None)
             if flush is not None:
                 flush()
+
+    def poll(self) -> None:
+        # A buffered child's bound hooks only append; without its polls
+        # it would hold its whole run until the final flush.
+        for observer in self.observers:
+            poll = observer_poll(observer)
+            if poll is not None:
+                poll()
 
     # Threaded-engine binding: compose the children's bound hooks so
     # each event is delivered in the same child order as the on_* loops

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import MachineError
 from repro.isa.instructions import (
@@ -49,6 +49,14 @@ from repro.obs.timeseries import TIMESERIES as _TIMESERIES
 
 DEFAULT_MEMORY_WORDS = 1 << 20
 DEFAULT_BUDGET = 200_000_000
+
+#: Retired instructions between two :meth:`MachineObserver.poll` calls
+#: on the threaded and tier-2 engines.  A buffered profiler's hooks only
+#: append, so this bounds how far a buffer can grow past its flush
+#: threshold; the interval costs one poll per slice, and was chosen by
+#: sweeping e2ebench ``profile`` time and peak RSS (docs/performance.md,
+#: "Frame-free buffered profiling").
+POLL_INSTRUCTIONS = 32_768
 
 _ENGINES = ("simple", "threaded", "tier2")
 
@@ -93,6 +101,12 @@ class MachineObserver:
     that only override ``on_*`` behave identically under both engines;
     observers may override ``bind_*`` for a faster specialized path
     (see :class:`~repro.isa.instrument.ValueProfiler`).
+
+    :meth:`poll` is the engines' periodic call between events: an
+    observer whose bound hooks only buffer overrides it to drain what
+    has piled up, and the threaded and tier-2 engines call it every
+    :data:`POLL_INSTRUCTIONS` retired instructions.  Observers that do
+    not override it cost the engines nothing.
     """
 
     def on_define(self, inst: Instruction, value: int) -> None:
@@ -125,6 +139,16 @@ class MachineObserver:
         buffering observers (e.g. a buffered
         :class:`~repro.isa.instrument.ValueProfiler`) never lose the
         tail of the event stream."""
+
+    def poll(self) -> None:
+        """Periodic housekeeping between events.
+
+        The threaded and tier-2 engines call it every
+        :data:`POLL_INSTRUCTIONS` retired instructions, between
+        instructions, when a subclass overrides it; the reference
+        (``simple``) loop never does.  A buffered
+        :class:`~repro.isa.instrument.ValueProfiler` flushes its full
+        buffers here, because its bound hooks only append."""
 
     # -- decode-time binding (threaded engine) -------------------------
 
@@ -177,6 +201,18 @@ class MachineObserver:
             _cb(_proc, value)
 
         return hook
+
+
+def observer_poll(observer) -> Optional[Callable[[], None]]:
+    """``observer.poll`` when its class overrides :meth:`MachineObserver.poll`.
+
+    ``None`` for no observer, for the no-op default and for duck-typed
+    observers without a ``poll``: the engines run those without polls.
+    """
+    poll = getattr(type(observer), "poll", None)
+    if poll is None or poll is MachineObserver.poll:
+        return None
+    return observer.poll
 
 
 @dataclass

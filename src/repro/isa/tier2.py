@@ -20,10 +20,11 @@ closure with
 * stable live-in registers constant-folded under an entry guard that
   compares them against the sampled values,
 * observer hooks collapsed: blocks with no active instrumentation
-  targets compile to pure compute, and buffered
-  :class:`~repro.isa.instrument.ValueProfiler` hooks are inlined to a
-  list append + threshold check (the hook advertises its internals via
-  ``__vp_inline__``),
+  targets compile to pure compute, and every other hook is one call in
+  the generated body (a buffered
+  :class:`~repro.isa.instrument.ValueProfiler`'s define, return and
+  parameter hooks are its buffers' own ``list.append``, so the call
+  runs no Python frame),
 * dynamic-counter and cycle bookkeeping batched to one add per block.
 
 A failed guard *deopts*: the entry falls back to a chain of the
@@ -35,6 +36,12 @@ but still fused — superinstruction.  Whether a guard set is worth
 keeping is decided by the same
 :class:`~repro.specialize.analysis.BenefitModel` the offline
 specializer uses (``net_benefit_terms``).
+
+The driver charges the instruction budget through a countdown cell
+shared with generated code.  An observer that overrides
+:meth:`~repro.isa.machine.MachineObserver.poll` gets the budget one
+``POLL_INSTRUCTIONS`` slice at a time and is polled between slices,
+with the same dispatch sequence and jitlog clock as one whole grant.
 
 Semantics are bit-identical to the reference loop on every exit path
 (results, traps, profiles, counters), enforced by
@@ -49,6 +56,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.sites import Site, SiteKind
 from repro.errors import MachineError
+from repro.isa import machine as _machine_module
 from repro.isa.engine import _BIAS, _MASK, _BadPC, _Halt, _Trap, ThreadedEngine
 from repro.isa.instructions import to_signed64
 from repro.obs.flight import FLIGHT as _FLIGHT
@@ -262,9 +270,14 @@ class Tier2Engine(ThreadedEngine):
         #: internal iteration themselves.  ``executed`` is always
         #: ``max_instructions − rem[0]`` (plus the trap correction).
         self._rem: List[int] = [0]
-        #: budget of the current run; with the countdown cell it gives
-        #: the jitlog event clock (instructions retired) at any point.
+        #: budget of the current run; with the countdown cell and the
+        #: ungranted remainder it gives the jitlog event clock
+        #: (instructions retired) at any point.
         self._max_instructions = 0
+        #: budget not yet granted to ``rem``: a polled run grants its
+        #: budget one ``POLL_INSTRUCTIONS`` slice at a time, so
+        #: ``executed`` is ``max_instructions − rem[0] − _ungranted``.
+        self._ungranted = 0
         self._metrics_prev = {"quickened": 0, "requickened": 0,
                               "despecialized": 0, "deopts": 0, "guards": 0}
 
@@ -418,7 +431,7 @@ class Tier2Engine(ThreadedEngine):
 
     def _clock(self) -> int:
         """Instructions retired — the deterministic jitlog event clock."""
-        return self._max_instructions - self._rem[0]
+        return self._max_instructions - self._rem[0] - self._ungranted
 
     def _jl_emit(self, type: str, blk: _Block, **fields) -> None:
         _JITLOG.emit(type, self._clock(), self._machine.program.name,
@@ -719,11 +732,27 @@ class Tier2Engine(ThreadedEngine):
         # dispatch), plain handlers cost one, early trace exits pay
         # the unexecuted tail back, and loop-closed superinstructions
         # charge their own internal iterations.  ``executed`` is
-        # recovered as max_instructions−rem[0] on every exit; the
-        # correction cell backs out instructions a trace charged but
-        # never completed.
+        # recovered as max_instructions−rem[0]−_ungranted on every
+        # exit; the correction cell backs out instructions a trace
+        # charged but never completed.
+        #
+        # An observer that overrides ``poll`` gets the budget one
+        # POLL_INSTRUCTIONS slice at a time: when the next dispatch no
+        # longer fits the grant, the driver polls and grants the next
+        # slice.  Loop-closed superinstructions iterate only while the
+        # grant covers a full iteration, so they come back to the
+        # dispatcher at least once per slice.  Dispatch order, charges
+        # and the jitlog clock are the same as with one whole grant.
         rem = self._rem
-        rem[0] = max_instructions - executed_at_entry
+        budget = max_instructions - executed_at_entry
+        poll = _machine_module.observer_poll(observer)
+        interval = _machine_module.POLL_INSTRUCTIONS
+        if poll is not None and budget > interval:
+            rem[0] = interval
+            self._ungranted = budget - interval
+        else:
+            rem[0] = budget
+            self._ungranted = 0
         self._max_instructions = max_instructions
         started = time.perf_counter() if _METRICS.enabled else 0.0
 
@@ -733,6 +762,13 @@ class Tier2Engine(ThreadedEngine):
                     k = lens[pc]
                     r = rem[0]
                     if k > r:
+                        ungranted = self._ungranted
+                        if ungranted:
+                            poll()
+                            grant = min(ungranted, interval)
+                            self._ungranted = ungranted - grant
+                            rem[0] = r + grant
+                            continue
                         if r <= 0:
                             break
                         # Budget smaller than the superblock: step the
@@ -751,18 +787,18 @@ class Tier2Engine(ThreadedEngine):
                     f"({max_instructions}); infinite loop?"
                 )
         except _Halt:
-            executed = max_instructions - rem[0]
+            executed = max_instructions - rem[0] - self._ungranted
             pc += 1
             machine.halted = True
         except _Trap as trap:
-            executed = max_instructions - rem[0] - und[0]
+            executed = max_instructions - rem[0] - self._ungranted - und[0]
             if und[1] >= 0:
                 pc = und[1]
             self._sync(pc, executed + 1)
             machine._flush_observer()
             raise MachineError(trap.message) from None
         except _BadPC as bad:
-            executed = max_instructions - rem[0]
+            executed = max_instructions - rem[0] - self._ungranted
             pc = bad.pc
             self._sync(pc, executed)
             machine._flush_observer()
@@ -775,7 +811,7 @@ class Tier2Engine(ThreadedEngine):
         except IndexError:
             if 0 <= pc < code_size:  # pragma: no cover - genuine handler bug
                 raise
-            executed = max_instructions - rem[0]
+            executed = max_instructions - rem[0] - self._ungranted
             self._sync(pc, executed)
             machine._flush_observer()
             raise MachineError(f"{name}: pc {pc} outside code segment") from None
@@ -809,7 +845,7 @@ class _Codegen:
     forwarded through locals, dyn-counter and surcharge updates are
     summed to one add each at block end (partial sums are flushed on
     every trap branch so counters stay exact), and observer hooks are
-    inlined or dropped.  Constants propagate from guard bindings,
+    called directly or dropped.  Constants propagate from guard bindings,
     ``li``/``la`` and folded results; any non-constant write kills the
     destination's constness.
     """
@@ -992,27 +1028,13 @@ class _Codegen:
 
     def emit_value_hook(self, j: int, hook, value_expr: str, tag: str,
                         call_args: Optional[str] = None) -> None:
-        """Inline a buffered-profiler hook, or call it.
+        """Call a bound observer hook from the generated body.
 
-        ``call_args`` overrides the argument list for the call path
-        (load hooks take ``(address, value)``); the inline path always
-        appends just the value, matching the profiler's own hooks.
+        ``call_args`` overrides the argument list (load hooks take
+        ``(address, value)``).
         """
         if hook is None:
             return
-        spec = getattr(hook, "__vp_inline__", None)
-        if spec is not None:
-            buffers, site, threshold, flush = spec
-            buf = buffers.get(site)
-            if buf is not None:
-                b, s, f = f"b{tag}{j}", f"s{tag}{j}", f"f{tag}{j}"
-                self.args[b] = buf
-                self.args[s] = site
-                self.args[f] = flush
-                self.ensure("len", len)
-                self.emit(f"{b}.append({value_expr})")
-                self.emit(f"if len({b}) >= {threshold}: {f}({s}, {b})")
-                return
         h = f"h{tag}{j}"
         self.args[h] = hook
         self.emit(f"{h}({call_args if call_args is not None else value_expr})")

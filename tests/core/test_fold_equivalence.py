@@ -234,3 +234,112 @@ class TestDatabaseFold:
                 assert stats_state(folded.profile_for(site).exact) == stats_state(
                     batched.profile_for(site).exact
                 )
+
+
+# ----------------------------------------------------------------------
+# the kernel against per-event recording, path by path
+# ----------------------------------------------------------------------
+
+#: a small clearing interval, so runs cross boundaries at short lengths.
+_INTERVAL = 32
+_CROSSING_CONFIG = dict(capacity=4, steady=2, clear_interval=_INTERVAL)
+
+
+def _crossing_length(rng, since: int, boundaries: int) -> int:
+    """A run length from ``since`` that crosses ``boundaries`` clears."""
+    room = _INTERVAL - since
+    if boundaries == 0:
+        return rng.randint(1, room)
+    return rng.randint(room + (boundaries - 1) * _INTERVAL + 1, room + boundaries * _INTERVAL)
+
+
+def _record_both(head, tail):
+    """(per-event, folded) profiles of ``head + tail``; the fold takes
+    ``tail`` onto a profile that recorded ``head`` per event."""
+    per_event = SiteProfile(SITE, TNVConfig(**_CROSSING_CONFIG))
+    for value in head + tail:
+        per_event.record(value)
+    folded = SiteProfile(SITE, TNVConfig(**_CROSSING_CONFIG))
+    for value in head:
+        folded.record(value)
+    folded.record_many(tail)
+    return per_event, folded
+
+
+@pytest.mark.parametrize("boundaries", [0, 1, 2, 3])
+@pytest.mark.parametrize("distinct", ["few", "most"])
+@pytest.mark.parametrize("history", [False, True], ids=["empty", "nonempty"])
+def test_kernel_matches_per_event_on_every_path(boundaries, distinct, history, monkeypatch):
+    """Runs crossing 0–3 clearing boundaries, on both sides of the
+    recount crossover, into an empty and a non-empty exact histogram."""
+    import random
+
+    from repro.core import metrics as metrics_module
+
+    recounts = []
+    count_elements = metrics_module._count_elements
+
+    def spy(mapping, values):
+        recounts.append(len(values))
+        return count_elements(mapping, values)
+
+    monkeypatch.setattr(metrics_module, "_count_elements", spy)
+    rng = random.Random(f"{boundaries}-{distinct}-{history}")
+    paths = set()
+    for _ in range(25):
+        head = [rng.randrange(3) for _ in range(rng.randint(1, 40))] if history else []
+        since = len(head) % _INTERVAL
+        n = _crossing_length(rng, since, boundaries)
+        if distinct == "few":
+            tail = [rng.randrange(2) for _ in range(n)]
+        else:
+            tail = rng.sample(range(-1000, 1000), n)
+        fold = fold_values(tail, _INTERVAL, since)
+        assert len(fold.chunks) == boundaries + 1
+        # The crossover rule: recount the run in C when there is more
+        # than one map to merge and it is mostly distinct.
+        maps = fold.count_maps()
+        recount = (history or len(maps) > 1) and (
+            sum(map(len, maps)) * metrics_module.RECOUNT_EVENTS_PER_DISTINCT > n
+        )
+        paths.add(recount)
+        recounts.clear()
+        per_event, folded = _record_both(head, tail)
+        assert profile_state(folded) == profile_state(per_event)
+        assert bool(recounts) == recount
+    if distinct == "few":
+        assert False in paths, "no run merged its maps in Python"
+    elif history or boundaries:
+        assert True in paths, "no run was recounted in C"
+
+
+class _Opaque:
+    """Hashes like 0 but refuses to compare with an int, as some
+    numeric wrappers do: ``== 0`` raises ``TypeError``."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: int) -> None:
+        self.tag = tag
+
+    def __hash__(self) -> int:
+        return 0
+
+    def __eq__(self, other):
+        if isinstance(other, _Opaque):
+            return self.tag == other.tag
+        raise TypeError("not comparable with a non-opaque value")
+
+
+@pytest.mark.parametrize("boundaries", [0, 2])
+def test_kernel_zeros_fallback_matches_per_event(boundaries):
+    import random
+
+    rng = random.Random(boundaries)
+    head = [_Opaque(rng.randrange(3)) for _ in range(5)]
+    n = _crossing_length(rng, len(head) % _INTERVAL, boundaries)
+    tail = [_Opaque(rng.randrange(4)) for _ in range(n)]
+    fold = fold_values(tail, _INTERVAL, len(head) % _INTERVAL)
+    assert fold.zeros == 0
+    per_event, folded = _record_both(head, tail)
+    assert profile_state(folded) == profile_state(per_event)

@@ -23,8 +23,14 @@ from hypothesis import strategies as st
 
 from repro.core.profile import ProfileDatabase
 from repro.errors import MachineError
+from repro.isa import machine as machine_module
 from repro.isa.assembler import assemble
-from repro.isa.instrument import ALL_TARGETS, ProfileTarget, ValueProfiler
+from repro.isa.instrument import (
+    ALL_TARGETS,
+    DEFAULT_FLUSH_THRESHOLD,
+    ProfileTarget,
+    ValueProfiler,
+)
 from repro.isa.machine import Machine
 from repro.isa.tier2 import Tier2Config
 
@@ -133,7 +139,8 @@ def _random_program(seed: int) -> str:
     return "\n".join(lines)
 
 
-def _run(program, engine: str, budget: int, buffered: bool):
+def _run(program, engine: str, budget: int, buffered: bool,
+         flush_threshold: int = DEFAULT_FLUSH_THRESHOLD):
     """Full observable outcome of one run under one engine.
 
     Returns a tuple covering everything a consumer could see: the
@@ -143,7 +150,8 @@ def _run(program, engine: str, budget: int, buffered: bool):
     """
     database = ProfileDatabase(name="diff")
     profiler = ValueProfiler(
-        program, database, targets=ALL_TARGETS, buffered=buffered
+        program, database, targets=ALL_TARGETS, buffered=buffered,
+        flush_threshold=flush_threshold,
     )
     config = _hot_tier2_config() if engine == "tier2" else None
     machine = Machine(
@@ -189,6 +197,85 @@ def test_engines_agree_on_random_programs(seed, budget, buffered):
     assert tier2 == simple
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=100_000),
+    st.sampled_from([25, 400, 50_000]),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=1, max_value=97),
+)
+def test_flush_points_never_change_a_profile(seed, budget, threshold, interval):
+    """The threaded and tier-2 engines flush a buffered profiler at
+    polls, the simple engine per event; wherever the flushes fall —
+    traps, bad jumps and exhausted budgets included — every observable
+    outcome, the profile JSON among them, equals the simple engine's."""
+    program = assemble(_random_program(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(machine_module, "POLL_INSTRUCTIONS", interval)
+        simple = _run(program, "simple", budget, True, threshold)
+        assert _run(program, "threaded", budget, True, threshold) == simple
+        assert _run(program, "tier2", budget, True, threshold) == simple
+
+
+_SPIN = """
+.program spin
+.text
+.proc main nargs=0
+    li r8, 0
+loop:
+    addi r8, r8, 1
+    j loop
+.endproc
+"""
+
+
+class _BatchLog(ProfileDatabase):
+    """A database that logs the length of every batch it is handed."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name=name)
+        self.batches = []
+
+    def record_batch(self, site, values):
+        self.batches.append(len(values))
+        super().record_batch(site, values)
+
+
+@pytest.mark.parametrize("engine", ["threaded", "tier2"])
+def test_polled_buffers_stay_bounded(engine, monkeypatch):
+    """A tight loop's buffered site is flushed at polls, not held to the
+    end: no batch exceeds the threshold plus one interval's events.
+
+    On tier-2 the loop quickens into a loop-closed superinstruction,
+    which must come back to the dispatcher at least once per grant.
+    """
+    interval, threshold = 256, 16
+    monkeypatch.setattr(machine_module, "POLL_INSTRUCTIONS", interval)
+    program = assemble(_SPIN)
+    database = _BatchLog("spin")
+    profiler = ValueProfiler(
+        program,
+        database,
+        targets=(ProfileTarget.INSTRUCTIONS,),
+        buffered=True,
+        flush_threshold=threshold,
+    )
+    machine = Machine(
+        program, observer=profiler, engine=engine,
+        tier2_config=Tier2Config(hot_threshold=2),
+    )
+    with pytest.raises(MachineError, match="budget"):
+        machine.run(max_instructions=20 * interval)
+    if engine == "tier2":
+        assert machine.tier2_stats()["quickened"] >= 1
+    # Each site gets at most one event per retired instruction.
+    assert max(database.batches) <= threshold + interval
+    # The loop's ``addi`` site flushes once per interval; a run held to
+    # the final flush would show one batch per site.
+    assert len(database.batches) >= 19
+    assert database.total_executions() == machine.dynamic_defines
+
+
 @pytest.mark.parametrize("engine", _ENGINES)
 def test_budget_error_flushes_buffered_observer(engine):
     """Budget exhaustion must not swallow buffered profile events.
@@ -197,17 +284,7 @@ def test_budget_error_flushes_buffered_observer(engine):
     observer has events in flight; they must be flushed before the
     raise so a partial profile of the truncated run survives.
     """
-    source = """
-    .program spin
-    .text
-    .proc main nargs=0
-        li r8, 0
-    loop:
-        addi r8, r8, 1
-        j loop
-    .endproc
-    """
-    program = assemble(source)
+    program = assemble(_SPIN)
     database = ProfileDatabase(name="spin")
     profiler = ValueProfiler(
         program,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.profile import ProfileDatabase
 from repro.core.sites import SiteKind
+from repro.isa import machine as machine_module
 from repro.isa.assembler import assemble
 from repro.isa.instrument import (
     FanoutObserver,
@@ -12,6 +13,10 @@ from repro.isa.instrument import (
     ValueTraceCollector,
 )
 from repro.isa.machine import Machine, run_program
+from repro.isa.tier2 import Tier2Config
+from repro.obs.metrics import METRICS
+
+from tests.isa.test_engine_differential import _BatchLog
 
 SOURCE = """
 .data
@@ -154,6 +159,82 @@ class TestFanoutObserver:
         assert db.sites(SiteKind.MEMORY)
         assert db.sites(SiteKind.PARAMETER)
         assert db.sites(SiteKind.INSTRUCTION)
+
+
+LOOP = """
+.data
+arr: .word 10, 10, 10, 7
+.text
+.proc main nargs=0
+    li r11, 300
+loop:
+    la r10, arr
+    ld r12, 0(r10)
+    st r11, 1(r10)
+    mov r1, r11
+    li r2, 4
+    call f
+    dec r11
+    bnez r11, loop
+    out r1
+    halt
+    li r13, 99
+.endproc
+.proc f nargs=2
+    add r1, r1, r2
+    ret
+.endproc
+"""
+
+
+class TestBufferedPolling:
+    @pytest.mark.parametrize("engine", ["threaded", "tier2"])
+    def test_fanout_polls_buffered_children(self, engine, monkeypatch):
+        interval, threshold = 5, 3
+        config = Tier2Config(hot_threshold=2)
+        monkeypatch.setattr(machine_module, "POLL_INSTRUCTIONS", interval)
+        program = assemble(LOOP, name="t")
+
+        def profiler(database):
+            return ValueProfiler(
+                program, database, targets=list(ProfileTarget),
+                buffered=True, flush_threshold=threshold,
+            )
+
+        fanned = [_BatchLog("t"), _BatchLog("t")]
+        fan = FanoutObserver([profiler(db) for db in fanned])
+        Machine(program, observer=fan, engine=engine, tier2_config=config).run()
+        alone = ProfileDatabase(name="t")
+        Machine(
+            program, observer=profiler(alone), engine=engine, tier2_config=config
+        ).run()
+        for database in fanned:
+            assert database.to_json() == alone.to_json()
+            # Between two polls at most one grant of instructions runs,
+            # plus the tail of a superinstruction that did not fit the
+            # last one; each emits at most one event per site.
+            assert max(database.batches) <= threshold + interval + config.max_trace
+            assert len(database.batches) > len(database)
+
+    def test_buffered_sites_gauge_counts_pending_buffers(self):
+        program = assemble(LOOP, name="t")
+        database = ProfileDatabase(name="t")
+        profiler = ValueProfiler(
+            program, database, targets=[ProfileTarget.INSTRUCTIONS],
+            buffered=True, flush_threshold=1 << 20,
+        )
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            Machine(program, observer=profiler, engine="threaded").run()
+            gauges = METRICS.snapshot()["gauges"]
+        finally:
+            METRICS.disable()
+            METRICS.reset()
+        # Every bound site has a buffer, the never-run ``li r13`` too;
+        # the gauge counts only the ones holding events at the flush.
+        assert len(profiler._buffers) > len(database)
+        assert gauges["profiler.buffered_sites"] == len(database)
 
 
 class TestOverheadModel:

@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from repro.core.profile import ProfileDatabase
 from repro.core.sites import SiteKind
 from repro.errors import MachineError
+from repro.isa import machine as machine_module
+from repro.isa import tier2 as tier2_module
 from repro.isa.assembler import assemble
-from repro.isa.instrument import ALL_TARGETS, ValueProfiler
+from repro.isa.instrument import ALL_TARGETS, ProfileTarget, ValueProfiler
 from repro.isa.machine import Machine
 from repro.isa.tier2 import _CODE_CACHE, Tier2Config
 from repro.obs.flight import FLIGHT
 from repro.obs.jitlog import JITLOG
 from repro.obs.metrics import METRICS
+from repro.workloads.registry import get_workload
 
 from tests.isa.test_engine_differential import _random_program
 from tests.isa.test_tier2 import _PERTURB, _hot_config
@@ -304,3 +307,38 @@ def test_flight_tee_without_jitlog_enabled():
     _run_perturb()
     assert any(site.opcode == "tier2.deopt" for _, site, _ in FLIGHT.events())
     assert JITLOG.total_events == 0
+
+
+@pytest.mark.parametrize("name", ["compress", "go", "li", "gcc", "perl"])
+def test_poll_interval_changes_no_tier2_decision(name, monkeypatch):
+    """Granting the budget in poll slices must not move any quicken,
+    deopt or guard decision: the journal's (type, clock, block) stream
+    and the lifecycle statistics match at the default interval and at 7.
+
+    Each side starts from an empty code cache, so compile events read
+    the same on both."""
+    workload = get_workload(name)
+    dataset = workload.dataset("train", scale=0.05)
+
+    def lifecycle(interval):
+        monkeypatch.setattr(machine_module, "POLL_INSTRUCTIONS", interval)
+        monkeypatch.setattr(tier2_module, "_CODE_CACHE", {})
+        program = workload.program()
+        profiler = ValueProfiler(
+            program, ProfileDatabase(name=name),
+            targets=(ProfileTarget.INSTRUCTIONS, ProfileTarget.LOADS),
+            buffered=True,
+        )
+        machine = Machine(program, observer=profiler, engine="tier2")
+        machine.set_input(dataset.values)
+        JITLOG.reset()
+        JITLOG.enable()
+        machine.run()
+        JITLOG.disable()
+        stream = [(e["type"], e["clock"], e["block"]) for e in JITLOG.events()]
+        JITLOG.reset()
+        return stream, machine.tier2_stats()
+
+    default = lifecycle(machine_module.POLL_INSTRUCTIONS)
+    assert default[0], "the run journaled nothing"
+    assert lifecycle(7) == default
