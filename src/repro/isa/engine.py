@@ -10,45 +10,59 @@ invariant across the run — it depends only on the *static* instruction
 the profiled programs themselves are subjected to.
 
 This engine partially evaluates the interpreter against the program at
-decode time: each static instruction becomes one closure with its
-operand register indices, immediates, jump targets, prebuilt trap
-messages and observer hooks bound as default arguments.  Execution is
-then direct-threaded code::
+decode time.  :class:`_Emitter` renders each static instruction from
+the opcode table (:data:`repro.isa.instructions.OPCODES`) into one
+handler function, with its operand register indices, immediate, next
+pc, jump target, prebuilt trap message and observer hooks bound as
+default arguments.  A handler's source depends only on the
+instruction's *shape* — its opcode, whether it writes ``r0``, which
+observer hooks it calls and whether a static target is in range — so
+one compiled code object serves every pc of that shape.  The calls
+(``jal``, ``jalr``, ``jr``) keep hand-written handlers: binding call
+and return hooks is not value semantics.  Execution is then
+direct-threaded code::
 
     for executed in range(executed, max_instructions):
         pc = handlers[pc]()
 
 with no mnemonic comparison, no ``inst.`` loads and no dead observer
-calls on the hot path (hooks an observer declines at decode time are
-``None`` and skipped entirely).  The ``range`` iterator carries both
-the instruction counter and the budget check in C; cycle accounting is
-a flat cycle per iteration plus surcharges the multi-cycle handlers
+calls on the hot path (a hook an observer declines at decode time is
+not called at all).  The ``range`` iterator carries both the
+instruction counter and the budget check in C; cycle accounting is a
+flat cycle per iteration plus surcharges the multi-cycle handlers
 (loads, stores, mul/div) bank on the side, so neither bookkeeping line
 appears in the loop.
 
-Semantics are bit-identical to the reference loop — same results, same
-profiles, same trap messages, same counter values on every exit path —
-and enforced by the differential test suite
-(``tests/isa/test_engine_differential.py``).
+The tier-2 engine (:mod:`repro.isa.tier2`) renders whole traces through
+a subclass of the same emitter.  Semantics are bit-identical to the
+reference loop — same results, same profiles, same trap messages, same
+counter values on every exit path — and enforced by the differential
+test suite (``tests/isa/test_engine_differential.py``).
 """
 
 from __future__ import annotations
 
+import builtins
 import time
 import weakref
-from typing import Callable, List, Optional
+from types import CodeType, FunctionType
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MachineError
 from repro.isa import machine as _machine_module
-from repro.isa.instructions import REG_ARGS, REG_LINK, REG_RETURN
+from repro.isa.instructions import (
+    OPCODES,
+    REG_ARGS,
+    REG_LINK,
+    REG_RETURN,
+    SIGN_BIT,
+    WORD_MASK,
+    InsnClass,
+    cycle_cost,
+    evaluate,
+)
 from repro.obs.metrics import METRICS as _METRICS
 from repro.obs.timeseries import TIMESERIES as _TIMESERIES
-
-#: two's-complement wrap constants, bound into the hot closures so the
-#: signed wrap is three arithmetic ops instead of a function call.
-#: ``((x + _BIAS) & _MASK) - _BIAS`` is exactly ``to_signed64(x)``.
-_MASK = (1 << 64) - 1
-_BIAS = 1 << 63
 
 
 class _Halt(Exception):
@@ -76,15 +90,75 @@ class _BadPC(Exception):
         self.pc = pc
 
 
-#: opcodes whose handlers bank their extra cycles (cost − 1) inline.
-_SURCHARGED = frozenset({"ld", "st", "mul", "muli", "div", "rem", "divi", "remi"})
+#: compiled handler and superinstruction bodies, keyed by exact source
+#: text.  The source embeds everything semantic (opcodes, constants,
+#: thresholds); per-machine and per-pc objects are bound as default
+#: arguments, so the cache is safe across Machine instances and saves
+#: the dominant ``compile()`` cost on repeated runs of a program.
+_CODE_CACHE: Dict[str, CodeType] = {}
+_CODE_CACHE_CAP = 4096
+
+#: handler shape -> (source, filename, binder); see _Emitter.handler_for.
+_SHAPES: Dict[tuple, tuple] = {}
+
+#: every per-pc parameter a handler may bind, as the source of its value
+#: for one instruction ``inst`` with observer ``hooks`` on ``machine``;
+#: any other parameter is one of the engine's shared objects.
+_PER_PC = {
+    "ra": "inst.ra", "rb": "inst.rb", "rd": "inst.rd", "imm": "_immediate(inst)",
+    "npc": "inst.pc + 1", "t": "inst.target", "mw": "machine.memory_words",
+    # an instruction that reads no register computes a constant
+    "value": "evaluate(inst.opcode, _immediate(inst))",
+    "m0": "_trap_message(machine.program.name, inst)",
+    "hd0": "hooks[0]", "hl0": "hooks[1]", "hs0": "hooks[2]",
+}
+
+#: globals of every rendered function; all else it names is an argument.
+_GLOBALS = {"__builtins__": builtins}
+
+#: constants generated code binds by name (see ThreadedEngine._shared).
+_CONSTANTS = {"B": SIGN_BIT, "Mk": WORD_MASK, "_T": _Trap, "_Halt": _Halt,
+              "_BadPC": _BadPC, "str": str, "abs": abs, "len": len}
+
+#: opcodes with hand-written handlers: binding call and return hooks
+#: is not value semantics, so the table does not render them.
+_CALLS = ("jal", "jalr", "jr")
+
+
+def _compiled(src: str, filename: str) -> Tuple[CodeType, bool]:
+    """The code of the function ``src`` defines, and whether it was
+    already in the cache."""
+    code = _CODE_CACHE.get(src)
+    if code is not None:
+        return code, True
+    if len(_CODE_CACHE) >= _CODE_CACHE_CAP:
+        _CODE_CACHE.clear()
+    module = compile(src, filename, "exec")
+    code = _CODE_CACHE[src] = next(c for c in module.co_consts if isinstance(c, CodeType))
+    return code, False
+
+
+def _bind(observer, name: str, *args):
+    """The hook ``observer.<name>(*args)`` binds, for one ``bind_*`` name.
+
+    ``None`` without an observer.  An observer without the method (a
+    duck-typed one) gets :class:`~repro.isa.machine.MachineObserver`'s
+    default, which wraps its ``on_*`` method, so the event stream is the
+    same either way.
+    """
+    if observer is None:
+        return None
+    bind = getattr(observer, name, None)
+    if bind is None:
+        return getattr(_machine_module.MachineObserver, name)(observer, *args)
+    return bind(*args)
 
 
 class ThreadedEngine:
     """Direct-threaded executor bound to one :class:`Machine`.
 
     Decoding happens lazily on the first :meth:`run` and is redone when
-    the machine's observer changes (hooks are bound into the closures).
+    the machine's observer changes (hooks are bound into the handlers).
     The machine's registers, memory, output list and procedure-call
     dict are captured by identity, so all externally visible state
     stays on the machine object exactly as with the reference engine.
@@ -94,10 +168,12 @@ class ThreadedEngine:
     of.  The contract a subclass may rely on:
 
     * :meth:`_decode` is the quicken point — after it returns,
-      ``self._handlers[pc]`` is the complete per-pc closure table, and
-      each closure returns the next pc.  A tier may call any handler
+      ``self._handlers[pc]`` is the complete per-pc handler table, and
+      each handler returns the next pc.  A tier may call any handler
       directly (the deopt path) or replace its own dispatch table
       entries with multi-instruction superinstructions.
+    * :meth:`_dispatch` is the run loop between :meth:`run`'s shared
+      prologue and epilogue; it reports where the run stopped.
     * ``_dyn``, ``_extra_cycles`` and ``_input_state`` are the shared
       accounting cells the handlers mutate; generated code that
       bypasses handlers must keep them exact, and :meth:`_sync` writes
@@ -107,6 +183,9 @@ class ThreadedEngine:
       driver must translate into machine state; trap messages are part
       of the bit-identity contract.
     """
+
+    #: engine name in the ``machine.engine.<name>_runs`` metric.
+    name = "threaded"
 
     def __init__(self, machine) -> None:
         # Weak, so the Machine (which owns this engine) is freed at its
@@ -126,26 +205,63 @@ class ThreadedEngine:
         #: flat cycle per instruction, so the per-iteration
         #: ``cycles += cost[pc]`` table walk disappears from the loop.
         self._extra_cycles: List[int] = [0]
+        #: what generated code binds by name, the same at every pc: the
+        #: machine's registers, memory and output, the cells above, and
+        #: constants.  Set at decode.
+        self._shared: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    # driver loop
+    # driver
     # ------------------------------------------------------------------
 
     def run(self, max_instructions: int):
         """Execute until ``halt``/trap/budget; mirrors ``Machine.run``.
 
-        The instruction counter rides the ``for``-loop's ``range``
-        iterator (incremented in C), budget exhaustion is simply range
-        exhaustion, and cycle accounting is one flat cycle per
-        iteration plus the surcharges the multi-cycle handlers banked
-        in ``_extra_cycles`` — so the hot loop is a single statement:
-        ``pc = handlers[pc]()``.
+        Loads the shared cells from the machine, lets :meth:`_dispatch`
+        run the program (a halted machine runs nothing and returns its
+        finished result), and writes the state back on every exit path.
+        Cycles are one per retired instruction plus the surcharges the
+        multi-cycle handlers banked in ``_extra_cycles``; as in the
+        reference loop, a failed run's cycles are not written back.
+        """
+        machine = self._machine
+        if self._handlers is None or machine.observer is not self._bound_observer:
+            self._decode()
+        self._dyn[:] = [machine.dynamic_loads, machine.dynamic_stores,
+                        machine.dynamic_calls, machine.dynamic_defines]
+        self._input_state[:] = [machine._input, machine._input_pos]
+        self._extra_cycles[0] = 0
+        pc = machine.pc
+        executed = executed_at_entry = machine.instructions_executed
+        started = time.perf_counter() if _METRICS.enabled else 0.0
+        error = None
+        if not machine.halted:
+            pc, executed, error = self._dispatch(pc, executed, max_instructions)
+        self._sync(pc, executed)
+        if error is not None:
+            machine._flush_observer()
+            raise MachineError(error)
+        retired = executed - executed_at_entry
+        cycles = machine.cycles + retired + self._extra_cycles[0]
+        machine.cycles = cycles
+        if _METRICS.enabled:
+            self._count_run(retired, time.perf_counter() - started)
+        _TIMESERIES.advance(retired)
+        machine._flush_observer()
+        return machine._make_result(executed, cycles)
 
-        Because the loop variable is assigned *before* the handler
-        runs, each exceptional exit adjusts ``executed`` to land on the
-        same value the reference loop reports: traps, halts and
-        computed bad jumps count their instruction (+1); falling off
-        the code segment does not (the handler never ran).
+    def _dispatch(self, pc: int, executed: int, max_instructions: int):
+        """Run the handler loop; ``(pc, executed, error)`` where it stopped.
+
+        ``error`` is the ``MachineError`` message, or ``None`` after a
+        halt.  The instruction counter rides the ``for``-loop's
+        ``range`` iterator (incremented in C), and budget exhaustion is
+        simply range exhaustion.  Because the loop variable is assigned
+        *before* the handler runs, each exceptional exit adjusts
+        ``executed`` to land on the same value the reference loop
+        reports: traps, halts and computed bad jumps count their
+        instruction (+1); falling off the code segment does not (the
+        handler never ran).
 
         An observer that overrides :meth:`MachineObserver.poll` gets the
         same loop cut into slices of ``POLL_INSTRUCTIONS`` iterations
@@ -154,84 +270,36 @@ class ThreadedEngine:
         exit lands where it would have.
         """
         machine = self._machine
-        observer = machine.observer
-        if self._handlers is None or observer is not self._bound_observer:
-            self._decode()
-        dyn = self._dyn
-        dyn[0] = machine.dynamic_loads
-        dyn[1] = machine.dynamic_stores
-        dyn[2] = machine.dynamic_calls
-        dyn[3] = machine.dynamic_defines
-        input_state = self._input_state
-        input_state[0] = machine._input
-        input_state[1] = machine._input_pos
-        extra_cycles = self._extra_cycles
-        extra_cycles[0] = 0
-
         handlers = self._handlers
         pc_counts = machine.pc_counts
-        code_size = len(handlers)
-        name = machine.program.name
-        pc = machine.pc
-        executed = machine.instructions_executed
-        executed_at_entry = executed
-        started = time.perf_counter() if _METRICS.enabled else 0.0
-
-        poll = _machine_module.observer_poll(observer)
+        poll = _machine_module.observer_poll(machine.observer)
         # Without a poll the whole budget is one slice.
         interval = max_instructions if poll is None else _machine_module.POLL_INSTRUCTIONS
-
         try:
-            if not machine.halted:
-                start = executed
-                while start < max_instructions:
-                    stop = min(start + interval, max_instructions)
-                    if pc_counts is None:
-                        for executed in range(start, stop):
-                            pc = handlers[pc]()
-                    else:
-                        for executed in range(start, stop):
-                            pc_counts[pc] += 1
-                            pc = handlers[pc]()
-                    if poll is not None:
-                        poll()
-                    start = stop
-                # Range exhausted: the budget ran out.  The reference
-                # loop notices at the top of the next iteration, with
-                # the counter unchanged.
-                if executed < max_instructions:
-                    executed = max_instructions
-                self._sync(pc, executed)
-                machine._flush_observer()
-                raise MachineError(
-                    f"{name}: instruction budget exceeded "
-                    f"({max_instructions}); infinite loop?"
-                )
+            start = executed
+            while start < max_instructions:
+                stop = min(start + interval, max_instructions)
+                if pc_counts is None:
+                    for executed in range(start, stop):
+                        pc = handlers[pc]()
+                else:
+                    for executed in range(start, stop):
+                        pc_counts[pc] += 1
+                        pc = handlers[pc]()
+                if poll is not None:
+                    poll()
+                start = stop
+            # Range exhausted: the budget ran out.  The reference loop
+            # notices at the top of the next iteration, with the counter
+            # unchanged.
+            return pc, max(executed, max_instructions), self._budget_error(max_instructions)
         except _Halt:
-            executed += 1
-            pc += 1
             machine.halted = True
+            return pc + 1, executed + 1, None
         except _Trap as trap:
-            # The trapping instruction counts as executed (the reference
-            # loop increments before the opcode body) but, as there, the
-            # cycle count of the failed run is not written back.
-            self._sync(pc, executed + 1)
-            machine._flush_observer()
-            raise MachineError(trap.message) from None
+            return pc, executed + 1, trap.message
         except _BadPC as bad:
-            # A computed jump left the code segment.  The reference loop
-            # notices at the *top* of the next iteration, after the
-            # budget check — replicate that ordering exactly.
-            executed += 1
-            pc = bad.pc
-            self._sync(pc, executed)
-            machine._flush_observer()
-            if executed >= max_instructions:
-                raise MachineError(
-                    f"{name}: instruction budget exceeded "
-                    f"({max_instructions}); infinite loop?"
-                ) from None
-            raise MachineError(f"{name}: pc {pc} outside code segment") from None
+            return bad.pc, executed + 1, self._bad_pc_error(bad.pc, executed + 1, max_instructions)
         except IndexError:
             # ``handlers[pc]`` raised: execution fell off the end of the
             # code segment (sequential flow only ever reaches
@@ -239,27 +307,32 @@ class ThreadedEngine:
             # handler).  The instruction never ran, so the counter is
             # not advanced — exactly the reference, which raises before
             # incrementing.
-            if 0 <= pc < code_size:  # pragma: no cover - genuine handler bug
+            if 0 <= pc < len(handlers):  # pragma: no cover - genuine handler bug
                 raise
-            self._sync(pc, executed)
-            machine._flush_observer()
-            raise MachineError(f"{name}: pc {pc} outside code segment") from None
+            return pc, executed, f"{machine.program.name}: pc {pc} outside code segment"
 
-        self._sync(pc, executed)
-        cycles = machine.cycles + (executed - executed_at_entry) + extra_cycles[0]
-        machine.cycles = cycles
-        if _METRICS.enabled:
-            _METRICS.inc("machine.runs")
-            _METRICS.inc("machine.engine.threaded_runs")
-            _METRICS.inc("machine.instructions", executed - executed_at_entry)
-            _METRICS.inc("machine.loads", machine.dynamic_loads)
-            _METRICS.inc("machine.stores", machine.dynamic_stores)
-            _METRICS.inc("machine.calls", machine.dynamic_calls)
-            _METRICS.inc("machine.defines", machine.dynamic_defines)
-            _METRICS.observe("machine.run", time.perf_counter() - started)
-        _TIMESERIES.advance(executed - executed_at_entry)
-        machine._flush_observer()
-        return machine._make_result(executed, cycles)
+    def _budget_error(self, max_instructions: int) -> str:
+        return (f"{self._machine.program.name}: instruction budget exceeded "
+                f"({max_instructions}); infinite loop?")
+
+    def _bad_pc_error(self, pc: int, executed: int, max_instructions: int) -> str:
+        # A computed jump left the code segment.  The reference loop
+        # notices at the *top* of the next iteration, after the budget
+        # check — replicate that ordering exactly.
+        if executed >= max_instructions:
+            return self._budget_error(max_instructions)
+        return f"{self._machine.program.name}: pc {pc} outside code segment"
+
+    def _count_run(self, retired: int, elapsed: float) -> None:
+        machine = self._machine
+        _METRICS.inc("machine.runs")
+        _METRICS.inc(f"machine.engine.{self.name}_runs")
+        _METRICS.inc("machine.instructions", retired)
+        _METRICS.inc("machine.loads", machine.dynamic_loads)
+        _METRICS.inc("machine.stores", machine.dynamic_stores)
+        _METRICS.inc("machine.calls", machine.dynamic_calls)
+        _METRICS.inc("machine.defines", machine.dynamic_defines)
+        _METRICS.observe("machine.run", elapsed)
 
     def _sync(self, pc: int, executed: int) -> None:
         machine = self._machine
@@ -279,524 +352,46 @@ class ThreadedEngine:
     def _decode(self) -> None:
         machine = self._machine
         observer = machine.observer
+        self._shared = {
+            "R": machine.registers, "M": machine.memory,
+            "outp": machine.output.append, "dyn": self._dyn,
+            "cyc": self._extra_cycles, "ist": self._input_state, **_CONSTANTS,
+        }
         self._handlers = [
             self._decode_one(inst) for inst in machine.program.instructions
         ]
         self._bound_observer = observer
 
     def _hooks_for(self, inst):
-        """(define, load, store) hooks for one instruction, or Nones.
-
-        Observers deriving from :class:`MachineObserver` specialize via
-        their ``bind_*`` methods; anything else (duck-typed observers)
-        gets a generic wrapper around its ``on_*`` methods so the event
-        stream is identical either way.
-        """
+        """(define, load, store) hooks the observer binds for one instruction."""
         observer = self._machine.observer
-        if observer is None:
-            return None, None, None
-        bind_define = getattr(observer, "bind_define", None)
-        if bind_define is not None:
-            return (
-                bind_define(inst),
-                observer.bind_load(inst),
-                observer.bind_store(inst),
-            )
-
-        def define_hook(value, _cb=observer.on_define, _inst=inst):
-            _cb(_inst, value)
-
-        def load_hook(address, value, _cb=observer.on_load, _inst=inst):
-            _cb(_inst, address, value)
-
-        def store_hook(address, value, _cb=observer.on_store, _inst=inst):
-            _cb(_inst, address, value)
-
-        return define_hook, load_hook, store_hook
-
-    def _bind_return_hook(self, procedure):
-        observer = self._machine.observer
-        if observer is None:
-            return None
-        bind_return = getattr(observer, "bind_return", None)
-        if bind_return is not None:
-            return bind_return(procedure)
-
-        def return_hook(value, _cb=observer.on_return, _proc=procedure):
-            _cb(_proc, value)
-
-        return return_hook
+        return (
+            _bind(observer, "bind_define", inst),
+            _bind(observer, "bind_load", inst),
+            _bind(observer, "bind_store", inst),
+        )
 
     def _decode_one(self, inst) -> Callable[[], int]:
-        """Specialize one static instruction into its handler closure.
+        """The handler of one static instruction.
 
         Handlers return the next pc; control-flow anomalies travel as
-        the internal exceptions above.  Every closure binds its operands
+        the internal exceptions above.  Every handler binds its operands
         as default arguments — the CPython idiom for turning globals and
-        attribute loads into ``LOAD_FAST``.
+        attribute loads into ``LOAD_FAST``.  Calls and returns are
+        written out here; every other opcode is rendered from the table
+        (:meth:`_Emitter.handler_for`).
         """
-        machine = self._machine
         op = inst.opcode
+        if op not in _CALLS:
+            return _Emitter.handler_for(self, inst)
+        machine = self._machine
         R = machine.registers
-        M = machine.memory
         dyn = self._dyn
-        rd, ra, rb = inst.rd, inst.ra, inst.rb
-        imm = inst.imm
         pc = inst.pc
         npc = pc + 1
         code_size = len(machine.program.instructions)
-        memory_words = machine.memory_words
-        name = machine.program.name
-        dh, lh, sh = self._hooks_for(inst)
-        #: cycles this instruction costs beyond the flat one the driver
-        #: charges per iteration; non-zero only for loads, stores and
-        #: the mul/div family, which bank it in ``_extra_cycles``.
-        cyc = self._extra_cycles
-        extra = machine._cost_by_pc[pc] - 1
 
-        # -- defining instructions ------------------------------------
-        # Built assuming rd != 0; the r0 wrapper below restores the
-        # hardwired zero and reports 0 to the define hook, exactly as
-        # the reference loop does after each defining opcode.
-        handler: Optional[Callable[[], int]] = None
-        wants_define_wrap = False
-
-        if op == "ld":
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-
-            def handler(R=R, M=M, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                        mw=memory_words, lh=lh, dh=define_hook, name=name, pc=pc,
-                        cyc=cyc, ex=extra):
-                address = R[ra] + imm
-                if 0 <= address < mw:
-                    cyc[0] += ex
-                    value = M[address]
-                    R[rd] = value
-                    dyn[0] += 1
-                    if lh is not None:
-                        lh(address, value)
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-                raise _Trap(f"{name}: load out of range at pc {pc}: address {address}")
-
-        elif op == "st":
-
-            def handler(R=R, M=M, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                        mw=memory_words, sh=sh, name=name, pc=pc,
-                        cyc=cyc, ex=extra):
-                address = R[ra] + imm
-                if 0 <= address < mw:
-                    cyc[0] += ex
-                    value = R[rd]
-                    M[address] = value
-                    dyn[1] += 1
-                    if sh is not None:
-                        sh(address, value)
-                    return npc
-                raise _Trap(f"{name}: store out of range at pc {pc}: address {address}")
-
-        elif op in ("addi", "subi", "muli", "andi", "ori", "xori"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            if op == "addi":
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] + imm + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "subi":
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] - imm + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "muli":
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK, cyc=cyc, ex=extra):
-                    cyc[0] += ex
-                    value = ((R[ra] * imm + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "andi":
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] & imm) + B & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "ori":
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] | imm) + B & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            else:
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] ^ imm) + B & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-
-        elif op in ("add", "sub", "mul", "and", "or", "xor"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            if op == "add":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] + R[rb] + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "sub":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] - R[rb] + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "mul":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK, cyc=cyc, ex=extra):
-                    cyc[0] += ex
-                    value = ((R[ra] * R[rb] + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "and":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] & R[rb]) + B & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "or":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] | R[rb]) + B & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            else:
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((R[ra] ^ R[rb]) + B & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-
-        elif op in ("li", "la"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            # ``li`` wraps its immediate, ``la`` takes it verbatim —
-            # both are constants after decode.
-            constant = (((imm + _BIAS) & _MASK) - _BIAS) if op == "li" else imm
-
-            def handler(R=R, rd=rd, value=constant, npc=npc, dyn=dyn, dh=define_hook):
-                R[rd] = value
-                dyn[3] += 1
-                if dh is not None:
-                    dh(value)
-                return npc
-
-        elif op == "mov":
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-
-            def handler(R=R, rd=rd, ra=ra, npc=npc, dyn=dyn, dh=define_hook):
-                value = R[ra]
-                R[rd] = value
-                dyn[3] += 1
-                if dh is not None:
-                    dh(value)
-                return npc
-
-        elif op in ("div", "rem"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            div_message = (
-                f"{name}: division by zero at pc {pc} "
-                f"({inst.render()}, line {inst.line})"
-            )
-            is_div = op == "div"
-
-            def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn, dh=define_hook,
-                        msg=div_message, is_div=is_div, B=_BIAS, Mk=_MASK,
-                        cyc=cyc, ex=extra):
-                numerator = R[ra]
-                denominator = R[rb]
-                if denominator == 0:
-                    raise _Trap(msg)
-                cyc[0] += ex
-                quotient = abs(numerator) // abs(denominator)
-                if (numerator < 0) != (denominator < 0):
-                    quotient = -quotient
-                if is_div:
-                    value = ((quotient + B) & Mk) - B
-                else:
-                    value = ((numerator - quotient * denominator + B) & Mk) - B
-                R[rd] = value
-                dyn[3] += 1
-                if dh is not None:
-                    dh(value)
-                return npc
-
-        elif op in ("divi", "remi"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            div_message = (
-                f"{name}: division by zero at pc {pc} "
-                f"({inst.render()}, line {inst.line})"
-            )
-            if imm == 0:
-                # A statically doomed instruction: the trap is the handler.
-                def handler(msg=div_message):
-                    raise _Trap(msg)
-            else:
-                is_div = op == "divi"
-
-                def handler(R=R, rd=rd, ra=ra, d=imm, npc=npc, dyn=dyn,
-                            dh=define_hook, is_div=is_div, B=_BIAS, Mk=_MASK,
-                            cyc=cyc, ex=extra):
-                    cyc[0] += ex
-                    numerator = R[ra]
-                    quotient = abs(numerator) // abs(d)
-                    if (numerator < 0) != (d < 0):
-                        quotient = -quotient
-                    if is_div:
-                        value = ((quotient + B) & Mk) - B
-                    else:
-                        value = ((numerator - quotient * d + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-
-        elif op in ("slli", "srli", "srai"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            shift = imm & 63
-            if op == "slli":
-                def handler(R=R, rd=rd, ra=ra, s=shift, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = (((R[ra] << s) + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "srli":
-                def handler(R=R, rd=rd, ra=ra, s=shift, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((((R[ra] & Mk) >> s) + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            else:
-                def handler(R=R, rd=rd, ra=ra, s=shift, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = (((R[ra] >> s) + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-
-        elif op in ("sll", "srl", "sra"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            if op == "sll":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = (((R[ra] << (R[rb] & 63)) + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "srl":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = ((((R[ra] & Mk) >> (R[rb] & 63)) + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            else:
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn,
-                            dh=define_hook, B=_BIAS, Mk=_MASK):
-                    value = (((R[ra] >> (R[rb] & 63)) + B) & Mk) - B
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-
-        elif op in ("slt", "seq", "sne"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            if op == "slt":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn, dh=define_hook):
-                    value = 1 if R[ra] < R[rb] else 0
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "seq":
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn, dh=define_hook):
-                    value = 1 if R[ra] == R[rb] else 0
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            else:
-                def handler(R=R, rd=rd, ra=ra, rb=rb, npc=npc, dyn=dyn, dh=define_hook):
-                    value = 1 if R[ra] != R[rb] else 0
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-
-        elif op in ("slti", "seqi", "snei"):
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            if op == "slti":
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn, dh=define_hook):
-                    value = 1 if R[ra] < imm else 0
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            elif op == "seqi":
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn, dh=define_hook):
-                    value = 1 if R[ra] == imm else 0
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-            else:
-                def handler(R=R, rd=rd, ra=ra, imm=imm, npc=npc, dyn=dyn, dh=define_hook):
-                    value = 1 if R[ra] != imm else 0
-                    R[rd] = value
-                    dyn[3] += 1
-                    if dh is not None:
-                        dh(value)
-                    return npc
-
-        elif op == "in":
-            wants_define_wrap = True
-            define_hook = None if rd == 0 else dh
-            input_state = self._input_state
-
-            def handler(ist=input_state, R=R, rd=rd, npc=npc, dyn=dyn, dh=define_hook):
-                pos = ist[1]
-                values = ist[0]
-                if pos < len(values):
-                    value = values[pos]
-                    ist[1] = pos + 1
-                else:
-                    value = 0
-                R[rd] = value
-                dyn[3] += 1
-                if dh is not None:
-                    dh(value)
-                return npc
-
-        # -- non-defining instructions --------------------------------
-
-        elif op in ("beq", "bne", "blt", "bge", "ble", "bgt"):
-            target = inst.target
-            if 0 <= target < code_size:
-                if op == "beq":
-                    def handler(R=R, ra=ra, rb=rb, t=target, npc=npc):
-                        return t if R[ra] == R[rb] else npc
-                elif op == "bne":
-                    def handler(R=R, ra=ra, rb=rb, t=target, npc=npc):
-                        return t if R[ra] != R[rb] else npc
-                elif op == "blt":
-                    def handler(R=R, ra=ra, rb=rb, t=target, npc=npc):
-                        return t if R[ra] < R[rb] else npc
-                elif op == "bge":
-                    def handler(R=R, ra=ra, rb=rb, t=target, npc=npc):
-                        return t if R[ra] >= R[rb] else npc
-                elif op == "ble":
-                    def handler(R=R, ra=ra, rb=rb, t=target, npc=npc):
-                        return t if R[ra] <= R[rb] else npc
-                else:
-                    def handler(R=R, ra=ra, rb=rb, t=target, npc=npc):
-                        return t if R[ra] > R[rb] else npc
-            else:
-                # Statically out-of-range target: taking the branch must
-                # surface as the reference loop's pc-bounds error.
-                taken = _bad_target(target)
-                if op == "beq":
-                    def handler(R=R, ra=ra, rb=rb, taken=taken, npc=npc):
-                        return taken() if R[ra] == R[rb] else npc
-                elif op == "bne":
-                    def handler(R=R, ra=ra, rb=rb, taken=taken, npc=npc):
-                        return taken() if R[ra] != R[rb] else npc
-                elif op == "blt":
-                    def handler(R=R, ra=ra, rb=rb, taken=taken, npc=npc):
-                        return taken() if R[ra] < R[rb] else npc
-                elif op == "bge":
-                    def handler(R=R, ra=ra, rb=rb, taken=taken, npc=npc):
-                        return taken() if R[ra] >= R[rb] else npc
-                elif op == "ble":
-                    def handler(R=R, ra=ra, rb=rb, taken=taken, npc=npc):
-                        return taken() if R[ra] <= R[rb] else npc
-                else:
-                    def handler(R=R, ra=ra, rb=rb, taken=taken, npc=npc):
-                        return taken() if R[ra] > R[rb] else npc
-
-        elif op == "j":
-            target = inst.target
-            if 0 <= target < code_size:
-                def handler(t=target):
-                    return t
-            else:
-                handler = _bad_target(target)
-
-        elif op == "jal":
+        if op == "jal":
             target = inst.target
             procedure = machine._procedures_by_entry.get(target)
             target_ok = 0 <= target < code_size
@@ -809,28 +404,30 @@ class ThreadedEngine:
                     def handler(R=R, npc=npc, t=target, LINK=REG_LINK):
                         R[LINK] = npc
                         raise _BadPC(t)
-            else:
-                call_hook = _call_hook(machine.observer, procedure, pc)
-                arg_regs = REG_ARGS[: procedure.nargs]
+                return handler
+            call_hook = _bind(machine.observer, "bind_call", procedure, pc)
+            arg_regs = REG_ARGS[: procedure.nargs]
 
-                def handler(R=R, npc=npc, t=target, LINK=REG_LINK, dyn=dyn,
-                            pcalls=machine.procedure_calls, pname=procedure.name,
-                            ch=call_hook, arg_regs=arg_regs, ok=target_ok):
-                    R[LINK] = npc
-                    dyn[2] += 1
-                    pcalls[pname] = pcalls.get(pname, 0) + 1
-                    if ch is not None:
-                        ch(tuple([R[i] for i in arg_regs]))
-                    if ok:
-                        return t
-                    raise _BadPC(t)
+            def handler(R=R, npc=npc, t=target, LINK=REG_LINK, dyn=dyn,
+                        pcalls=machine.procedure_calls, pname=procedure.name,
+                        ch=call_hook, arg_regs=arg_regs, ok=target_ok):
+                R[LINK] = npc
+                dyn[2] += 1
+                pcalls[pname] = pcalls.get(pname, 0) + 1
+                if ch is not None:
+                    ch(tuple([R[i] for i in arg_regs]))
+                if ok:
+                    return t
+                raise _BadPC(t)
 
-        elif op == "jalr":
+            return handler
 
-            def handler(R=R, rd=rd, ra=ra, npc=npc, dyn=dyn, cs=code_size,
+        if op == "jalr":
+
+            def handler(R=R, rd=inst.rd, ra=inst.ra, npc=npc, dyn=dyn, cs=code_size,
                         by_entry=machine._procedures_by_entry,
                         pcalls=machine.procedure_calls,
-                        bind_call=_call_hook, observer=machine.observer,
+                        bind=_bind, observer=machine.observer,
                         pc=pc, cache={}, ARGS=REG_ARGS):
                 # The reference writes the link before reading the target,
                 # so ``jalr rX, rX`` jumps to pc+1 — replicated verbatim.
@@ -844,7 +441,7 @@ class ThreadedEngine:
                     bound = cache.get(target)
                     if bound is None:
                         bound = (
-                            bind_call(observer, procedure, pc),
+                            bind(observer, "bind_call", procedure, pc),
                             ARGS[: procedure.nargs],
                         )
                         cache[target] = bound
@@ -855,95 +452,447 @@ class ThreadedEngine:
                     return target
                 raise _BadPC(target)
 
-        elif op == "jr":
-            return_hook = None
-            if rd == REG_LINK and machine.observer is not None:
-                returning = machine._procedure_by_pc[pc]
-                if returning is not None:
-                    return_hook = self._bind_return_hook(returning)
-            if return_hook is None:
-                def handler(R=R, rd=rd, cs=code_size):
-                    target = R[rd]
-                    if 0 <= target < cs:
-                        return target
-                    raise _BadPC(target)
-            else:
-                def handler(R=R, rd=rd, cs=code_size, rh=return_hook, RET=REG_RETURN):
-                    target = R[rd]
-                    rh(R[RET])
-                    if 0 <= target < cs:
-                        return target
-                    raise _BadPC(target)
+            return handler
 
-        elif op == "out":
-
-            def handler(R=R, rd=rd, npc=npc, append=machine.output.append):
-                append(R[rd])
-                return npc
-
-        elif op == "nop":
-
-            def handler(npc=npc):
-                return npc
-
-        elif op == "halt":
-
-            def handler():
-                raise _Halt()
-
-        else:  # pragma: no cover - assembler rejects unknown opcodes
-            raise MachineError(f"{name}: unimplemented opcode {op!r}")
-
-        if wants_define_wrap and rd == 0:
-            # r0 is hardwired to zero: the reference loop writes the
-            # result, then clears r0 and reports 0 to on_define.  The
-            # inner handler above was built with its define hook
-            # suppressed; this wrapper restores the zero and fires the
-            # hook with the architecturally visible value.
-            inner = handler
-
-            def handler(inner=inner, R=R, dh=dh):
-                next_pc = inner()
-                R[0] = 0
-                if dh is not None:
-                    dh(0)
-                return next_pc
-
-        if extra and op not in _SURCHARGED:
-            # Future-proofing: should any other opcode's cost in
-            # CYCLE_COSTS stop being 1, it still gets charged — just
-            # through a generic wrapper instead of a hand-inlined add.
-            charged = handler
-
-            def handler(inner=charged, cyc=cyc, ex=extra):
-                cyc[0] += ex
-                return inner()
-
+        # jr
+        return_hook = None
+        if inst.rd == REG_LINK and machine.observer is not None:
+            returning = machine._procedure_by_pc[pc]
+            if returning is not None:
+                return_hook = _bind(machine.observer, "bind_return", returning)
+        if return_hook is None:
+            def handler(R=R, rd=inst.rd, cs=code_size):
+                target = R[rd]
+                if 0 <= target < cs:
+                    return target
+                raise _BadPC(target)
+        else:
+            def handler(R=R, rd=inst.rd, cs=code_size, rh=return_hook, RET=REG_RETURN):
+                target = R[rd]
+                rh(R[RET])
+                if 0 <= target < cs:
+                    return target
+                raise _BadPC(target)
         return handler
 
 
-def _call_hook(observer, procedure, call_pc):
-    """The call hook ``observer`` wants at one call edge, or ``None``.
+def _immediate(inst) -> int:
+    """``inst``'s immediate as the opcode uses it: a shift amount's low
+    six bits, any other immediate whole."""
+    return inst.imm & 63 if inst.info.insn_class is InsnClass.SHIFT else inst.imm
 
-    A plain function, so a handler that binds call hooks lazily
-    (``jalr``) holds the observer it was decoded against, not the engine.
+
+def _trap_message(program: str, inst) -> Optional[str]:
+    """The message of the trap ``inst`` can raise, or ``None``.
+
+    A load's or store's message ends where the address goes.
     """
-    if observer is None:
+    info = inst.info
+    if info.divides:
+        return (f"{program}: division by zero at pc {inst.pc} "
+                f"({inst.render()}, line {inst.line})")
+    if info.is_load or info.is_store:
+        kind = "load" if info.is_load else "store"
+        return f"{program}: {kind} out of range at pc {inst.pc}: address "
+    return None
+
+
+def _local_or_expr(source: str):
+    """("temp", name) for a bare local, else ("expr", source)."""
+    return ("temp", source) if source.isidentifier() else ("expr", source)
+
+
+class _Emitter:
+    """Renders instructions from the opcode table as Python source.
+
+    This base renders threaded handlers (:meth:`handler_for`): a
+    one-instruction body whose operands are parameters.  Register
+    indices, the immediate, the next pc, a jump target, the trap message
+    and the observer hooks bind per pc as default arguments, so the
+    source depends only on the instruction's shape and compiles once
+    per shape.  :class:`repro.isa.tier2._Codegen` renders whole traces
+    through the same per-opcode methods, with operands inlined as
+    constants and locals.
+
+    An operand is a ``(const, expr)`` pair: its value when known at
+    render time (else ``None``) and the source that reads it.
+    ``pending`` counts the loads, stores and defines not yet added to
+    the shared ``dyn`` cell; ``folds`` and ``substs`` count constant
+    folds and constant operand reads, which tier-2's benefit model
+    weighs.
+    """
+
+    #: fold the table's algebraic identities (``x + 0``, ``x * 2**k``)
+    #: of operands known at render time.  Off for handlers, whose source
+    #: must not depend on an immediate's value.
+    folding = False
+
+    def __init__(self, engine: ThreadedEngine) -> None:
+        self.engine = engine
+        self.machine = engine._machine
+        self.lines: List[str] = []
+        self.args: Dict[str, object] = {}
+        self.consts: Dict[int, int] = {}
+        self.loc: Dict[int, str] = {}
+        self.pending = [0, 0, 0]  # loads, stores, defines
+        self.folds = 0
+        self.substs = 0
+        self.dead = False
+        self.ntmp = 0
+        self.ind = ""
+
+    # -- operands: parameters here, constants and locals in a trace ------
+
+    def lit(self, value: int, name: str) -> str:
+        """Source for ``value``, known at render time: parameter ``name``."""
+        self.args[name] = value
+        return name
+
+    def reg(self, inst, field: str) -> Tuple[Optional[int], str]:
+        """The operand that reads register ``field`` of ``inst``."""
+        self.ensure("R")
+        self.args[field] = getattr(inst, field)
+        return None, f"R[{field}]"
+
+    def regname(self, inst, field: str) -> str:
+        """Source for the index of register ``field`` of ``inst``."""
+        self.args[field] = getattr(inst, field)
+        return field
+
+    def operands(self, inst) -> List[Tuple[Optional[int], str]]:
+        """The ``{a}``, ``{b}`` operands of ``inst``'s value template."""
+        info = inst.info
+        ops = [self.reg(inst, field) for field in info.reads]
+        if info.has_immediate:
+            imm = _immediate(inst)
+            ops.append((imm, self.lit(imm, "imm")))
+        elif info.insn_class is InsnClass.SHIFT:
+            bc, bx = ops[1]
+            ops[1] = (None, f"({bx} & 63)") if bc is None else (bc & 63, self.lit(bc & 63, "imm"))
+        return ops
+
+    # -- small helpers --------------------------------------------------
+
+    def ensure(self, name: str) -> None:
+        """Bind ``name`` to the engine's shared object of that name."""
+        if name not in self.args:
+            self.args[name] = self.engine._shared[name]
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " + self.ind + line)
+
+    def newtmp(self, prefix: str = "t") -> str:
+        self.ntmp += 1
+        return f"{prefix}{self.ntmp}"
+
+    def render(self, template: str, a: str = "", b: str = "", q: str = "") -> str:
+        """A table template over operand sources; binds ``B``/``Mk`` if used."""
+        if "Mk" in template:
+            self.ensure("B")
+            self.ensure("Mk")
+        return template.format(a=a, b=b, q=q)
+
+    def set_reg(self, inst, expr: str, is_temp: bool = False) -> str:
+        self.ensure("R")
+        if is_temp:
+            t = expr
+        else:
+            t = self.newtmp()
+            self.emit(f"{t} = {expr}")
+        self.consts.pop(inst.rd, None)
+        self.loc[inst.rd] = t
+        self.emit(f"R[{self.regname(inst, 'rd')}] = {t}")
+        return t
+
+    def set_reg_const(self, inst, value: int) -> str:
+        self.ensure("R")
+        self.loc.pop(inst.rd, None)
+        self.consts[inst.rd] = value
+        source = self.lit(value, "value")
+        self.emit(f"R[{self.regname(inst, 'rd')}] = {source}")
+        return source
+
+    # -- exits ----------------------------------------------------------
+
+    def flush_lines(self, cycles: int = 0) -> List[str]:
+        """Statements adding the pending counts, and a surcharge of
+        ``cycles``, to the shared cells."""
+        out = []
+        for index, count in zip((0, 1, 3), self.pending):
+            if count:
+                self.ensure("dyn")
+                out.append(f"dyn[{index}] += {count}")
+        if cycles:
+            self.ensure("cyc")
+            out.append(f"cyc[0] += {cycles}")
+        return out
+
+    def uncounted(self, j: int) -> List[str]:
+        """Statements recording what a trap at body position ``j`` left
+        unexecuted; a handler's one instruction has no tail."""
+        return []
+
+    def trap_lines(self, j: int, raise_line: str) -> List[str]:
+        """Statements for a trap: flush the pending counts, raise."""
+        self.ensure("_T")
+        return self.flush_lines() + self.uncounted(j) + [raise_line]
+
+    def emit_trap_branch(self, j: int, cond: str, raise_line: str) -> None:
+        self.emit(f"if {cond}:")
+        for line in self.trap_lines(j, raise_line):
+            self.emit("    " + line)
+
+    def emit_unconditional_trap(self, j: int, raise_line: str) -> None:
+        for line in self.trap_lines(j, raise_line):
+            self.emit(line)
+        self.dead = True
+
+    def emit_hook(self, j: int, hook, tag: str, call_args: str) -> None:
+        """Call a bound observer hook; nothing if the observer declined."""
+        if hook is not None:
+            name = f"h{tag}{j}"
+            self.args[name] = hook
+            self.emit(f"{name}({call_args})")
+
+    def finish_define(self, j: int, inst, kind: str, val, dh) -> None:
+        """Common tail of a defining instruction: register write, dyn
+        count, define hook — with the r0 hardwired-zero rule."""
+        if inst.rd == 0:
+            hv = "0"
+        elif kind == "const":
+            hv = self.set_reg_const(inst, val)
+        else:
+            hv = self.set_reg(inst, val, is_temp=(kind == "temp"))
+        self.pending[2] += 1
+        self.emit_hook(j, dh, "d", hv)
+
+    # -- per-opcode emitters --------------------------------------------
+
+    def value(self, inst):
+        """(kind, value) for a pure value-producing instruction.
+
+        kind is "const" (value: int), "expr" (value: expression source)
+        or "temp" (value: an existing local's name).  Pure means no side
+        effects — safe to skip entirely when rd is r0.
+        """
+        info = inst.info
+        ops = self.operands(inst)
+        if all(c is not None for c, _ in ops):
+            if info.insn_class is not InsnClass.MOVE:
+                self.folds += 1
+            return "const", evaluate(inst.opcode, *(c for c, _ in ops))
+        if self.folding and len(ops) == 2:
+            folded = self.fold_identity(inst, *ops)
+            if folded is not None:
+                self.folds += 1
+                return folded
+        return _local_or_expr(self.render(info.value, *(x for _, x in ops)))
+
+    def fold_identity(self, inst, a, b):
+        """(kind, value) of an algebraic identity with one operand known,
+        or ``None``.  Sound because register values are always canonical
+        signed-64 (every write wraps)."""
+        info = inst.info
+        (ac, ax), (bc, bx) = a, b
+        for known, other in ((bc, ax), (ac if info.commutes else None, bx)):
+            if known is not None:
+                if known == info.identity:
+                    return _local_or_expr(other)
+                if known == info.absorbing:
+                    return "const", known
+        if inst.opcode in ("mul", "muli") and bc is not None and bc > 1 and bc & (bc - 1) == 0:
+            return "expr", self.render(OPCODES["sll"].value, ax, str(bc.bit_length() - 1))
         return None
-    bind_call = getattr(observer, "bind_call", None)
-    if bind_call is not None:
-        return bind_call(procedure, call_pc)
 
-    def call_hook(args, _cb=observer.on_call, _proc=procedure, _pc=call_pc):
-        _cb(_proc, args, _pc)
+    def address(self, j: int, inst) -> Optional[str]:
+        """Source for a load or store's address, after its range check;
+        ``None`` when a known address is out of range (the trap is then
+        emitted)."""
+        self.ensure("M")
+        memory_words = self.machine.memory_words
+        message = _trap_message(self.machine.program.name, inst)
+        m = f"m{j}"
+        ac, ax = self.reg(inst, "ra")
+        if ac is not None:
+            addr = ac + inst.imm
+            if not 0 <= addr < memory_words:
+                self.args[m] = message + str(addr)
+                self.emit_unconditional_trap(j, f"raise _T({m})")
+                return None
+            self.folds += 1
+            return str(addr)
+        at = self.newtmp("a")
+        ix = self.lit(inst.imm, "imm")
+        self.emit(f"{at} = {ax} + {ix}" if ix != "0" else f"{at} = {ax}")
+        self.args[m] = message
+        self.ensure("str")
+        self.emit_trap_branch(j, f"not 0 <= {at} < {self.lit(memory_words, 'mw')}",
+                              f"raise _T({m} + str({at}))")
+        return at
 
-    return call_hook
+    def emit_ld(self, j: int, inst, dh, lh) -> None:
+        aexpr = self.address(j, inst)
+        if aexpr is None:
+            return
+        vt = self.newtmp()
+        self.emit(f"{vt} = M[{aexpr}]")
+        if inst.rd != 0:
+            self.set_reg(inst, vt, is_temp=True)
+        self.pending[0] += 1
+        self.emit_hook(j, lh, "l", f"{aexpr}, {vt}")
+        self.pending[2] += 1
+        self.emit_hook(j, dh, "d", vt if inst.rd != 0 else "0")
 
+    def emit_st(self, j: int, inst, sh) -> None:
+        vc, vx = self.reg(inst, "rd")
+        aexpr = self.address(j, inst)
+        if aexpr is None:
+            return
+        if vc is None and not vx.isidentifier():
+            vt = self.newtmp()
+            self.emit(f"{vt} = {vx}")
+            vx = vt
+        self.emit(f"M[{aexpr}] = {vx}")
+        self.pending[1] += 1
+        self.emit_hook(j, sh, "s", f"{aexpr}, {vx}")
 
-def _bad_target(target: int) -> Callable[[], int]:
-    """Handler tail for a statically out-of-range jump target."""
+    def emit_div(self, j: int, inst, dh) -> None:
+        (nc, nx), (dc, dx) = self.operands(inst)
+        m = f"m{j}"
+        message = _trap_message(self.machine.program.name, inst)
+        if dc == 0:
+            self.args[m] = message
+            self.emit_unconditional_trap(j, f"raise _T({m})")
+            return
+        if dc is None:
+            dt = self.newtmp("d")
+            self.emit(f"{dt} = {dx}")
+            dx = dt
+            self.args[m] = message
+            self.emit_trap_branch(j, f"{dx} == 0", f"raise _T({m})")
+        if nc is not None and dc is not None:
+            self.folds += 1
+            self.finish_define(j, inst, "const", evaluate(inst.opcode, nc, dc), dh)
+            return
+        if inst.rd == 0:
+            # Quotient is dead (r0 write); only the zero trap above is
+            # architecturally visible.
+            self.finish_define(j, inst, "const", 0, dh)
+            return
+        if not nx.isidentifier():
+            nt = self.newtmp("n")
+            self.emit(f"{nt} = {nx}")
+            nx = nt
+        self.ensure("abs")
+        qt = self.newtmp("q")
+        self.emit(f"{qt} = abs({nx}) // abs({dx})")
+        self.emit(f"if ({nx} < 0) != ({dx} < 0): {qt} = -{qt}")
+        self.finish_define(j, inst, "expr", self.render(inst.info.value, nx, dx, qt), dh)
 
-    def raise_bad(t=target):
-        raise _BadPC(t)
+    def emit_in(self, j: int, inst, dh) -> None:
+        self.ensure("ist")
+        self.ensure("len")
+        pt = self.newtmp("p")
+        vt = self.newtmp()
+        self.emit(f"{pt} = ist[1]")
+        self.emit(f"if {pt} < len(ist[0]):")
+        self.emit(f"    {vt} = ist[0][{pt}]")
+        self.emit(f"    ist[1] = {pt} + 1")
+        self.emit("else:")
+        self.emit(f"    {vt} = 0")
+        self.finish_define(j, inst, "temp", vt, dh)
 
-    return raise_bad
+    def emit_inst(self, j: int, inst, hooks) -> None:
+        """One instruction that falls through to the next pc; ``hooks``
+        are its (define, load, store) hooks."""
+        op = inst.opcode
+        dh, lh, sh = hooks
+        if op == "nop":
+            return
+        if op == "out":
+            _, vx = self.reg(inst, "rd")
+            self.ensure("outp")
+            self.emit(f"outp({vx})")
+        elif op == "ld":
+            self.emit_ld(j, inst, dh, lh)
+        elif op == "st":
+            self.emit_st(j, inst, sh)
+        elif inst.info.divides:
+            self.emit_div(j, inst, dh)
+        elif op == "in":
+            self.emit_in(j, inst, dh)
+        else:
+            kind, val = self.value(inst)
+            if inst.rd == 0 and kind == "expr":
+                # Dead pure compute into r0: skip the arithmetic, keep the
+                # architecturally visible define event (value 0).
+                kind, val = "const", 0
+            self.finish_define(j, inst, kind, val, dh)
+
+    # -- assembly -------------------------------------------------------
+
+    @classmethod
+    def handler_for(cls, engine: ThreadedEngine, inst):
+        """The threaded handler of ``inst`` (any opcode but a call).
+
+        A handler's source depends only on the instruction's shape: its
+        opcode, whether it writes ``r0``, which hooks it calls, whether
+        a static target is in range and whether an immediate divisor is
+        zero.  Each shape is rendered once per process (``_SHAPES``),
+        with a binder that reads every pc's parameters (``_PER_PC``) and
+        the engine's shared objects into that one code object's
+        defaults.
+        """
+        hooks = dh, lh, sh = engine._hooks_for(inst)
+        info = inst.info
+        machine = engine._machine
+        key = (inst.opcode, inst.rd == 0, dh is None, lh is None, sh is None,
+               0 <= inst.target < len(machine.program.instructions),
+               info.divides and info.has_immediate and inst.imm == 0)
+        shape = _SHAPES.get(key)
+        if shape is None:
+            emitter = cls(engine)
+            emitter.render_handler(inst, hooks)
+            values = ", ".join(_PER_PC.get(name, f"shared[{name!r}]") for name in emitter.args)
+            binder = eval(  # noqa: S307 - assembled from the names the emitter bound
+                f"lambda inst, hooks, machine, shared: ({values},)",
+                {"_immediate": _immediate, "evaluate": evaluate, "_trap_message": _trap_message},
+            )
+            shape = _SHAPES[key] = (emitter.source("_h", emitter.lines),
+                                    f"<threaded:{inst.opcode}>", binder)
+        src, filename, binder = shape
+        code, _ = _compiled(src, filename)
+        return FunctionType(code, _GLOBALS, "_h", binder(inst, hooks, machine, engine._shared))
+
+    def render_handler(self, inst, hooks) -> None:
+        """Render the body of ``inst``'s handler."""
+        info = inst.info
+        if info.falls_through:
+            self.emit_inst(0, inst, hooks)
+            if not self.dead:
+                for line in self.flush_lines(cycle_cost(inst.opcode) - 1):
+                    self.emit(line)
+                self.emit(f"return {self.lit(inst.pc + 1, 'npc')}")
+        elif inst.opcode == "halt":
+            self.ensure("_Halt")
+            self.emit("raise _Halt()")
+        else:
+            # A conditional branch or ``j``.  A target outside the code
+            # segment surfaces, when taken, as the reference loop's
+            # pc-bounds error.
+            t = self.lit(inst.target, "t")
+            if 0 <= inst.target < len(self.machine.program.instructions):
+                jump = f"return {t}"
+            else:
+                self.ensure("_BadPC")
+                jump = f"raise _BadPC({t})"
+            if info.value:
+                self.emit(f"if {self.render(info.value, *(x for _, x in self.operands(inst)))}:")
+                self.emit("    " + jump)
+                self.emit(f"return {self.lit(inst.pc + 1, 'npc')}")
+            else:
+                self.emit(jump)
+
+    def source(self, name: str, body: List[str]) -> str:
+        """``body`` as the source of function ``name`` of the bound names."""
+        return f"def {name}({', '.join(self.args)}):\n" + "\n".join(body) + "\n"

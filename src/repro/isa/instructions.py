@@ -15,15 +15,22 @@ analogues need and — crucially for the paper — gives every *register-
 defining* instruction a well-defined destination value to profile.
 
 Each opcode carries metadata: its operand format (how the assembler
-parses it), whether it defines a register (is a value-profiling site),
-and its *class* for the per-instruction-class breakdown (Table V.3).
+parses it), its *class* for the per-instruction-class breakdown (Table
+V.3), and its semantics — the registers it reads and writes and a
+Python template of the value it computes (or, for a conditional
+branch, of its condition).  The table is the one statement of opcode
+semantics outside the reference interpreter loop
+(:meth:`repro.isa.machine.Machine.run` with ``engine="simple"``): the
+threaded engine's handlers, the tier-2 superinstructions and both
+constant folders (tier-2's and the binary specializer's) are rendered
+or evaluated from it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 
 class Format(enum.Enum):
@@ -59,13 +66,47 @@ class InsnClass(enum.Enum):
 
 @dataclass(frozen=True)
 class OpcodeInfo:
-    """Static description of one VPA opcode."""
+    """Static description of one VPA opcode: encoding, class, semantics.
+
+    ``reads`` names the register operands the opcode reads, in operand
+    order, and ``writes`` the one it writes (``"rd"`` or ``""``).
+
+    ``value`` is a Python expression for the value a register-defining
+    opcode computes, or for a conditional branch's condition.  ``{a}``
+    is its first operand and ``{b}`` its second: the registers it
+    reads, then its immediate.  ``B`` and ``Mk`` are :data:`SIGN_BIT`
+    and :data:`WORD_MASK`; ``((v + B) & Mk) - B`` wraps ``v`` to signed
+    64 bits.  Operand ``b`` of a shift counts only its low six bits.
+    Operand ``b`` of a ``divides`` opcode is a divisor: zero traps, and
+    ``{q}`` is the quotient truncated toward zero.
+
+    ``twin`` is the register/immediate twin (``add`` and ``addi``).
+    ``commutes`` says the operands may swap; ``identity`` is an operand
+    ``b`` (or ``a``, when it commutes) that leaves the other one as the
+    value, and ``absorbing`` one that is the value whatever the other.
+    """
 
     mnemonic: str
     fmt: Format
     insn_class: InsnClass
-    defines_register: bool
     description: str
+    reads: Tuple[str, ...] = ()
+    writes: str = ""
+    value: str = ""
+    twin: str = ""
+    commutes: bool = False
+    identity: Optional[int] = None
+    absorbing: Optional[int] = None
+    divides: bool = False
+
+    @property
+    def defines_register(self) -> bool:
+        """Defines a register value: a value-profiling site."""
+        return self.writes == "rd" and self.insn_class is not InsnClass.JUMP
+
+    @property
+    def has_immediate(self) -> bool:
+        return self.fmt in (Format.RRI, Format.RI, Format.RL, Format.MEM)
 
     @property
     def is_load(self) -> bool:
@@ -79,9 +120,27 @@ class OpcodeInfo:
     def is_branch(self) -> bool:
         return self.insn_class in (InsnClass.BRANCH, InsnClass.JUMP)
 
+    @property
+    def falls_through(self) -> bool:
+        """Always continues at the next pc: no branch, jump or halt."""
+        return not self.is_branch and self.mnemonic != "halt"
 
-def _op(mnemonic: str, fmt: Format, insn_class: InsnClass, defines: bool, description: str) -> OpcodeInfo:
-    return OpcodeInfo(mnemonic, fmt, insn_class, defines, description)
+
+def _pair(reg: str, imm: str, insn_class: InsnClass, description: str, value: str,
+          **algebra) -> Tuple[OpcodeInfo, OpcodeInfo]:
+    """A register-register opcode and its register-immediate twin."""
+    return (
+        OpcodeInfo(reg, Format.RRR, insn_class, f"rd = {description}",
+                   ("ra", "rb"), "rd", value, twin=imm, **algebra),
+        OpcodeInfo(imm, Format.RRI, insn_class, f"rd = {description.replace('rb', 'imm')}",
+                   ("ra",), "rd", value, twin=reg, **algebra),
+    )
+
+
+def _branch(mnemonic: str, condition: str) -> OpcodeInfo:
+    return OpcodeInfo(mnemonic, Format.BRANCH, InsnClass.BRANCH,
+                      f"if ra {condition} rb goto label", ("ra", "rb"),
+                      value=f"{{a}} {condition} {{b}}")
 
 
 #: Every opcode of the architecture, keyed by mnemonic.
@@ -89,60 +148,61 @@ OPCODES: Dict[str, OpcodeInfo] = {
     info.mnemonic: info
     for info in [
         # arithmetic -------------------------------------------------
-        _op("add", Format.RRR, InsnClass.ALU, True, "rd = ra + rb"),
-        _op("addi", Format.RRI, InsnClass.ALU, True, "rd = ra + imm"),
-        _op("sub", Format.RRR, InsnClass.ALU, True, "rd = ra - rb"),
-        _op("subi", Format.RRI, InsnClass.ALU, True, "rd = ra - imm"),
-        _op("mul", Format.RRR, InsnClass.MULDIV, True, "rd = ra * rb"),
-        _op("muli", Format.RRI, InsnClass.MULDIV, True, "rd = ra * imm"),
-        _op("div", Format.RRR, InsnClass.MULDIV, True, "rd = ra / rb (trunc, fault on 0)"),
-        _op("divi", Format.RRI, InsnClass.MULDIV, True, "rd = ra / imm"),
-        _op("rem", Format.RRR, InsnClass.MULDIV, True, "rd = ra mod rb (trunc, fault on 0)"),
-        _op("remi", Format.RRI, InsnClass.MULDIV, True, "rd = ra mod imm"),
+        *_pair("add", "addi", InsnClass.ALU, "ra + rb", "(({a} + {b} + B) & Mk) - B",
+               commutes=True, identity=0),
+        *_pair("sub", "subi", InsnClass.ALU, "ra - rb", "(({a} - {b} + B) & Mk) - B",
+               identity=0),
+        *_pair("mul", "muli", InsnClass.MULDIV, "ra * rb", "(({a} * {b} + B) & Mk) - B",
+               commutes=True, identity=1, absorbing=0),
+        *_pair("div", "divi", InsnClass.MULDIV, "ra / rb (trunc, fault on 0)",
+               "(({q} + B) & Mk) - B", divides=True),
+        *_pair("rem", "remi", InsnClass.MULDIV, "ra mod rb (trunc, fault on 0)",
+               "(({a} - {q} * {b} + B) & Mk) - B", divides=True),
         # bitwise ------------------------------------------------------
-        _op("and", Format.RRR, InsnClass.ALU, True, "rd = ra & rb"),
-        _op("andi", Format.RRI, InsnClass.ALU, True, "rd = ra & imm"),
-        _op("or", Format.RRR, InsnClass.ALU, True, "rd = ra | rb"),
-        _op("ori", Format.RRI, InsnClass.ALU, True, "rd = ra | imm"),
-        _op("xor", Format.RRR, InsnClass.ALU, True, "rd = ra ^ rb"),
-        _op("xori", Format.RRI, InsnClass.ALU, True, "rd = ra ^ imm"),
+        *_pair("and", "andi", InsnClass.ALU, "ra & rb", "(({a} & {b}) + B & Mk) - B",
+               commutes=True, identity=-1, absorbing=0),
+        *_pair("or", "ori", InsnClass.ALU, "ra | rb", "(({a} | {b}) + B & Mk) - B",
+               commutes=True, identity=0, absorbing=-1),
+        *_pair("xor", "xori", InsnClass.ALU, "ra ^ rb", "(({a} ^ {b}) + B & Mk) - B",
+               commutes=True, identity=0),
         # shifts -------------------------------------------------------
-        _op("sll", Format.RRR, InsnClass.SHIFT, True, "rd = ra << (rb & 63)"),
-        _op("slli", Format.RRI, InsnClass.SHIFT, True, "rd = ra << imm"),
-        _op("srl", Format.RRR, InsnClass.SHIFT, True, "rd = (unsigned) ra >> (rb & 63)"),
-        _op("srli", Format.RRI, InsnClass.SHIFT, True, "rd = (unsigned) ra >> imm"),
-        _op("sra", Format.RRR, InsnClass.SHIFT, True, "rd = (signed) ra >> (rb & 63)"),
-        _op("srai", Format.RRI, InsnClass.SHIFT, True, "rd = (signed) ra >> imm"),
+        *_pair("sll", "slli", InsnClass.SHIFT, "ra << (rb & 63)",
+               "((({a} << {b}) + B) & Mk) - B", identity=0),
+        *_pair("srl", "srli", InsnClass.SHIFT, "(unsigned) ra >> (rb & 63)",
+               "(((({a} & Mk) >> {b}) + B) & Mk) - B", identity=0),
+        *_pair("sra", "srai", InsnClass.SHIFT, "(signed) ra >> (rb & 63)",
+               "((({a} >> {b}) + B) & Mk) - B", identity=0),
         # comparisons --------------------------------------------------
-        _op("slt", Format.RRR, InsnClass.COMPARE, True, "rd = 1 if ra < rb else 0"),
-        _op("slti", Format.RRI, InsnClass.COMPARE, True, "rd = 1 if ra < imm else 0"),
-        _op("seq", Format.RRR, InsnClass.COMPARE, True, "rd = 1 if ra == rb else 0"),
-        _op("seqi", Format.RRI, InsnClass.COMPARE, True, "rd = 1 if ra == imm else 0"),
-        _op("sne", Format.RRR, InsnClass.COMPARE, True, "rd = 1 if ra != rb else 0"),
-        _op("snei", Format.RRI, InsnClass.COMPARE, True, "rd = 1 if ra != imm else 0"),
+        *_pair("slt", "slti", InsnClass.COMPARE, "1 if ra < rb else 0", "1 if {a} < {b} else 0"),
+        *_pair("seq", "seqi", InsnClass.COMPARE, "1 if ra == rb else 0",
+               "1 if {a} == {b} else 0", commutes=True),
+        *_pair("sne", "snei", InsnClass.COMPARE, "1 if ra != rb else 0",
+               "1 if {a} != {b} else 0", commutes=True),
         # moves / constants -------------------------------------------
-        _op("li", Format.RI, InsnClass.MOVE, True, "rd = imm (any 64-bit constant)"),
-        _op("la", Format.RL, InsnClass.MOVE, True, "rd = address of data label"),
-        _op("mov", Format.RR, InsnClass.MOVE, True, "rd = ra"),
+        OpcodeInfo("li", Format.RI, InsnClass.MOVE, "rd = imm (any 64-bit constant)",
+                   (), "rd", "(({a} + B) & Mk) - B"),
+        OpcodeInfo("la", Format.RL, InsnClass.MOVE, "rd = address of data label", (), "rd", "{a}"),
+        OpcodeInfo("mov", Format.RR, InsnClass.MOVE, "rd = ra", ("ra",), "rd", "{a}"),
         # memory -------------------------------------------------------
-        _op("ld", Format.MEM, InsnClass.LOAD, True, "rd = memory[ra + off]"),
-        _op("st", Format.MEM, InsnClass.STORE, False, "memory[ra + off] = rd"),
+        OpcodeInfo("ld", Format.MEM, InsnClass.LOAD, "rd = memory[ra + off]", ("ra",), "rd"),
+        OpcodeInfo("st", Format.MEM, InsnClass.STORE, "memory[ra + off] = rd", ("ra", "rd")),
         # control flow -------------------------------------------------
-        _op("beq", Format.BRANCH, InsnClass.BRANCH, False, "if ra == rb goto label"),
-        _op("bne", Format.BRANCH, InsnClass.BRANCH, False, "if ra != rb goto label"),
-        _op("blt", Format.BRANCH, InsnClass.BRANCH, False, "if ra < rb goto label"),
-        _op("bge", Format.BRANCH, InsnClass.BRANCH, False, "if ra >= rb goto label"),
-        _op("ble", Format.BRANCH, InsnClass.BRANCH, False, "if ra <= rb goto label"),
-        _op("bgt", Format.BRANCH, InsnClass.BRANCH, False, "if ra > rb goto label"),
-        _op("j", Format.LABEL, InsnClass.JUMP, False, "goto label"),
-        _op("jal", Format.LABEL, InsnClass.JUMP, False, "r31 = pc + 1; goto label (call)"),
-        _op("jalr", Format.RR, InsnClass.JUMP, False, "rd = pc + 1; goto ra (indirect call)"),
-        _op("jr", Format.R, InsnClass.JUMP, False, "goto rd (return / computed jump)"),
+        _branch("beq", "=="),
+        _branch("bne", "!="),
+        _branch("blt", "<"),
+        _branch("bge", ">="),
+        _branch("ble", "<="),
+        _branch("bgt", ">"),
+        OpcodeInfo("j", Format.LABEL, InsnClass.JUMP, "goto label"),
+        OpcodeInfo("jal", Format.LABEL, InsnClass.JUMP, "r31 = pc + 1; goto label (call)"),
+        OpcodeInfo("jalr", Format.RR, InsnClass.JUMP, "rd = pc + 1; goto ra (indirect call)",
+                   ("ra",), "rd"),
+        OpcodeInfo("jr", Format.R, InsnClass.JUMP, "goto rd (return / computed jump)", ("rd",)),
         # i/o and system ----------------------------------------------
-        _op("in", Format.R, InsnClass.IO, True, "rd = next input value (0 at EOF)"),
-        _op("out", Format.R, InsnClass.IO, False, "append rd to the output stream"),
-        _op("nop", Format.NONE, InsnClass.SYSTEM, False, "do nothing"),
-        _op("halt", Format.NONE, InsnClass.SYSTEM, False, "stop the machine"),
+        OpcodeInfo("in", Format.R, InsnClass.IO, "rd = next input value (0 at EOF)", (), "rd"),
+        OpcodeInfo("out", Format.R, InsnClass.IO, "append rd to the output stream", ("rd",)),
+        OpcodeInfo("nop", Format.NONE, InsnClass.SYSTEM, "do nothing"),
+        OpcodeInfo("halt", Format.NONE, InsnClass.SYSTEM, "stop the machine"),
     ]
 }
 
@@ -185,6 +245,38 @@ def to_signed64(value: int) -> int:
     if value & SIGN_BIT:
         value -= 1 << 64
     return value
+
+
+#: each ``value`` template compiled once, as a function of (a, b, q).
+_EVALUATORS = {
+    info.mnemonic: eval(  # noqa: S307 - templates are the constant table above
+        "lambda a, b, q: " + info.value.format(a="a", b="b", q="q"),
+        {"B": SIGN_BIT, "Mk": WORD_MASK},
+    )
+    for info in OPCODES.values()
+    if info.value
+}
+
+
+def evaluate(mnemonic: str, a: int, b: int = 0):
+    """What ``mnemonic`` computes from operand values ``a`` and ``b``.
+
+    ``a`` and ``b`` are the operands of its ``value`` template (the
+    register values it reads, then its immediate).  Returns the defined
+    register's value, or for a conditional branch whether it is taken;
+    ``None`` when ``b`` is a zero divisor, since the instruction traps.
+    """
+    info = OPCODES[mnemonic]
+    if info.insn_class is InsnClass.SHIFT:
+        b &= 63
+    q = 0
+    if info.divides:
+        if b == 0:
+            return None
+        q = abs(a) // abs(b)
+        if (a < 0) != (b < 0):
+            q = -q
+    return _EVALUATORS[mnemonic](a, b, q)
 
 
 @dataclass

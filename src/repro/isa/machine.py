@@ -9,16 +9,18 @@ role ATOM's analysis routines play in the paper.
 Three engines share these semantics bit for bit:
 
 * ``simple`` — the reference loop below: a hand-ordered ``if``/``elif``
-  chain over opcode mnemonics, kept as the executable specification.
+  chain over opcode mnemonics, kept as the executable specification
+  and the differential oracle.
 * ``threaded`` — :class:`repro.isa.engine.ThreadedEngine`, which
-  pre-decodes each static instruction into a per-pc closure (operands,
-  immediates, trap messages and observer hooks bound at decode time)
-  and dispatches through a handler table.  It is the default; the
-  differential suite holds the engines byte-identical.
+  pre-decodes each static instruction into a per-pc handler rendered
+  from the opcode table (operands, immediates, trap messages and
+  observer hooks bound at decode time) and dispatches through a handler
+  table.  It is the default; the differential suite holds the engines
+  byte-identical.
 * ``tier2`` — :class:`repro.isa.tier2.Tier2Engine`, the threaded
   engine plus online quickening: hot basic blocks with stable live-in
-  operands become guarded, constant-folded superinstruction closures
-  that deopt back to the per-pc handlers on a guard miss.
+  operands become guarded, constant-folded superinstructions that
+  deopt back to the per-pc handlers on a guard miss.
 
 Select with ``Machine(engine=...)`` — ``"auto"`` (the default) follows
 the ``REPRO_ENGINE`` environment variable and falls back to

@@ -11,9 +11,10 @@ profile discovered, it:
    bound register does not hold its profiled value,
 3. rewrites the clone's body treating the bound registers as
    compile-time constants — folding register-register operations to
-   immediate forms, strength-reducing multiplies by 0/1/powers of two
-   to moves and shifts, and folding fully-constant compare-and-branch
-   instructions,
+   their immediate twins, strength-reducing multiplies by 0/1/powers of
+   two to moves and shifts, and folding fully-constant compare-and-branch
+   instructions, every value computed by the opcode table's constant
+   evaluator (:func:`repro.isa.instructions.evaluate`),
 4. patches selected call sites to target the specialized entry (a
    one-word patch, so no other code moves).
 
@@ -30,7 +31,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import MachineError
-from repro.isa.instructions import Format, Instruction, OPCODES, cycle_cost, to_signed64
+from repro.isa.instructions import (
+    OPCODES,
+    Format,
+    Instruction,
+    cycle_cost,
+    evaluate,
+    to_signed64,
+)
 from repro.isa.program import Procedure, Program
 
 #: Scratch register used by the guard; preserved via push/pop so the
@@ -65,8 +73,7 @@ def written_registers(program: Program, procedure: Procedure) -> Set[int]:
     written: Set[int] = set()
     for pc in range(procedure.start, procedure.end):
         inst = program.instructions[pc]
-        info = OPCODES[inst.opcode]
-        if info.defines_register or inst.opcode == "jalr":
+        if OPCODES[inst.opcode].writes == "rd":
             written.add(inst.rd)
     return written
 
@@ -109,35 +116,6 @@ def _power_of_two(value: int) -> Optional[int]:
     if value > 0 and value & (value - 1) == 0:
         return value.bit_length() - 1
     return None
-
-
-_COMMUTATIVE_IMMEDIATE = {
-    "add": "addi",
-    "and": "andi",
-    "or": "ori",
-    "xor": "xori",
-    "seq": "seqi",
-    "sne": "snei",
-}
-
-_RIGHT_IMMEDIATE = {
-    "sub": "subi",
-    "slt": "slti",
-    "sll": "slli",
-    "srl": "srli",
-    "sra": "srai",
-    "div": "divi",
-    "rem": "remi",
-}
-
-_BRANCH_TESTS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: a < b,
-    "bge": lambda a, b: a >= b,
-    "ble": lambda a, b: a <= b,
-    "bgt": lambda a, b: a > b,
-}
 
 
 class _BodyRewriter:
@@ -188,25 +166,7 @@ class _BodyRewriter:
         a = self._value(inst.ra)
         if a is None:
             return inst
-        rrr_equivalent = {
-            "addi": "add",
-            "subi": "sub",
-            "muli": "mul",
-            "divi": "div",
-            "remi": "rem",
-            "andi": "and",
-            "ori": "or",
-            "xori": "xor",
-            "slli": "sll",
-            "srli": "srl",
-            "srai": "sra",
-            "slti": "slt",
-            "seqi": "seq",
-            "snei": "sne",
-        }.get(inst.opcode)
-        if rrr_equivalent is None:
-            return inst
-        folded = _evaluate_rrr(rrr_equivalent, a, inst.imm)
+        folded = evaluate(inst.opcode, a, inst.imm)
         if folded is None:
             return inst
         self.report.folds += 1
@@ -217,30 +177,21 @@ class _BodyRewriter:
         a = self._value(inst.ra)
         b = self._value(inst.rb)
         if a is not None and b is not None:
-            folded = _evaluate_rrr(op, a, b)
+            folded = evaluate(op, a, b)
             if folded is not None:
                 self.report.folds += 1
                 return Instruction("li", rd=inst.rd, imm=folded, line=inst.line)
         if op == "mul":
             return self._rewrite_mul(inst, a, b)
-        if b is not None and op in _RIGHT_IMMEDIATE:
-            if op in ("div", "rem") and b == 0:
+        info = OPCODES[op]
+        if b is not None:
+            if info.divides and b == 0:
                 return inst  # keep the faulting semantics
             self.report.folds += 1
-            return Instruction(
-                _RIGHT_IMMEDIATE[op], rd=inst.rd, ra=inst.ra, imm=b, line=inst.line
-            )
-        if op in _COMMUTATIVE_IMMEDIATE:
-            if b is not None:
-                self.report.folds += 1
-                return Instruction(
-                    _COMMUTATIVE_IMMEDIATE[op], rd=inst.rd, ra=inst.ra, imm=b, line=inst.line
-                )
-            if a is not None:
-                self.report.folds += 1
-                return Instruction(
-                    _COMMUTATIVE_IMMEDIATE[op], rd=inst.rd, ra=inst.rb, imm=a, line=inst.line
-                )
+            return Instruction(info.twin, rd=inst.rd, ra=inst.ra, imm=b, line=inst.line)
+        if a is not None and info.commutes:
+            self.report.folds += 1
+            return Instruction(info.twin, rd=inst.rd, ra=inst.rb, imm=a, line=inst.line)
         return inst
 
     def _rewrite_mul(self, inst: Instruction, a: Optional[int], b: Optional[int]) -> Instruction:
@@ -266,47 +217,11 @@ class _BodyRewriter:
         b = self._value(inst.rb)
         if a is None or b is None:
             return inst
-        taken = _BRANCH_TESTS[inst.opcode](a, b)
+        taken = evaluate(inst.opcode, a, b)
         self.report.branch_folds += 1
         if taken:
             return Instruction("j", target=inst.target, line=inst.line)
         return Instruction("nop", line=inst.line)
-
-
-def _evaluate_rrr(op: str, a: int, b: int) -> Optional[int]:
-    """Fully-constant RRR evaluation with machine semantics."""
-    if op == "add":
-        return to_signed64(a + b)
-    if op == "sub":
-        return to_signed64(a - b)
-    if op == "mul":
-        return to_signed64(a * b)
-    if op in ("div", "rem"):
-        if b == 0:
-            return None  # preserve the runtime fault
-        quotient = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            quotient = -quotient
-        return to_signed64(quotient) if op == "div" else to_signed64(a - quotient * b)
-    if op == "and":
-        return to_signed64(a & b)
-    if op == "or":
-        return to_signed64(a | b)
-    if op == "xor":
-        return to_signed64(a ^ b)
-    if op == "sll":
-        return to_signed64(a << (b & 63))
-    if op == "srl":
-        return to_signed64((a & ((1 << 64) - 1)) >> (b & 63))
-    if op == "sra":
-        return to_signed64(a >> (b & 63))
-    if op == "slt":
-        return 1 if a < b else 0
-    if op == "seq":
-        return 1 if a == b else 0
-    if op == "sne":
-        return 1 if a != b else 0
-    return None
 
 
 def specialize_procedure(
@@ -414,7 +329,7 @@ def specialize_procedure(
         if inst.opcode in ("li", "la"):
             if inst.rd != 0:
                 local_consts[inst.rd] = to_signed64(inst.imm)
-        elif info.defines_register or inst.opcode == "jalr":
+        elif info.writes == "rd":
             local_consts.pop(inst.rd, None)
         if inst.opcode in ("jal", "jalr"):
             local_consts = {}  # callee may clobber caller-saved state

@@ -218,7 +218,7 @@ def _defining_pcs(program, reg: int) -> List[int]:
     return [
         inst.pc
         for inst in program.instructions
-        if (inst.info.defines_register or inst.opcode == "jalr") and inst.rd == reg
+        if inst.info.writes == "rd" and inst.rd == reg
     ]
 
 

@@ -1,15 +1,17 @@
 """Differential tests: every engine is bit-identical to simple.
 
-The pre-decoded direct-threaded engine re-implements every opcode as a
-bound closure, and the tier-2 engine re-implements hot *blocks* as
-generated superinstructions behind guards; the only acceptable
+The pre-decoded direct-threaded engine renders every opcode from the
+opcode table into a bound handler, and the tier-2 engine renders hot
+*blocks* as superinstructions behind guards; the only acceptable
 difference from the reference ``simple`` loop is speed.  A randomized
-program generator — all opcode families, division by (possibly) zero,
+program generator — every opcode, division by (possibly) zero,
 loads/stores that can leave the data segment, computed jumps that can
 leave the code segment, writes to the hardwired ``r0``, and budgets
 small enough to exhaust — drives all engines and asserts identical
 results, identical machine state, identical trap messages, and
-identical value profiles.  The tier-2 leg runs with an aggressive
+identical value profiles.  Hand-built programs cover what the
+assembler cannot produce: branch, jump and call targets outside the
+code segment.  The tier-2 leg runs with an aggressive
 config (hot threshold 2, fail limit 2) so the random programs exercise
 quickening, guard failure, deopt, requickening, and despecialization
 within the small budgets.
@@ -25,6 +27,7 @@ from repro.core.profile import ProfileDatabase
 from repro.errors import MachineError
 from repro.isa import machine as machine_module
 from repro.isa.assembler import assemble
+from repro.isa.instructions import OPCODES, Instruction
 from repro.isa.instrument import (
     ALL_TARGETS,
     DEFAULT_FLUSH_THRESHOLD,
@@ -32,6 +35,7 @@ from repro.isa.instrument import (
     ValueProfiler,
 )
 from repro.isa.machine import Machine
+from repro.isa.program import Procedure, Program
 from repro.isa.tier2 import Tier2Config
 
 _ENGINES = ("simple", "threaded", "tier2")
@@ -53,6 +57,19 @@ _IMMEDIATE = [
 ]
 _DIVIDES = ["div", "rem"]
 _DIVIDES_IMM = ["divi", "remi"]
+_BRANCHES = ["beq", "bne", "blt", "bge", "ble", "bgt"]
+
+#: loop backedges, one per conditional branch, that all loop while the
+#: counter r28 is positive.  r27 is scratch for backedges and function
+#: pointers only; no other statement writes it.
+_BACKEDGES = [
+    ["bne r28, r0, {label}"],
+    ["bgt r28, r0, {label}"],
+    ["blt r0, r28, {label}"],
+    ["li r27, 1", "bge r28, r27, {label}"],
+    ["li r27, 1", "ble r27, r28, {label}"],
+    ["seq r27, r28, r0", "beq r27, r0, {label}"],
+]
 
 
 def _random_program(seed: int) -> str:
@@ -109,18 +126,36 @@ def _random_program(seed: int) -> str:
             elif choice < 0.88:
                 lines.append("    in r%d" % rng.choice(_SCRATCH))
                 lines.append(f"    out r{ra}")
-            elif choice < 0.94 and loop_depth == 0:
+            elif choice < 0.91 and loop_depth == 0:
                 label = f"loop_{len(lines)}"
                 lines.append(f"    li r28, {rng.randint(1, 6)}")
                 lines.append(f"{label}:")
                 statements(rng.randint(1, 3), loop_depth + 1)
                 lines.append("    subi r28, r28, 1")
-                lines.append(f"    bnez r28, {label}")
-            elif choice < 0.97:
+                for line in rng.choice(_BACKEDGES):
+                    lines.append("    " + line.format(label=label))
+            elif choice < 0.935:
+                # forward skip: a conditional branch or a ``j`` over a
+                # few statements.
+                label = f"skip_{len(lines)}"
+                if rng.random() < 0.75:
+                    lines.append(f"    {rng.choice(_BRANCHES)} r{ra}, r{rb}, {label}")
+                else:
+                    lines.append(f"    j {label}")
+                statements(rng.randint(1, 2), loop_depth + 1)
+                lines.append(f"{label}:")
+            elif choice < 0.96:
                 lines.append(f"    mov r1, r{ra}")
                 lines.append(f"    li r2, {rng.randint(-8, 8)}")
-                lines.append("    call helper")
+                if rng.random() < 0.5:
+                    lines.append("    call helper")
+                else:
+                    # an indirect call through a function pointer
+                    lines.append("    la r27, helper")
+                    lines.append("    jalr r31, r27")
                 lines.append(f"    mov r{rd}, r1")
+            elif choice < 0.97:
+                lines.append("    nop")
             else:
                 # computed jump through a scratch register: lands on an
                 # arbitrary pc, very often outside the code segment.
@@ -163,8 +198,11 @@ def _run(program, engine: str, budget: int, buffered: bool,
         outcome = ("ok", result)
     except MachineError as error:
         outcome = ("error", str(error))
+    # Running a halted machine again returns the finished result.
+    rerun = machine.run(max_instructions=budget) if machine.halted else None
     return (
         outcome,
+        rerun,
         list(machine.registers),
         machine.pc,
         machine.cycles,
@@ -195,6 +233,49 @@ def test_engines_agree_on_random_programs(seed, budget, buffered):
     assert threaded == simple
     tier2 = _run(program, "tier2", budget, buffered)
     assert tier2 == simple
+
+
+def test_generator_emits_every_opcode():
+    seen = set()
+    for seed in range(200):
+        seen.update(inst.opcode for inst in assemble(_random_program(seed)).instructions)
+    assert seen == set(OPCODES)
+
+
+def _out_of_range(opcode: str, target: int) -> Program:
+    """``opcode`` aimed at ``target``, which the assembler cannot produce.
+
+    ``main`` sets r8, takes the (always-taken) control transfer, and
+    would halt; ``beq`` compares r8 with itself.
+    """
+    instructions = [
+        Instruction("li", rd=8, imm=5),
+        Instruction(opcode, ra=8, rb=8, target=target),
+        Instruction("out", rd=8),
+        Instruction("halt"),
+    ]
+    for pc, inst in enumerate(instructions):
+        inst.pc = pc
+        inst.procedure = "main"
+    return Program(
+        name="bad_target",
+        instructions=instructions,
+        procedures={"main": Procedure("main", 0, len(instructions))},
+        labels={"main": 0},
+        data_symbols={},
+        data_image=[],
+    )
+
+
+@pytest.mark.parametrize("target", [-3, 4, 9999])
+@pytest.mark.parametrize("opcode", ["beq", "j", "jal"])
+def test_engines_agree_on_targets_outside_the_code(opcode, target):
+    program = _out_of_range(opcode, target)
+    assert target not in range(len(program.instructions))
+    simple = _run(program, "simple", 100, True)
+    assert simple[0] == ("error", f"bad_target: pc {target} outside code segment")
+    assert _run(program, "threaded", 100, True) == simple
+    assert _run(program, "tier2", 100, True) == simple
 
 
 @settings(max_examples=60, deadline=None)

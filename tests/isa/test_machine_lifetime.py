@@ -7,11 +7,9 @@ the Machine in a reference cycle keeps it until the cyclic collector
 runs.  Each case runs a program to one exit path on one engine with the
 collector disabled, drops the Machine and any ``MachineError``, and
 checks that a weak reference to the Machine is dead at once: reference
-counting alone frees it.  The threaded engine object must go with it.
-(The tier-2 engine still refers to itself through its quickening
-closures, so its engine object waits for the collector.)  Every program
-opens with a short loop so the tier-2 engine has quickened a block
-before it exits.
+counting alone frees it.  The threaded or tier-2 engine object must go
+with it.  Every program opens with a short loop so the tier-2 engine
+has quickened a block before it exits.
 """
 
 import gc
@@ -97,7 +95,7 @@ def _run_to_exit(engine: str, exit_path: str):
 def test_machine_released_after_exit(engine, exit_path):
     machine_ref, engine_ref = _run_to_exit(engine, exit_path)
     assert machine_ref() is None
-    if engine == "threaded":
+    if engine != "simple":
         assert engine_ref() is None
 
 
@@ -106,5 +104,5 @@ def test_back_to_back_runs_leave_no_live_machine(engine):
     exit_paths = sorted(_EXITS)
     refs = [_run_to_exit(engine, exit_paths[i % len(exit_paths)]) for i in range(20)]
     assert [ref for ref, _ in refs if ref() is not None] == []
-    if engine == "threaded":
+    if engine != "simple":
         assert [ref for _, ref in refs if ref() is not None] == []

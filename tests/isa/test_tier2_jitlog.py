@@ -19,11 +19,12 @@ from repro.core.profile import ProfileDatabase
 from repro.core.sites import SiteKind
 from repro.errors import MachineError
 from repro.isa import machine as machine_module
-from repro.isa import tier2 as tier2_module
+from repro.isa import engine as engine_module
 from repro.isa.assembler import assemble
 from repro.isa.instrument import ALL_TARGETS, ProfileTarget, ValueProfiler
 from repro.isa.machine import Machine
-from repro.isa.tier2 import _CODE_CACHE, Tier2Config
+from repro.isa.engine import _CODE_CACHE
+from repro.isa.tier2 import Tier2Config
 from repro.obs.flight import FLIGHT
 from repro.obs.jitlog import JITLOG
 from repro.obs.metrics import METRICS
@@ -322,7 +323,7 @@ def test_poll_interval_changes_no_tier2_decision(name, monkeypatch):
 
     def lifecycle(interval):
         monkeypatch.setattr(machine_module, "POLL_INSTRUCTIONS", interval)
-        monkeypatch.setattr(tier2_module, "_CODE_CACHE", {})
+        monkeypatch.setattr(engine_module, "_CODE_CACHE", {})
         program = workload.program()
         profiler = ValueProfiler(
             program, ProfileDatabase(name=name),
