@@ -433,6 +433,21 @@ class ProfileDatabase:
             else:
                 mine.merge(profile)
 
+    def union(self, other: "ProfileDatabase") -> None:
+        """Adopt every profile of ``other``, which shares no site with this one.
+
+        One ``dict.update``: the profiles join as they are, and the
+        site hashes the dict stored are reused, so no ``Site.__hash__``
+        runs.  Raises :class:`ProfileError` when the sizes show a site
+        in both; :meth:`merge` folds overlapping databases.
+        """
+        expected = len(self._profiles) + len(other._profiles)
+        self._profiles.update(other._profiles)
+        if len(self._profiles) != expected:
+            raise ProfileError(
+                f"union of databases sharing {expected - len(self._profiles)} site(s)"
+            )
+
     def __reduce__(self):
         """Pickle as a few columns of builtins, one row per site.
 

@@ -423,15 +423,18 @@ class ThreadedEngine:
             return handler
 
         if op == "jalr":
+            # ``jalr r0, ra`` discards its link: bound here to a
+            # throwaway cell rather than tested on every call.
+            link = R if inst.rd else [0]
 
-            def handler(R=R, rd=inst.rd, ra=inst.ra, npc=npc, dyn=dyn, cs=code_size,
-                        by_entry=machine._procedures_by_entry,
+            def handler(R=R, L=link, rd=inst.rd, ra=inst.ra, npc=npc, dyn=dyn,
+                        cs=code_size, by_entry=machine._procedures_by_entry,
                         pcalls=machine.procedure_calls,
                         bind=_bind, observer=machine.observer,
                         pc=pc, cache={}, ARGS=REG_ARGS):
                 # The reference writes the link before reading the target,
                 # so ``jalr rX, rX`` jumps to pc+1 — replicated verbatim.
-                R[rd] = npc
+                L[rd] = npc
                 target = R[ra]
                 procedure = by_entry.get(target)
                 if procedure is not None:

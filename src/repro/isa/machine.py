@@ -561,7 +561,8 @@ class Machine:
                 next_pc = inst.target
                 self._enter_procedure(next_pc, pc, registers, observer)
             elif op == "jalr":
-                registers[inst.rd] = pc + 1
+                if inst.rd:  # ``jalr r0, ra`` discards its link
+                    registers[inst.rd] = pc + 1
                 next_pc = registers[inst.ra]
                 self._enter_procedure(next_pc, pc, registers, observer)
             elif op == "jr":

@@ -10,14 +10,15 @@ live queries.
 
 Layout:
 
-* :mod:`repro.serve.protocol` — wire format (length-prefixed JSON
-  frames), site payload encoding, and the deterministic shard-routing
-  hash.
+* :mod:`repro.serve.protocol` — wire format (length-prefixed frames:
+  JSON control messages, binary-column batches), site payload
+  encoding, and the deterministic shard-routing hash.
 * :mod:`repro.serve.shard` — :class:`~repro.serve.shard.ShardCore`, the
   synchronous shard engine: per-client in-order apply with
   dedup/reorder buffering, write-ahead journal, snapshot/restore.
-* :mod:`repro.serve.server` — the asyncio front: ingest listener,
-  HTTP query listener, one asyncio task per shard in the server
+* :mod:`repro.serve.server` — the asyncio front: ingest listener, the
+  router's one grouping pass per batch, HTTP query listener, one
+  asyncio task per shard in the server
   process, bounded-queue backpressure with client-visible flow
   control, periodic checkpoints.
 * :mod:`repro.serve.client` — the blocking client used by ``repro

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from array import array
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.sites import Site
 from repro.errors import ReproError
@@ -107,8 +108,8 @@ class ServeClient:
         self._site_ids: Dict[Site, int] = {}
         self._defined = 0  # site defs sent on the *current* connection
         self._next_seq = 0
-        #: seq -> (sids, values); insertion order == sequence order.
-        self._unacked: Dict[int, Tuple[List[int], List[int]]] = {}
+        #: seq -> (sid column, value column); insertion order == sequence order.
+        self._unacked: Dict[int, Tuple[array, array]] = {}
         #: the trace id every batch's wire trace context carries; the
         #: per-batch span id is ``<trace_id>.b<seq>`` — deterministic,
         #: so a retried or resent batch reuses its id and the span tree
@@ -190,12 +191,17 @@ class ServeClient:
                 for seq in sorted(self._unacked):
                     self._transmit(seq)
             except ConnectionError:
-                if time.monotonic() >= deadline:
-                    raise ClientError(
-                        f"connection to {self.host}:{self.port} kept "
-                        f"dropping during the handshake"
-                    ) from None
-                continue
+                if time.monotonic() < deadline:
+                    continue
+                self._close_socket()
+                raise ClientError(
+                    f"connection to {self.host}:{self.port} kept "
+                    f"dropping during the handshake"
+                ) from None
+            except BaseException:
+                # A refused or timed-out handshake leaves no socket open.
+                self._close_socket()
+                raise
             return len(self._unacked) < before
 
     def _reconnect(self, deadline: float) -> bool:
@@ -263,22 +269,25 @@ class ServeClient:
     # sending
     # ------------------------------------------------------------------
 
-    def send_batch(self, sids: List[int], values: List[int]) -> int:
+    def send_batch(self, sids: Sequence[int], values: Sequence[int]) -> int:
         """Ship one ordered batch; blocks while the window is full.
 
         Returns the batch's sequence number.  The batch is buffered
         until acked, so a return does *not* mean durable — call
-        :meth:`flush` for that.
+        :meth:`flush` for that.  Columns that are not all ints in range
+        (``bool`` included) raise :class:`~repro.serve.protocol.ProtocolError`
+        before anything is buffered or sent.
         """
         if self._sock is None:
             raise ClientError("not connected")
+        columns = proto.event_columns(sids, values)
         self._await(
             lambda: len(self._unacked) < self.window and not self._paused,
             "window space",
         )
         seq = self._next_seq
         self._next_seq += 1
-        self._unacked[seq] = (list(sids), list(values))
+        self._unacked[seq] = columns
         self._sent_at[seq] = time.monotonic()
         self.counters["batches"] += 1
         self.counters["events"] += len(sids)
@@ -294,7 +303,7 @@ class ServeClient:
     def _transmit(self, seq: int) -> None:
         sids, values = self._unacked[seq]
         message = proto.batch(
-            seq, sids, values, tc=[self.trace_id, f"{self.trace_id}.b{seq}"]
+            seq, sids, values, tc=(self.trace_id, f"{self.trace_id}.b{seq}")
         )
         if self.frame_hook is not None:
             frames = self.frame_hook(message)

@@ -5,9 +5,31 @@ Frames
 
 Every message on the ingest socket — in both directions — is one
 *frame*: a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON.  JSON keeps the protocol debuggable and
-language-agnostic; the hot content (site ids and 64-bit values) rides
-in flat integer lists, so a batch frame is effectively columnar.
+bytes of body.  Control messages are UTF-8 JSON objects, which keeps
+them debuggable and language-agnostic.  A ``batch`` body is binary
+columns instead (protocol version 3), because batches carry nearly
+every byte and the server would otherwise spend most of its time
+parsing and type-checking them:
+
+======  =========================================================
+bytes   field (little-endian)
+======  =========================================================
+1       :data:`BATCH_MAGIC` — ``0xFF`` never occurs in UTF-8, so no
+        JSON body starts with it
+8       ``seq``, unsigned
+4       ``n``, the event count, unsigned
+4 + t   the trace id: its UTF-8 length, then its bytes
+4 + s   the span id: its UTF-8 length, then its bytes
+4 × n   site ids, uint32
+8 × n   values, int64
+======  =========================================================
+
+Both ends convert batches inside :func:`encode_frame` and
+:func:`decode_body`, so above the framing a batch is a message like any
+other — ``{"t": "batch", "seq", "sids", "values", "tc"}`` with the
+columns as :class:`array.array` — and the client's ``frame_hook`` sees
+it as one.  A body whose length disagrees with its header, and a JSON
+``batch`` frame, are protocol errors.
 
 A frame that is cut off mid-stream — a client that died mid-batch, a
 dropped connection — simply never decodes: the decoder holds the
@@ -16,21 +38,19 @@ guarantees "no partial fold" on disconnect.
 
 Client → server messages (``t`` is the message type):
 
-* ``{"t": "hello", "client": ID, "stream": NAME}`` — opens (or
-  resumes) a session.  The server replies with ``welcome``.
+* ``{"t": "hello", "v": 3, "client": ID, "stream": NAME}`` — opens (or
+  resumes) a session.  The server replies with ``welcome``, or with an
+  ``error`` when ``v`` is not :data:`PROTOCOL_VERSION`.
 * ``{"t": "sites", "base": K, "sites": [PAYLOAD, ...]}`` — defines the
   client's site ids ``K, K+1, ...``.  Definitions are positional and
   idempotent: a reconnecting client replays its table and the server
   verifies the prefix instead of re-adding it.
-* ``{"t": "batch", "seq": N, "sids": [...], "values": [...],
-  "tc": [TRACE, SPAN]}`` — one ordered slice of the event stream.
+* a ``batch`` (binary, above) — one ordered slice of the event stream.
   ``seq`` is a per-client, contiguous, zero-based sequence number;
-  ``sids`` index the client's site table.  ``tc`` (since protocol
-  version 2) is the batch's trace context — a trace id and the
-  client-minted span id every server-side child span parents under.
-  It is advisory and backward/forward tolerant: servers ignore a
-  missing or malformed ``tc`` rather than rejecting the batch, so v1
-  producers keep working and v1 servers ignore the extra key.
+  ``sids`` index the client's site table.  ``tc`` is the batch's trace
+  context — a trace id and the client-minted span id every server-side
+  child span parents under — or ``None`` when either string is empty.
+  It is advisory: a batch without one is ingested all the same.
 * ``{"t": "bye"}`` — graceful close.
 
 Server → client messages:
@@ -63,20 +83,39 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from array import array
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.sites import Site, SiteKind
 from repro.errors import ReproError
 
 #: bumped when the frame layout or message schema changes.
 #: v2: batch frames carry an optional ``tc`` trace context.
-PROTOCOL_VERSION = 2
+#: v3: batch frames are binary columns; a v2 ``hello`` is refused.
+PROTOCOL_VERSION = 3
 
 #: refuse frames larger than this (corrupt length prefix / abuse guard).
 MAX_FRAME = 16 * 1024 * 1024
 
+#: first byte of every binary batch body.
+BATCH_MAGIC = 0xFF
+
+#: array typecodes of the event columns: ``I`` is 4 bytes and ``q`` 8
+#: bytes on every platform CPython supports.
+SID_TYPECODE = "I"
+VALUE_TYPECODE = "q"
+
 _LEN = struct.Struct(">I")
+_BATCH_HEAD = struct.Struct("<BQI")
+_TEXT_LEN = struct.Struct("<I")
+_EVENT_BYTES = 4 + 8
+#: the columns travel little-endian; a big-endian host swaps them.
+_SWAP = sys.byteorder != "little"
+#: the only element type an event column accepts: ``bool`` is an
+#: ``int`` subclass, and a bool in an event column is a caller bug.
+_INT_TYPES = frozenset((int,))
 
 
 class ProtocolError(ReproError):
@@ -89,22 +128,91 @@ class ProtocolError(ReproError):
 
 
 def encode_frame(message: dict) -> bytes:
-    """One message as a length-prefixed JSON frame."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    """One message as a length-prefixed frame: binary for a batch, JSON
+    for everything else."""
+    if message["t"] == "batch":
+        body = _encode_batch(message)
+    else:
+        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
     return _LEN.pack(len(body)) + body
 
 
 def decode_body(body: bytes) -> dict:
-    """The JSON payload of one frame body."""
+    """The message one frame body carries."""
+    if body and body[0] == BATCH_MAGIC:
+        return _decode_batch(body)
     try:
         message = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"undecodable frame: {error}") from None
     if not isinstance(message, dict) or "t" not in message:
         raise ProtocolError("frame is not a typed message object")
+    if message["t"] == "batch":
+        raise ProtocolError(
+            f"batch frames are binary columns since protocol v{PROTOCOL_VERSION}"
+        )
     return message
+
+
+def _encode_batch(message: dict) -> bytes:
+    sids, values = message["sids"], message["values"]  # arrays, see batch()
+    if len(sids) != len(values):
+        raise ProtocolError(
+            f"batch column mismatch: {len(sids)} sids vs {len(values)} values"
+        )
+    try:
+        head = _BATCH_HEAD.pack(BATCH_MAGIC, message["seq"], len(sids))
+    except struct.error as error:
+        raise ProtocolError(f"batch seq {message['seq']!r}: {error}") from None
+    if _SWAP:  # swap copies: a resend encodes the same message again
+        sids, values = array(sids.typecode, sids), array(values.typecode, values)
+        sids.byteswap()
+        values.byteswap()
+    trace, span = message["tc"] or ("", "")
+    trace = trace.encode("utf-8")
+    span = span.encode("utf-8")
+    return b"".join((
+        head,
+        _TEXT_LEN.pack(len(trace)), trace,
+        _TEXT_LEN.pack(len(span)), span,
+        sids.tobytes(),
+        values.tobytes(),
+    ))
+
+
+def _decode_batch(body: bytes) -> dict:
+    try:
+        _, seq, count = _BATCH_HEAD.unpack_from(body)
+        offset = _BATCH_HEAD.size
+        texts = []
+        for _ in range(2):
+            (length,) = _TEXT_LEN.unpack_from(body, offset)
+            offset += _TEXT_LEN.size
+            texts.append(body[offset:offset + length].decode("utf-8"))
+            offset += length
+    except (struct.error, UnicodeDecodeError) as error:
+        raise ProtocolError(f"undecodable batch frame: {error}") from None
+    if len(body) != offset + count * _EVENT_BYTES:
+        raise ProtocolError(
+            f"batch frame of {len(body)} bytes does not hold the "
+            f"{count} events its header announces"
+        )
+    split = offset + 4 * count
+    sids = array(SID_TYPECODE, body[offset:split])
+    values = array(VALUE_TYPECODE, body[split:])
+    if _SWAP:
+        sids.byteswap()
+        values.byteswap()
+    trace, span = texts
+    return {
+        "t": "batch",
+        "seq": seq,
+        "sids": sids,
+        "values": values,
+        "tc": (trace, span) if trace and span else None,
+    }
 
 
 class FrameDecoder:
@@ -220,16 +328,46 @@ def sites_frame(base: int, payloads: List[List[str]]) -> dict:
     return {"t": "sites", "base": base, "sites": payloads}
 
 
+def event_columns(sids: Sequence[int], values: Sequence[int]) -> Tuple[array, array]:
+    """A producer's event columns, checked, as the arrays a batch carries.
+
+    Every element must be an ``int`` (``bool`` refused) in range of its
+    column — ``0 <= sid < 2**32`` and ``-2**63 <= value < 2**63`` — or
+    :class:`ProtocolError` is raised.  The type check is one C-level
+    pass per column; the conversion checks the ranges.
+    """
+    if len(sids) != len(values):
+        raise ProtocolError(
+            f"batch column mismatch: {len(sids)} sids vs {len(values)} values"
+        )
+    for column in (sids, values):
+        if not set(map(type, column)) <= _INT_TYPES:
+            bad = next(item for item in column if type(item) is not int)
+            raise ProtocolError(f"batch sids and values must be ints, got {bad!r}")
+    try:
+        return array(SID_TYPECODE, sids), array(VALUE_TYPECODE, values)
+    except OverflowError as error:
+        raise ProtocolError(f"batch element out of range: {error}") from None
+
+
 def batch(
     seq: int,
-    sids: List[int],
-    values: List[int],
-    tc: Optional[List[str]] = None,
+    sids: Sequence[int],
+    values: Sequence[int],
+    tc: Optional[Tuple[str, str]] = None,
 ) -> dict:
-    message = {"t": "batch", "seq": seq, "sids": sids, "values": values}
-    if tc is not None:
-        message["tc"] = tc
-    return message
+    """A batch message, its columns as the arrays the wire carries.
+
+    The conversion checks no element type (``True`` becomes 1):
+    producers check their columns with :func:`event_columns` first.
+    """
+    return {
+        "t": "batch",
+        "seq": seq,
+        "sids": array(SID_TYPECODE, sids),
+        "values": array(VALUE_TYPECODE, values),
+        "tc": None if tc is None else tuple(tc),
+    }
 
 
 def ack(seq: int) -> dict:
@@ -246,43 +384,3 @@ def error(message: str) -> dict:
 
 def bye() -> dict:
     return {"t": "bye"}
-
-
-def check_batch(
-    message: dict,
-) -> Tuple[int, List[int], List[int], Optional[Tuple[str, str]]]:
-    """Validate a batch message; returns ``(seq, sids, values, tc)``.
-
-    ``tc`` is the optional trace context as a ``(trace_id, span_id)``
-    tuple.  Unlike the event columns it is advisory telemetry, so a
-    missing or malformed one degrades to ``None`` instead of raising —
-    an old or sloppy producer must not lose data over tracing.
-    """
-    seq = message.get("seq")
-    sids = message.get("sids")
-    values = message.get("values")
-    if not isinstance(seq, int) or seq < 0:
-        raise ProtocolError(f"batch seq must be a non-negative int, got {seq!r}")
-    if not isinstance(sids, list) or not isinstance(values, list):
-        raise ProtocolError("batch sids/values must be lists")
-    if len(sids) != len(values):
-        raise ProtocolError(
-            f"batch column mismatch: {len(sids)} sids vs {len(values)} values"
-        )
-    # Element types are checked here, at the wire boundary, so nothing
-    # downstream (routing, folds) ever sees a surprise type.  ``type is
-    # int`` rather than isinstance: JSON true/false decode to bool, and
-    # a bool in an event column is a client bug, not a value.
-    for name, column in (("sids", sids), ("values", values)):
-        if not all(type(item) is int for item in column):
-            bad = next(item for item in column if type(item) is not int)
-            raise ProtocolError(f"batch {name} must all be ints, got {bad!r}")
-    raw_tc = message.get("tc")
-    tc: Optional[Tuple[str, str]] = None
-    if (
-        isinstance(raw_tc, list)
-        and len(raw_tc) == 2
-        and all(isinstance(part, str) and part for part in raw_tc)
-    ):
-        tc = (raw_tc[0], raw_tc[1])
-    return seq, sids, values, tc

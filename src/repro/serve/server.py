@@ -8,9 +8,11 @@ Client connections speak the length-prefixed frame protocol
 client id with the client's interned site table, the next expected
 batch sequence number, a bounded reorder buffer for batches that
 arrive ahead of a gap, and the set of batches routed but not yet
-acknowledged.  Every batch fans out to **every** shard — the events
-whose sites a shard owns, or an empty sub-batch — so each shard sees a
-gapless per-client sequence (see :mod:`repro.serve.shard` for why that
+acknowledged.  A batch arrives as binary event columns, and the
+router groups it by site in one pass (:func:`group_by_site`).  Every
+batch fans out to **every** shard — the per-site runs of the sites a
+shard owns, or an empty sub-batch — so each shard sees a gapless
+per-client sequence (see :mod:`repro.serve.shard` for why that
 invariant carries the whole consistency story).  A batch is
 acknowledged when all shards report it done (journaled and buffered
 for the shard's next fold, or recognized as an already-applied
@@ -44,7 +46,8 @@ queue depths, per-shard state and health, latency histograms, the
 slow-op ring), ``/metrics`` (live Prometheus text scrape),
 ``/timeseries`` (the global collector's samples when enabled),
 ``/healthz`` and ``/checkpoint``.  Site spaces are disjoint across
-shards, so the merge is a pure union and per-site numbers are exact.
+shards, so the merge is a pure union (one ``dict.update`` per shard)
+and per-site numbers are exact.
 
 Observability
 -------------
@@ -52,7 +55,7 @@ Observability
 Every client batch carries a wire trace context (``tc``); the server
 emits ``serve.enqueue`` and ``serve.ack`` child spans on its own
 tracer, while each shard times the journal write and the apply (site
-decoding and buffering) per applied sub-batch and hands those
+decoding and extending its pending runs) per applied sub-batch and hands those
 observations over *with its done-reports* —
 ``_telemetry_for_ops`` shapes them into pre-parented span records and
 latency samples the server folds into its always-on histograms.
@@ -69,8 +72,8 @@ import json
 import tempfile
 import time
 import urllib.parse
-from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from collections import defaultdict, deque
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import Site, SiteKind
@@ -151,7 +154,7 @@ class _Session:
         self.payloads: List[list] = []
         self.shard_of: List[int] = []
         self.expected_seq = 0
-        #: seq -> (sids, values, writer) parked until the gap closes.
+        #: seq -> (sids, values, writer, tc, arrival) parked until the gap closes.
         self.reorder: Dict[int, tuple] = {}
         #: seq -> _Pending, routed but not fully acknowledged.
         self.pending: Dict[int, _Pending] = {}
@@ -180,6 +183,43 @@ class _Session:
             self.sites.append(site)
             self.payloads.append(list(payload))
             self.shard_of.append(proto.shard_for_site(site, shards))
+
+
+def group_by_site(
+    sids: Sequence[int],
+    values: Sequence[int],
+    shard_of: Sequence[int],
+    payloads: Sequence[list],
+    shards: int,
+) -> List[Tuple[List[list], List[List[int]]]]:
+    """One batch grouped by site, as a ``(site_payloads, runs)`` pair per shard.
+
+    ``sids`` and ``values`` are the batch's event columns and
+    ``shard_of`` / ``payloads`` the client's site table.  Each shard's
+    pair lists its sites' payloads in first-appearance order and, for
+    each, that site's values in stream order; a shard that owns none of
+    the batch's sites gets ``([], [])``, so every shard still sees the
+    batch's sequence number.  Per-site state depends only on the site's
+    own value order, which one grouping pass keeps, so the shards fold
+    exactly what per-event routing would have given them.  An id
+    outside the site table raises :class:`ProtocolError` before any
+    shard sees the batch.
+    """
+    grouped: Dict[int, List[int]] = defaultdict(list)
+    for sid, value in zip(sids, values):
+        grouped[sid].append(value)
+    if grouped and not (min(grouped) >= 0 and max(grouped) < len(shard_of)):
+        raise ProtocolError(
+            f"batch references a site id outside the {len(shard_of)} defined"
+        )
+    routed: List[Tuple[List[list], List[List[int]]]] = [
+        ([], []) for _ in range(shards)
+    ]
+    for sid, run in grouped.items():
+        site_payloads, runs = routed[shard_of[sid]]
+        site_payloads.append(payloads[sid])
+        runs.append(run)
+    return routed
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +311,7 @@ class InlineShardRunner:
 
     async def _run(self) -> None:
         while True:
-            client, seq, payloads, sidx, values, tc = await self.queue.get()
+            client, seq, site_payloads, runs, tc = await self.queue.get()
             if self.delay:
                 await asyncio.sleep(self.delay)
             core = self.core
@@ -279,7 +319,7 @@ class InlineShardRunner:
                 done: List[int] = []
                 telemetry: Dict[int, dict] = {}
                 try:
-                    done = core.submit(client, seq, payloads, sidx, values, tc=tc)
+                    done = core.submit(client, seq, site_payloads, runs, tc=tc)
                     telemetry = _telemetry_for_ops(self.index, client, core.take_ops())
                 except Exception:  # noqa: BLE001 - a poisoned batch must not wedge the shard
                     _LOG.exception(
@@ -577,8 +617,10 @@ class ServeServer:
                         self.nshards,
                     )
                 elif kind == "batch":
-                    seq, sids, values, tc = proto.check_batch(message)
-                    await self._handle_batch(session, writer, seq, sids, values, tc)
+                    await self._handle_batch(
+                        session, writer, message["seq"], message["sids"],
+                        message["values"], message["tc"],
+                    )
                 elif kind == "bye":
                     break
                 else:
@@ -597,6 +639,12 @@ class ServeServer:
                 pass
 
     def _hello(self, message: dict, writer) -> _Session:
+        version = message.get("v")
+        if version != proto.PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"protocol version {version!r} is not supported; this server "
+                f"speaks v{proto.PROTOCOL_VERSION}"
+            )
         client = message.get("client")
         if not isinstance(client, str) or not client:
             raise ProtocolError("hello needs a non-empty client id")
@@ -634,8 +682,8 @@ class ServeServer:
         session: _Session,
         writer,
         seq: int,
-        sids: List[int],
-        values: List[int],
+        sids: Sequence[int],
+        values: Sequence[int],
         tc: Optional[Tuple[str, str]],
     ) -> None:
         self._inc("serve.batches")
@@ -686,29 +734,15 @@ class ServeServer:
         session: _Session,
         writer,
         seq: int,
-        sids: List[int],
-        values: List[int],
+        sids: Sequence[int],
+        values: Sequence[int],
         fresh: bool,
         tc: Optional[Tuple[str, str]] = None,
         t0: float = 0.0,
     ) -> None:
-        buckets: List[Optional[tuple]] = [None] * self.nshards
-        shard_of = session.shard_of
-        payloads = session.payloads
-        for sid, value in zip(sids, values):
-            if not 0 <= sid < len(shard_of):
-                raise ProtocolError(f"batch references undefined site id {sid}")
-            shard = shard_of[sid]
-            bucket = buckets[shard]
-            if bucket is None:
-                bucket = buckets[shard] = ([], {}, [], [])
-            local_payloads, local_index, local_sidx, local_values = bucket
-            local = local_index.get(sid)
-            if local is None:
-                local = local_index[sid] = len(local_payloads)
-                local_payloads.append(payloads[sid])
-            local_sidx.append(local)
-            local_values.append(value)
+        routed = group_by_site(
+            sids, values, session.shard_of, session.payloads, self.nshards
+        )
         if fresh:
             self._inc("serve.events", len(sids))
             self._observe("serve.batch_events", len(sids), kind="size")
@@ -721,13 +755,8 @@ class ServeServer:
                 t0 = previous.t0
                 tc = previous.tc
         session.pending[seq] = _Pending(self.nshards, writer, len(sids), tc=tc, t0=t0)
-        for index, runner in enumerate(self.runners):
-            bucket = buckets[index]
-            if bucket is None:
-                item = (session.id, seq, [], [], [], tc)
-            else:
-                item = (session.id, seq, bucket[0], bucket[2], bucket[3], tc)
-            await runner.submit(item)
+        for runner, (site_payloads, runs) in zip(self.runners, routed):
+            await runner.submit((session.id, seq, site_payloads, runs, tc))
         if fresh and tc is not None and _TRACER.enabled:
             _TRACER.record_span(
                 "serve.enqueue",
@@ -857,17 +886,17 @@ class ServeServer:
     def merged_database(self) -> ProfileDatabase:
         """A merged view of every live shard's profiles.
 
-        Shards own disjoint site sets, so the merge is a union and all
-        per-site state is exact.  It references live shard profiles and
-        is rendered without yielding to the loop, i.e. it is a
-        consistent snapshot.
+        Shards own disjoint site sets, so the merge is a union: each
+        shard's profiles join the view as they are, all per-site state
+        exact.  It references live shard profiles and is rendered
+        without yielding to the loop, i.e. it is a consistent snapshot.
         """
         merged = ProfileDatabase(
             config=self.config, exact=self.exact, name=self._stream_name()
         )
         for runner in self.runners:
             if runner.core is not None:
-                merged.merge(runner.core.db)
+                merged.union(runner.core.db)
         return merged
 
     def stats_payload(self) -> dict:

@@ -20,9 +20,11 @@ consistency story:
   client still holds.
 
 Durability is write-ahead: a batch is journaled before it is applied,
-and the server acks only after every shard has applied it.  Applying
-a batch journals it, decodes its site dictionary and appends each
-event to its site's *pending run*; the runs fold into the profiles
+and the server acks only after every shard has applied it.  A
+sub-batch arrives grouped by site — the router's one grouping pass
+(:func:`repro.serve.server.group_by_site`) — so applying it journals
+it, decodes its site dictionary and extends each site's *pending run*
+by the site's run of values; the runs fold into the profiles
 later, in one :meth:`ProfileDatabase.record_batch` call per site
 (:meth:`ShardCore.flush`).  A flush runs before anything reads the
 profiles (:attr:`ShardCore.db` is the only way to them), before every
@@ -52,7 +54,7 @@ import pickle
 import struct
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import Site
@@ -64,7 +66,8 @@ from repro.serve.protocol import site_from_payload
 _LOG = get_logger(__name__)
 
 #: bumped when the snapshot or journal layout changes.
-SNAPSHOT_FORMAT_VERSION = 1
+#: 2: journal records are ``(client, seq, site_payloads, runs)``.
+SNAPSHOT_FORMAT_VERSION = 2
 
 _LEN = struct.Struct(">I")
 
@@ -134,7 +137,7 @@ class ShardCore:
         self._pending_events = 0
         #: client id -> highest contiguously applied seq (-1 = none).
         self.applied: Dict[str, int] = {}
-        #: client id -> {seq: (site_payloads, sidx, values)} parked ahead.
+        #: client id -> {seq: (site_payloads, runs, tc)} parked ahead.
         self._ahead: Dict[str, Dict[int, tuple]] = {}
         #: decoded-site cache: payload tuple -> Site (amortizes decode).
         self._site_cache: Dict[tuple, Site] = {}
@@ -232,8 +235,7 @@ class ShardCore:
         client: str,
         seq: int,
         site_payloads: List[list],
-        sidx: List[int],
-        values: List[int],
+        runs: List[List[int]],
         journal: bool = True,
         tc: Optional[tuple] = None,
     ) -> List[int]:
@@ -246,10 +248,11 @@ class ShardCore:
         the reorder buffer is full — returns no seqs, which withholds
         the ack and leaves redelivery to the client.
 
-        ``site_payloads`` is the sub-batch's local site dictionary;
-        ``sidx`` indexes into it.  Shipping the dictionary per batch
-        keeps sub-batches self-contained, so a journal record replays
-        without any shared interning state.
+        ``site_payloads`` is the sub-batch's site dictionary and
+        ``runs[i]`` the values of site ``site_payloads[i]``, in stream
+        order.  Shipping the dictionary per batch keeps sub-batches
+        self-contained, so a journal record replays without any shared
+        interning state.  Neither list is modified.
 
         ``tc`` is the batch's wire trace context; it parks with
         ahead-buffered batches so a gap-filling release still emits its
@@ -268,20 +271,17 @@ class ShardCore:
             elif len(parked) >= self.ahead_window:
                 self.counters["ahead_dropped"] += 1
             else:
-                parked[seq] = (site_payloads, sidx, values, tc)
+                parked[seq] = (site_payloads, runs, tc)
                 self.counters["ahead_buffered"] += 1
             return done
-        self._apply(client, seq, site_payloads, sidx, values, journal, tc)
+        self._apply(client, seq, site_payloads, runs, journal, tc)
         done.append(seq)
         parked = self._ahead.get(client)
         if parked:
             next_seq = seq + 1
             while next_seq in parked:
-                payloads, parked_sidx, parked_values, parked_tc = parked.pop(next_seq)
-                self._apply(
-                    client, next_seq, payloads, parked_sidx, parked_values,
-                    journal, parked_tc,
-                )
+                payloads, parked_runs, parked_tc = parked.pop(next_seq)
+                self._apply(client, next_seq, payloads, parked_runs, journal, parked_tc)
                 done.append(next_seq)
                 next_seq += 1
         return done
@@ -291,41 +291,30 @@ class ShardCore:
         client: str,
         seq: int,
         site_payloads: List[list],
-        sidx: List[int],
-        values: List[int],
+        runs: List[List[int]],
         journal: bool,
         tc: Optional[tuple] = None,
     ) -> None:
         telemetry = self.telemetry
         t0 = time.monotonic() if telemetry else 0.0
         if journal:
-            self._journal_append((client, seq, site_payloads, sidx, values))
+            self._journal_append((client, seq, site_payloads, runs))
         t1 = time.monotonic() if telemetry else 0.0
+        # Decode every site first, so a bad payload fails this batch
+        # before any pending run changes.
         sites = self._decode_sites(site_payloads)
-        if sidx:
-            # Group the sub-batch per site in first-appearance order,
-            # then extend each site's pending run.  Grouping first means
-            # a bad index fails this batch before any run changes.
-            runs: List[Optional[List[int]]] = [None] * len(sites)
-            order: List[int] = []
-            for local, value in zip(sidx, values):
-                run = runs[local]
-                if run is None:
-                    run = runs[local] = []
-                    order.append(local)
-                run.append(value)
-            pending = self._pending
-            for local in order:
-                site = sites[local]
-                run = pending.get(site)
-                if run is None:
-                    pending[site] = runs[local]
-                else:
-                    run.extend(runs[local])
-            self._pending_events += len(sidx)
+        pending = self._pending
+        events = 0
+        for site, run in zip(sites, runs):
+            pending_run = pending.get(site)
+            if pending_run is None:
+                pending_run = pending[site] = []
+            pending_run.extend(run)
+            events += len(run)
+        self._pending_events += events
         self.applied[client] = seq
         self.counters["batches"] += 1
-        self.counters["events"] += len(sidx)
+        self.counters["events"] += events
         self._batches_since_checkpoint += 1
         if telemetry:
             now = time.monotonic()
@@ -336,7 +325,7 @@ class ShardCore:
             self.hists["shard.fold"].observe(fold_s)
             self._last_fold_m = now
             self._last_fold_tick = self.counters["events"]
-            self._ops.append((seq, tc, t0, journal_s, fold_s, len(sidx)))
+            self._ops.append((seq, tc, t0, journal_s, fold_s, events))
         if self._pending_events >= FLUSH_EVENTS:
             self.flush()
 
@@ -480,10 +469,10 @@ class ShardCore:
         # the replayed op count's worth.
         live_telemetry, self.telemetry = self.telemetry, False
         try:
-            for client, seq, site_payloads, sidx, values in self._read_journal():
+            for client, seq, site_payloads, runs in self._read_journal():
                 # Replay through the normal dedup path (no re-journaling):
                 # records that predate the snapshot skip as duplicates.
-                self.submit(client, seq, site_payloads, sidx, values, journal=False)
+                self.submit(client, seq, site_payloads, runs, journal=False)
         finally:
             self.telemetry = live_telemetry
         self._journal_bytes = (
@@ -492,6 +481,8 @@ class ShardCore:
         self.counters["restores"] += 1
 
     def _read_journal(self) -> List[tuple]:
+        """Every whole record of the journal, each checked to be of the
+        current format before any is replayed."""
         records: List[tuple] = []
         if not self.wal_path.exists():
             return records
@@ -503,7 +494,13 @@ class ShardCore:
             end = offset + _LEN.size + length
             if end > len(data):
                 break  # torn final record (crash mid-append): not applied, not acked
-            records.append(pickle.loads(data[offset + _LEN.size:end]))
+            record = pickle.loads(data[offset + _LEN.size:end])
+            if not isinstance(record, tuple) or len(record) != 4:
+                raise ShardStateError(
+                    f"journal {self.wal_path} holds a record that is not of "
+                    f"format {SNAPSHOT_FORMAT_VERSION}"
+                )
+            records.append(record)
             offset = end
         return records
 

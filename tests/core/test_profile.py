@@ -159,6 +159,24 @@ class TestProfileDatabase:
         assert a.profile_for(SITE_A).executions == 2
         assert SITE_B in a
 
+    def test_union_adopts_disjoint_databases(self):
+        a, b = ProfileDatabase(), ProfileDatabase()
+        a.record(SITE_A, 1)
+        b.record(SITE_B, 2)
+        b.record(SITE_C, 3)
+        profile_b = b.profile_for(SITE_B)
+        a.union(b)
+        assert [p.site for p in a] == [SITE_A, SITE_B, SITE_C]
+        assert a.profile_for(SITE_B) is profile_b
+
+    def test_union_refuses_a_shared_site(self):
+        a, b = ProfileDatabase(), ProfileDatabase()
+        a.record(SITE_A, 1)
+        b.record(SITE_A, 1)
+        b.record(SITE_B, 2)
+        with pytest.raises(ProfileError, match="sharing 1 site"):
+            a.union(b)
+
     def test_iteration(self):
         db = ProfileDatabase()
         db.record(SITE_A, 1)

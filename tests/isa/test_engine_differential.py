@@ -147,12 +147,21 @@ def _random_program(seed: int) -> str:
             elif choice < 0.96:
                 lines.append(f"    mov r1, r{ra}")
                 lines.append(f"    li r2, {rng.randint(-8, 8)}")
-                if rng.random() < 0.5:
+                call = rng.random()
+                if call < 0.4:
                     lines.append("    call helper")
-                else:
+                elif call < 0.7:
                     # an indirect call through a function pointer
                     lines.append("    la r27, helper")
                     lines.append("    jalr r31, r27")
+                else:
+                    # an indirect jump that discards its link into r0;
+                    # ``hop`` reads r0 and returns through r30.
+                    label = f"back_{len(lines)}"
+                    lines.append(f"    la r30, {label}")
+                    lines.append("    la r27, hop")
+                    lines.append("    jalr r0, r27")
+                    lines.append(f"{label}:")
                 lines.append(f"    mov r{rd}, r1")
             elif choice < 0.97:
                 lines.append("    nop")
@@ -170,6 +179,10 @@ def _random_program(seed: int) -> str:
     lines.append("    add r1, r1, r2")
     lines.append(f"    divi r1, r1, {rng.choice((0, 1, 3))}")
     lines.append("    ret")
+    lines.append(".endproc")
+    lines.append(".proc hop nargs=2")
+    lines.append("    add r1, r1, r0")
+    lines.append("    jr r30")
     lines.append(".endproc")
     return "\n".join(lines)
 
@@ -296,6 +309,42 @@ def test_flush_points_never_change_a_profile(seed, budget, threshold, interval):
         simple = _run(program, "simple", budget, True, threshold)
         assert _run(program, "threaded", budget, True, threshold) == simple
         assert _run(program, "tier2", budget, True, threshold) == simple
+
+
+_JALR_R0 = """
+.program jalr_r0
+.text
+.proc main nargs=0
+    li r10, 6
+loop:
+    la r30, back
+    la r27, hop
+    jalr r0, r27
+back:
+    add r9, r9, r0
+    addi r9, r9, 1
+    subi r10, r10, 1
+    bnez r10, loop
+    out r9
+    halt
+.endproc
+.proc hop nargs=0
+    add r8, r8, r0
+    jr r30
+.endproc
+"""
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_jalr_r0_discards_its_link(engine):
+    """Writes to r0 are discarded, ``jalr``'s link included: r0 reads as
+    zero inside the target and after the return, on every engine."""
+    config = _hot_tier2_config() if engine == "tier2" else None
+    machine = Machine(assemble(_JALR_R0), engine=engine, tier2_config=config)
+    machine.run(max_instructions=1_000)
+    assert machine.output == [6]
+    assert machine.registers[0] == 0
+    assert machine.registers[8] == 0
 
 
 _SPIN = """

@@ -36,6 +36,7 @@ import json
 import pickle
 import random
 import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -391,6 +392,27 @@ class ServeCluster:
             f"client {client_id} disconnected mid-frame after "
             f"{len(full_batches)} complete batches"
         )
+
+    def exchange_raw(self, *bodies: bytes) -> List[dict]:
+        """Send frame bodies as they are on a fresh connection; returns
+        every message the server sent before it closed the connection.
+
+        The raw-socket way to feed the server what the production client
+        never sends: a v2 ``hello``, a JSON batch, a corrupt body.
+        """
+        sock = socket.create_connection(("127.0.0.1", self.ingest_port), timeout=5)
+        try:
+            sock.sendall(b"".join(struct.pack(">I", len(body)) + body for body in bodies))
+            decoder = proto.FrameDecoder()
+            sock.settimeout(10.0)
+            replies: List[dict] = []
+            while True:
+                data = sock.recv(1 << 16)
+                if not data:
+                    return replies
+                replies.extend(decoder.feed(data))
+        finally:
+            sock.close()
 
     def push_events(
         self,

@@ -6,7 +6,9 @@ space across shards and folding per-shard sub-batches yields state
 identical to one process recording the stream event by event — TNV
 entry order, health counters and exact statistics included.  The same
 holds when a shard buffers its sub-batches into per-site pending runs
-and folds them only at reads, checkpoints and a size bound.
+and folds them only at reads, checkpoints and a size bound.  The
+properties cut their sub-batches with the router's own grouping
+(:func:`repro.serve.server.group_by_site`).
 """
 
 import tempfile
@@ -19,6 +21,7 @@ from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import SiteKind
 from repro.serve import protocol as proto
 from repro.serve import shard as shard_module
+from repro.serve.server import group_by_site
 from repro.serve.shard import ShardCore
 
 from tests.serve.harness import (
@@ -45,24 +48,21 @@ def split_batches(events, batch_sizes):
     return batches
 
 
-def route(batch, shards):
-    """One batch as the server routes it: a sub-batch for every shard.
+def route(batch, sites, shards):
+    """One batch as the server routes it, through the router's own
+    grouping: a ``(site_payloads, runs)`` sub-batch for every shard.
 
-    Each sub-batch is self-contained (site dictionary, indices, values);
-    shards that own none of the batch's sites get an empty one, so
-    per-shard sequences stay gapless.
+    ``batch`` holds ``(sid, value)`` events over the client site table
+    ``sites``; shards that own none of the batch's sites get an empty
+    sub-batch, so per-shard sequences stay gapless.
     """
-    buckets = [([], {}, [], []) for _ in range(shards)]
-    for site, value in batch:
-        owner = proto.shard_for_site(site, shards)
-        payloads, index_of, sidx, values = buckets[owner]
-        local = index_of.get(site)
-        if local is None:
-            local = index_of[site] = len(payloads)
-            payloads.append(proto.site_to_payload(site))
-        sidx.append(local)
-        values.append(value)
-    return [(payloads, sidx, values) for payloads, _, sidx, values in buckets]
+    return group_by_site(
+        [sid for sid, _ in batch],
+        [value for _, value in batch],
+        [proto.shard_for_site(site, shards) for site in sites],
+        [proto.site_to_payload(site) for site in sites],
+        shards,
+    )
 
 
 def merge_cores(cores, config):
@@ -72,16 +72,17 @@ def merge_cores(cores, config):
     return merged
 
 
-def fold_through_shards(events, batch_sizes, shards, config, client="c"):
-    """Route an event stream through real ShardCores, return the merge."""
+def fold_through_shards(events, sites, batch_sizes, shards, config, client="c"):
+    """Route a ``(sid, value)`` stream through real ShardCores, return
+    the merge."""
     with tempfile.TemporaryDirectory() as tmp:
         cores = [
             ShardCore(index, tmp, config=config, exact=True)
             for index in range(shards)
         ]
         for seq, batch in enumerate(split_batches(events, batch_sizes)):
-            for core, (payloads, sidx, values) in zip(cores, route(batch, shards)):
-                done = core.submit(client, seq, payloads, sidx, values, journal=False)
+            for core, (payloads, runs) in zip(cores, route(batch, sites, shards)):
+                done = core.submit(client, seq, payloads, runs, journal=False)
                 assert done == [seq]
         merged = merge_cores(cores, config)
         for core in cores:
@@ -101,7 +102,6 @@ def test_any_partition_matches_single_process(data):
         ),
         label="events",
     )
-    stream = [(sites[index], value) for index, value in events]
     shards = data.draw(st.integers(1, 3), label="shards")
     batch_sizes = data.draw(
         st.lists(st.integers(1, 17), min_size=1, max_size=5), label="batch_sizes"
@@ -109,8 +109,10 @@ def test_any_partition_matches_single_process(data):
     # Small TNV knobs so clearing/steady-state logic actually fires
     # inside these short streams.
     config = TNVConfig(capacity=4, steady=2, clear_interval=16)
-    merged = fold_through_shards(stream, batch_sizes, shards, config)
-    reference = offline_reference(stream, config=config, exact=True)
+    merged = fold_through_shards(events, sites, batch_sizes, shards, config)
+    reference = offline_reference(
+        [(sites[index], value) for index, value in events], config=config, exact=True
+    )
     assert_same_profile_state(merged, reference)
 
 
@@ -135,7 +137,6 @@ def test_buffered_folds_survive_reads_checkpoints_and_kills(data):
         ),
         label="events",
     )
-    stream = [(sites[index], value) for index, value in events]
     shards = data.draw(st.integers(1, 3), label="shards")
     batch_sizes = data.draw(
         st.lists(st.integers(1, 17), min_size=1, max_size=5), label="batch_sizes"
@@ -151,10 +152,10 @@ def test_buffered_folds_survive_reads_checkpoints_and_kills(data):
         ]
         try:
             submitted = []
-            for seq, batch in enumerate(split_batches(stream, batch_sizes)):
-                for core, (payloads, sidx, values) in zip(cores, route(batch, shards)):
-                    assert core.submit("c", seq, payloads, sidx, values) == [seq]
-                submitted.extend(batch)
+            for seq, batch in enumerate(split_batches(events, batch_sizes)):
+                for core, (payloads, runs) in zip(cores, route(batch, sites, shards)):
+                    assert core.submit("c", seq, payloads, runs) == [seq]
+                submitted.extend((sites[index], value) for index, value in batch)
                 for op in data.draw(schedule, label=f"after batch {seq}"):
                     if op == "read":
                         reference = offline_reference(submitted, config=config)

@@ -9,7 +9,6 @@ was acknowledged."
 import errno
 import os
 import pathlib
-import socket
 import threading
 import time
 import urllib.error
@@ -372,37 +371,27 @@ def test_reconnect_resends_batches_lost_to_shard_kill(tmp_path):
 
 
 def test_malformed_batch_is_rejected_without_wedging_shards():
-    """Non-int batch elements are refused at the wire boundary with an
-    error frame; the shards never see them and healthy clients keep
+    """A binary batch body whose length disagrees with its header — here
+    one event's bytes short — is refused at the wire boundary with an
+    error frame; the shards never see it and healthy clients keep
     working afterwards."""
     events = make_stream(num_sites=6, num_events=200, seed=22)
+    payload = proto.site_to_payload(make_sites(1)[0])
+    body = proto.encode_frame(proto.batch(0, [0, 0], [1, 2]))[4:]
     with ServeCluster(shards=2) as cluster:
-        sock = socket.create_connection(("127.0.0.1", cluster.ingest_port), timeout=5)
-        try:
-            sock.sendall(proto.encode_frame(proto.hello("evil", "")))
-            payload = proto.site_to_payload(make_sites(1)[0])
-            sock.sendall(proto.encode_frame(proto.sites_frame(0, [payload])))
-            sock.sendall(
-                proto.encode_frame(
-                    {"t": "batch", "seq": 0, "sids": [0], "values": ["boom"]}
-                )
-            )
-            decoder = proto.FrameDecoder()
-            sock.settimeout(10.0)
-            error_seen = False
-            while not error_seen:
-                data = sock.recv(1 << 16)
-                if not data:
-                    break
-                for message in decoder.feed(data):
-                    if message.get("t") == "error":
-                        error_seen = True
-            assert error_seen
-        finally:
-            sock.close()
+        replies = cluster.exchange_raw(
+            proto.encode_frame(proto.hello("evil", ""))[4:],
+            proto.encode_frame(proto.sites_frame(0, [payload]))[4:],
+            body[:-12],
+        )
+        assert [message["t"] for message in replies] == ["welcome", "error"]
+        assert "does not hold" in replies[-1]["message"]
         cluster.push_events("c1", events)
         merged = cluster.merged_database()
+        stats = cluster.http_json("/stats")
     assert_same_profile_state(merged, offline_reference(events))
+    assert stats["counters"].get("serve.poisoned_batches", 0) == 0
+    assert stats["clients"]["evil"]["expected_seq"] == 0
 
 
 def test_bad_query_params_return_400():
@@ -411,4 +400,5 @@ def test_bad_query_params_return_400():
         for path in ("/profile?top=abc", "/profile?kind=bogus", "/inspect?kind=nope"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 cluster.http(path)
-            assert excinfo.value.code == 400, path
+            with excinfo.value:  # the error holds the response open
+                assert excinfo.value.code == 400, path

@@ -1,5 +1,7 @@
-"""Wire-protocol unit tests: framing, site payloads, shard routing."""
+"""Wire-protocol unit tests: framing, binary batches, site payloads,
+shard routing."""
 
+import json
 import struct
 import zlib
 
@@ -9,7 +11,7 @@ from repro.core.sites import Site, SiteKind
 from repro.serve import protocol as proto
 from repro.serve.protocol import FrameDecoder, ProtocolError
 
-from tests.serve.harness import make_sites
+from tests.serve.harness import ServeCluster, make_sites
 
 
 def test_frame_round_trip():
@@ -30,12 +32,16 @@ def test_decoder_handles_byte_by_byte_delivery():
 
 
 def test_truncated_frame_is_never_yielded():
-    frame = proto.encode_frame(proto.batch(3, [0, 0], [1, 2]))
-    decoder = FrameDecoder()
-    assert list(decoder.feed(frame[:-1])) == []
-    assert decoder.pending_bytes == len(frame) - 1
-    # the remaining byte completes it — atomicity, not loss
-    assert list(decoder.feed(frame[-1:])) == [proto.batch(3, [0, 0], [1, 2])]
+    """A binary batch frame cut anywhere is held, not decoded."""
+    frame = proto.encode_frame(proto.batch(3, [0, 0], [1, 2], tc=("t", "s")))
+    for cut in (1, 4, 5, len(frame) // 2, len(frame) - 1):
+        decoder = FrameDecoder()
+        assert list(decoder.feed(frame[:cut])) == []
+        assert decoder.pending_bytes == cut
+        # the remaining bytes complete it — atomicity, not loss
+        assert list(decoder.feed(frame[cut:])) == [
+            proto.batch(3, [0, 0], [1, 2], tc=("t", "s"))
+        ]
 
 
 def test_oversized_frame_rejected():
@@ -91,27 +97,111 @@ def test_shard_routing_spreads_sites():
     assert owners == {0, 1, 2, 3}
 
 
-def test_check_batch_validation():
-    assert proto.check_batch(proto.batch(0, [1], [2])) == (0, [1], [2], None)
-    with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": -1, "sids": [], "values": []})
-    with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": 0, "sids": [1], "values": []})
-    with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": 0, "sids": 3, "values": []})
+def test_binary_batch_round_trip_at_column_extremes():
+    """Site ids 0 and 2**32-1 and values -2**63 and 2**63-1 survive the
+    wire exactly, with the trace context."""
+    sids, values = proto.event_columns([0, 2**32 - 1, 0], [-(2**63), 2**63 - 1, 0])
+    message = proto.batch(2**40, sids, values, tc=("trace", "span"))
+    frame = proto.encode_frame(message)
+    assert frame[4] == proto.BATCH_MAGIC
+    (decoded,) = FrameDecoder().feed(frame)
+    assert decoded == message
+    assert list(decoded["sids"]) == [0, 2**32 - 1, 0]
+    assert list(decoded["values"]) == [-(2**63), 2**63 - 1, 0]
+    assert decoded["tc"] == ("trace", "span")
 
 
-def test_check_batch_rejects_non_int_elements():
-    """Element types are enforced at the wire boundary, so a poisoned
-    batch can never reach routing or a shard's fold loop."""
+def test_binary_batch_without_trace_context():
+    (decoded,) = FrameDecoder().feed(proto.encode_frame(proto.batch(0, [], [])))
+    assert decoded == proto.batch(0, [], [])
+    assert decoded["tc"] is None
+
+
+def test_batch_body_length_must_match_its_header():
+    """A body whose length disagrees with its header is an error — one
+    event byte short, or one byte over."""
+    body = proto.encode_frame(proto.batch(1, [0, 1], [5, 6]))[4:]
+    for bad in (body[:-1], body + b"\x00"):
+        with pytest.raises(ProtocolError, match="does not hold"):
+            proto.decode_body(bad)
     with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": 0, "sids": ["0"], "values": [1]})
+        proto.decode_body(body[:6])  # cut inside the header
+
+
+def test_json_batch_frame_is_refused():
+    body = json.dumps({"t": "batch", "seq": 0, "sids": [0], "values": [1]})
+    with pytest.raises(ProtocolError, match="binary"):
+        proto.decode_body(body.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "sids, values",
+    [
+        ([True], [1]),
+        ([0], [False]),
+        (["0"], [1]),
+        ([0], ["boom"]),
+        ([0], [1.5]),
+        ([0], [None]),
+        ([-1], [1]),
+        ([2**32], [1]),
+        ([0], [2**63]),
+        ([0], [-(2**63) - 1]),
+        ([0, 1], [1]),
+    ],
+)
+def test_event_columns_refuse_non_int_bool_and_out_of_range(sids, values):
+    """The client's check at the wire boundary: nothing but ints in
+    range reaches a frame."""
     with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": 0, "sids": [0], "values": ["boom"]})
-    with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": 0, "sids": [0], "values": [1.5]})
-    with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": 0, "sids": [0], "values": [None]})
-    # JSON true/false decode to bool — an int subclass, still refused.
-    with pytest.raises(ProtocolError):
-        proto.check_batch({"t": "batch", "seq": 0, "sids": [True], "values": [1]})
+        proto.event_columns(sids, values)
+
+
+# ----------------------------------------------------------------------
+# the refusals, against a live server and the production client
+# ----------------------------------------------------------------------
+
+
+def _body(message):
+    return proto.encode_frame(message)[4:]
+
+
+def test_server_refuses_a_v2_hello():
+    with ServeCluster(shards=1) as cluster:
+        replies = cluster.exchange_raw(_body(dict(proto.hello("old"), v=2)))
+        assert cluster.server.sessions == {}
+    assert [message["t"] for message in replies] == ["error"]
+    assert "version 2" in replies[0]["message"]
+
+
+def test_server_refuses_a_json_batch_frame():
+    payload = proto.site_to_payload(make_sites(1)[0])
+    json_batch = json.dumps({"t": "batch", "seq": 0, "sids": [0], "values": [1]})
+    with ServeCluster(shards=1) as cluster:
+        replies = cluster.exchange_raw(
+            _body(proto.hello("c")),
+            _body(proto.sites_frame(0, [payload])),
+            json_batch.encode("utf-8"),
+        )
+        counters = dict(cluster.server.counters)
+    assert [message["t"] for message in replies] == ["welcome", "error"]
+    assert "binary" in replies[-1]["message"]
+    assert "serve.batches" not in counters
+
+
+def test_client_refuses_bad_columns_before_buffering():
+    """Bool, float and out-of-range values raise in ``send_batch``
+    before the batch takes a sequence number or a window slot."""
+    site = make_sites(1)[0]
+    with ServeCluster(shards=1) as cluster:
+        client = cluster.client("c1")
+        sid = client.site_id(site)
+        for values in ([True], [1.5], [2**63], [-(2**63) - 1]):
+            with pytest.raises(ProtocolError):
+                client.send_batch([sid], values)
+        assert client.unacked == 0 and client.counters["batches"] == 0
+        assert client.send_batch([sid], [7]) == 0
+        client.flush()
+        client.close()
+        merged = cluster.merged_database()
+    assert merged.profile_for(site).executions == 1

@@ -6,6 +6,7 @@ query surface, byte for byte.
 """
 
 import pickle
+import struct
 
 import pytest
 
@@ -28,16 +29,11 @@ def _feed_core(core, events, seq_base=0, batch_size=20, client="c"):
     """Push a stream into one core as single-shard batches."""
     seq = seq_base
     for start in range(0, len(events), batch_size):
-        batch = events[start : start + batch_size]
-        payloads, index_of, sidx, values = [], {}, [], []
-        for site, value in batch:
-            local = index_of.get(site)
-            if local is None:
-                local = index_of[site] = len(payloads)
-                payloads.append(proto.site_to_payload(site))
-            sidx.append(local)
-            values.append(value)
-        assert core.submit(client, seq, payloads, sidx, values) == [seq]
+        runs = {}
+        for site, value in events[start : start + batch_size]:
+            runs.setdefault(site, []).append(value)
+        payloads = [proto.site_to_payload(site) for site in runs]
+        assert core.submit(client, seq, payloads, list(runs.values())) == [seq]
         seq += 1
     return seq
 
@@ -122,6 +118,31 @@ def test_snapshot_identity_checks(tmp_path):
         ShardCore(1, str(tmp_path), exact=True, restore=True)
     core.snapshot_path.write_bytes(b"not a pickle")
     with pytest.raises(ShardStateError, match="unreadable"):
+        ShardCore(0, str(tmp_path), exact=True, restore=True)
+
+
+def test_format_1_state_is_refused_not_replayed(tmp_path):
+    """Shard state of format 1 — a snapshot, or a journal whose records
+    carry 5 fields (``client, seq, site_payloads, sidx, values``) — raises
+    instead of being replayed into the profiles."""
+    core = ShardCore(0, str(tmp_path), exact=True)
+    _feed_core(core, make_stream(num_sites=3, num_events=40, seed=27))
+    core.checkpoint()
+    core.close()
+    snapshot = pickle.loads(core.snapshot_path.read_bytes())
+    snapshot["format"] = 1
+    core.snapshot_path.write_bytes(pickle.dumps(snapshot))
+    with pytest.raises(ShardStateError, match="unsupported snapshot format 1"):
+        ShardCore(0, str(tmp_path), exact=True, restore=True)
+
+    core.snapshot_path.unlink()
+    payload = proto.site_to_payload(make_stream(num_sites=1, num_events=1)[0][0])
+    records = [("c", 0, [payload], [[5, 5]]), ("c", 1, [payload], [0], [7])]
+    core.wal_path.write_bytes(b"".join(
+        struct.pack(">I", len(body)) + body
+        for body in (pickle.dumps(record) for record in records)
+    ))
+    with pytest.raises(ShardStateError, match="not of format 2"):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 
