@@ -10,9 +10,8 @@ enforces that contract two ways:
    ``TNVTable.record`` over the bench_tnv_record workload against an
    inline control class that replicates the pre-observability record
    semantics line for line, with no ``repro.obs`` import anywhere.
-   Both loops run interleaved in one process, so the comparison is
-   noise-bounded rather than machine-bound.  The instrumented table
-   must stay within ``TOLERANCE`` (5%) of the control.
+   The instrumented table must stay within ``TOLERANCE`` (5%) of the
+   control.
 
 2. **Committed baseline (opt-in via ``REPRO_BENCH_STRICT=1``).**
    Compare the measured mean against the committed
@@ -23,23 +22,28 @@ enforces that contract two ways:
 3. **Time-series enabled (always run).**  The time-series collector
    advances only at batch boundaries, so even *enabled* at its default
    interval it must keep ``ProfileDatabase.record_batch`` within
-   ``TOLERANCE`` of the collector-off path.  Both loops interleave in
-   one process, like check 1.
+   ``TOLERANCE`` of the collector-off path.
 
 4. **Serve-plane telemetry (opt-in via ``--serve``).**  The shard fold
    path records per-batch timings into always-on histograms
    (``ShardCore(telemetry=True)``, the production default).  That
    instrumentation sits at batch boundaries too, so the telemetry-on
    fold loop must stay within ``TOLERANCE`` of ``telemetry=False``.
-   Interleaved min-of-rounds like the others; journaling is off so the
-   comparison times the fold, not the disk.
+   Journaling is off, so the comparison times the fold, not the disk.
 
 5. **Tier-2 jitlog enabled (always run).**  The specialization journal
    records only at lifecycle points (hot/quicken/deopt/compile), never
    in the superinstruction dispatch loop, so even *enabled* it must
    keep a quickening-heavy tier-2 run within ``TOLERANCE`` of the
-   journal-off run.  Interleaved min-of-rounds, fresh machine per
-   round so each run replays the whole lifecycle.
+   journal-off run.  Each round runs a fresh machine, so each run
+   replays the whole lifecycle.
+
+Every in-process check is one paired comparison (:func:`_gate`): both
+sides run back to back in each of ``ROUNDS`` rounds, the side that runs
+first alternates from round to round, and the gate is the median of the
+per-round ratios.  Pairing cancels drift in host speed, alternating
+cancels the cost of running first, and the median ignores the rounds a
+preemption hit.
 
 Exit status 0 on pass, 1 on regression.  Run as:
 
@@ -53,9 +57,11 @@ import json
 import os
 import pathlib
 import random
+import statistics
 import sys
 import tempfile
 import time
+from typing import Callable, Tuple
 
 from repro.core.tnv import TNVTable
 from repro.obs import METRICS, TRACER
@@ -119,8 +125,42 @@ def _time_once(table_factory) -> float:
     return time.perf_counter() - start
 
 
-def _best_of(table_factory, rounds: int) -> float:
-    return min(_time_once(table_factory) for _ in range(rounds))
+def _gate(
+    label: str, measured: Callable[[], float], reference: Callable[[], float]
+) -> Tuple[bool, float]:
+    """Time ``measured`` against ``reference`` in ``ROUNDS`` paired rounds.
+
+    Each callable runs its workload once and returns the seconds it
+    took.  Both are warmed first; then each round runs both sides back
+    to back, the measured side first in even rounds and second in odd
+    ones.  The gate is the median of the per-round ratios
+    ``measured / reference``: it must not exceed ``1 + TOLERANCE``.
+    Returns ``(passed, best measured time)``.
+    """
+    measured()
+    reference()
+    ratios = []
+    best_measured = best_reference = float("inf")
+    for index in range(ROUNDS):
+        if index % 2:
+            reference_s = reference()
+            measured_s = measured()
+        else:
+            measured_s = measured()
+            reference_s = reference()
+        ratios.append(measured_s / reference_s)
+        best_measured = min(best_measured, measured_s)
+        best_reference = min(best_reference, reference_s)
+    ratio = statistics.median(ratios)
+    print(
+        f"{label}: {best_measured * 1e3:.2f}ms vs {best_reference * 1e3:.2f}ms "
+        f"best of {ROUNDS} (median paired ratio {ratio:.3f}, tolerance "
+        f"{1 + TOLERANCE:.2f})"
+    )
+    if ratio > 1 + TOLERANCE:
+        print(f"FAIL: {label} costs {ratio:.3f}x (> {1 + TOLERANCE:.2f}x)")
+        return False, best_measured
+    return True, best_measured
 
 
 def _time_batches() -> float:
@@ -138,35 +178,27 @@ def _time_batches() -> float:
     return time.perf_counter() - start
 
 
+def _time_batches_sampled() -> float:
+    """:func:`_time_batches` with the collector sampling at its default
+    interval."""
+    from repro.obs.timeseries import DEFAULT_INTERVAL, TIMESERIES
+
+    TIMESERIES.enable(interval=DEFAULT_INTERVAL)
+    try:
+        return _time_batches()
+    finally:
+        TIMESERIES.disable()
+        TIMESERIES.reset()
+
+
 def check_timeseries_enabled() -> bool:
     """Enabled-mode budget: record_batch with the collector sampling at
     its default interval must stay within TOLERANCE of collector-off."""
-    from repro.obs.timeseries import DEFAULT_INTERVAL, TIMESERIES
-
-    _time_batches()  # warm
-    enabled = []
-    disabled = []
-    for _ in range(ROUNDS):
-        TIMESERIES.enable(interval=DEFAULT_INTERVAL)
-        try:
-            enabled.append(_time_batches())
-        finally:
-            TIMESERIES.disable()
-            TIMESERIES.reset()
-        disabled.append(_time_batches())
-    ratio = min(enabled) / min(disabled)
-    print(
-        f"record_batch timeseries-enabled: {min(enabled) * 1e3:.2f}ms "
-        f"vs disabled {min(disabled) * 1e3:.2f}ms (ratio {ratio:.3f}, "
-        f"tolerance {1 + TOLERANCE:.2f})"
-    )
-    if ratio > 1 + TOLERANCE:
-        print(
-            f"FAIL: timeseries-enabled batch path is {ratio:.3f}x the "
-            f"collector-off path (> {1 + TOLERANCE:.2f}x)"
-        )
-        return False
-    return True
+    return _gate(
+        "record_batch timeseries-enabled vs disabled",
+        _time_batches_sampled,
+        _time_batches,
+    )[0]
 
 
 def _time_shard_submit(telemetry: bool, batches: int = 100) -> float:
@@ -211,26 +243,11 @@ def _time_shard_submit(telemetry: bool, batches: int = 100) -> float:
 def check_serve_telemetry() -> bool:
     """Serve budget: the always-on fold histograms must stay within
     TOLERANCE of a telemetry-off shard on the pure fold path."""
-    _time_shard_submit(True)  # warm
-    _time_shard_submit(False)
-    on = []
-    off = []
-    for _ in range(ROUNDS):
-        on.append(_time_shard_submit(True))
-        off.append(_time_shard_submit(False))
-    ratio = min(on) / min(off)
-    print(
-        f"shard fold telemetry-on: {min(on) * 1e3:.2f}ms vs off "
-        f"{min(off) * 1e3:.2f}ms (ratio {ratio:.3f}, "
-        f"tolerance {1 + TOLERANCE:.2f})"
-    )
-    if ratio > 1 + TOLERANCE:
-        print(
-            f"FAIL: serve fold telemetry costs {ratio:.3f}x the "
-            f"telemetry-off path (> {1 + TOLERANCE:.2f}x)"
-        )
-        return False
-    return True
+    return _gate(
+        "shard fold telemetry-on vs off",
+        lambda: _time_shard_submit(True),
+        lambda: _time_shard_submit(False),
+    )[0]
 
 
 _TIER2_BENCH = """
@@ -279,27 +296,13 @@ def _time_tier2_run(journal: bool) -> float:
 
 def check_jitlog_enabled() -> bool:
     """Tier-2 budget: a quickening-heavy run with the specialization
-    journal enabled must stay within TOLERANCE of journal-off."""
-    _time_tier2_run(True)  # warm (also warms the tier-2 code cache)
-    _time_tier2_run(False)
-    on = []
-    off = []
-    for _ in range(ROUNDS):
-        on.append(_time_tier2_run(True))
-        off.append(_time_tier2_run(False))
-    ratio = min(on) / min(off)
-    print(
-        f"tier2 run jitlog-on: {min(on) * 1e3:.2f}ms vs off "
-        f"{min(off) * 1e3:.2f}ms (ratio {ratio:.3f}, "
-        f"tolerance {1 + TOLERANCE:.2f})"
-    )
-    if ratio > 1 + TOLERANCE:
-        print(
-            f"FAIL: tier-2 jitlog-enabled run is {ratio:.3f}x the "
-            f"journal-off run (> {1 + TOLERANCE:.2f}x)"
-        )
-        return False
-    return True
+    journal enabled must stay within TOLERANCE of journal-off.  The
+    first warm-up run also warms the tier-2 code cache."""
+    return _gate(
+        "tier2 run jitlog-on vs off",
+        lambda: _time_tier2_run(True),
+        lambda: _time_tier2_run(False),
+    )[0]
 
 
 def main(argv=None) -> int:
@@ -313,30 +316,12 @@ def main(argv=None) -> int:
     assert not METRICS.enabled and not TRACER.enabled, (
         "guard must measure the disabled default"
     )
-    # Warm both classes, then interleave the measured rounds so drift
-    # (frequency scaling, competing load) hits both sides equally.
-    _time_once(TNVTable)
-    _time_once(_ControlTNV)
-    instrumented = []
-    control = []
-    for _ in range(ROUNDS):
-        instrumented.append(_time_once(TNVTable))
-        control.append(_time_once(_ControlTNV))
-    best_instrumented = min(instrumented)
-    best_control = min(control)
-    ratio = best_instrumented / best_control
-    print(
-        f"tnv_record disabled-mode: instrumented {best_instrumented * 1e6:.1f}us "
-        f"vs control {best_control * 1e6:.1f}us (ratio {ratio:.3f}, "
-        f"tolerance {1 + TOLERANCE:.2f})"
+    passed, best_instrumented = _gate(
+        "tnv_record disabled-mode instrumented vs control",
+        lambda: _time_once(TNVTable),
+        lambda: _time_once(_ControlTNV),
     )
-    failed = False
-    if ratio > 1 + TOLERANCE:
-        print(
-            f"FAIL: observability-disabled TNV record path is {ratio:.3f}x the "
-            f"uninstrumented control (> {1 + TOLERANCE:.2f}x)"
-        )
-        failed = True
+    failed = not passed
 
     if os.environ.get("REPRO_BENCH_STRICT") == "1" and RESULTS.is_file():
         baseline = json.loads(RESULTS.read_text())

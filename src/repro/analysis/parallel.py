@@ -17,13 +17,6 @@ provides the latter:
   with the existing ``from_json``/``merge`` machinery.  This is the
   multi-input aggregation path (e.g. profiling many input sets of one
   program and merging them into a single profile).
-* :func:`fold_jobs` / :func:`fold_and_merge` — the columnar variant of
-  the profile fan-out: each worker reduces its trace to per-site
-  grouped folds (:meth:`~repro.core.tracestore.EventTrace.site_folds`)
-  and ships folded ``(site, value, count)`` triples home instead of a
-  rendered snapshot.  The parent replays the folds into databases,
-  which — unlike the ``to_json`` path — can keep exact reference
-  statistics, because the fold carries the full per-site histogram.
 
 Everything submitted to a worker is a plain tuple/dataclass of
 primitives, so the module works under both ``fork`` and ``spawn`` start
@@ -37,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.fold import fold_from_payload, fold_to_payload
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.errors import ExperimentError
 from repro.obs import METRICS, TRACER, get_logger
@@ -288,93 +280,12 @@ def profile_and_merge(
     jobs_list = list(jobs_list)
     if not jobs_list:
         raise ExperimentError("profile_and_merge needs at least one job")
-    _require_one_shape(jobs_list, "profile_and_merge")
-    databases = profile_jobs(jobs_list, jobs=jobs)
-    merged = databases[0]
-    for database in databases[1:]:
-        merged.merge(database)
-    if name:
-        merged.name = name
-    return merged
-
-
-# ----------------------------------------------------------------------
-# columnar fold fan-out
-# ----------------------------------------------------------------------
-
-
-def _require_one_shape(jobs_list: Sequence[ProfileJob], who: str) -> None:
     shapes = {(job.capacity, job.steady, job.clear_interval) for job in jobs_list}
     if len(shapes) > 1:
         raise ExperimentError(
-            f"{who} needs one TNV configuration, got {sorted(shapes)}"
+            f"profile_and_merge needs one TNV configuration, got {sorted(shapes)}"
         )
-
-
-def _fold_worker(job: ProfileJob) -> list:
-    """Reduce one job's trace to shipped per-site folds.
-
-    The worker simulates (or replays from the shared trace cache) and
-    folds columnarly; what crosses the process boundary is the grouped
-    ``(site, value, count)`` representation — a few pairs per distinct
-    value — never the raw event stream.
-    """
-    from repro.analysis.experiments import load_events
-    from repro.isa.instrument import ProfileTarget
-
-    trace = load_events(job.workload, job.variant, scale=job.scale)
-    targets = tuple(ProfileTarget(t) for t in job.targets)
-    return [
-        (site, fold_to_payload(fold))
-        for site, fold in trace.site_folds(targets, job.clear_interval)
-    ]
-
-
-def fold_jobs(
-    jobs_list: Iterable[ProfileJob],
-    jobs: Optional[int] = None,
-    exact: bool = True,
-) -> List[ProfileDatabase]:
-    """Profile every job via shipped columnar folds.
-
-    Returns one rebuilt :class:`ProfileDatabase` per job, in job order,
-    state-identical to profiling the workload live with the job's
-    configuration — including exact reference statistics when ``exact``
-    is set, which the snapshot-shipping :func:`profile_jobs` path
-    cannot provide.
-    """
-    jobs_list = list(jobs_list)
-    if not jobs_list:
-        return []
-    workers = min(_default_jobs(jobs), len(jobs_list))
-    if workers == 1:
-        payloads = [_fold_worker(job) for job in jobs_list]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_fold_worker, jobs_list))
-    databases = []
-    for job, shipped in zip(jobs_list, payloads):
-        database = ProfileDatabase(
-            config=job.config(), exact=exact, name=job.workload
-        )
-        for site, payload in shipped:
-            database.record_fold(site, fold_from_payload(payload))
-        databases.append(database)
-    return databases
-
-
-def fold_and_merge(
-    jobs_list: Iterable[ProfileJob],
-    jobs: Optional[int] = None,
-    exact: bool = True,
-    name: str = "",
-) -> ProfileDatabase:
-    """Fold every job in parallel and merge the results site-by-site."""
-    jobs_list = list(jobs_list)
-    if not jobs_list:
-        raise ExperimentError("fold_and_merge needs at least one job")
-    _require_one_shape(jobs_list, "fold_and_merge")
-    databases = fold_jobs(jobs_list, jobs=jobs, exact=exact)
+    databases = profile_jobs(jobs_list, jobs=jobs)
     merged = databases[0]
     for database in databases[1:]:
         merged.merge(database)

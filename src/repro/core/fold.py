@@ -1,16 +1,16 @@
-"""The columnar fold kernel for the replay → profile hot path.
+"""The columnar fold kernel: the one batch path into every profile structure.
 
-The event-trace store captures each simulation as columnar arrays, but
-until this module existed every replay consumer re-materialized the
-stream as per-event Python calls that TNV/metrics folded straight back
-down.  The kernel here keeps the stream columnar end to end: a site's
-value run is reduced **once** into a :class:`SiteFold` — run-length
-splitting at clearing-interval boundaries, per-chunk ``(value, count)``
-group-by in first-appearance order, plus the order-sensitive scalars
-(LVP adjacency hits, zeros, first/last) the grouped representation
-cannot carry — and every profile structure consumes that fold through
-the grouped fast paths (:meth:`~repro.core.tnv.TNVTable.record_grouped`,
-:meth:`~repro.core.profile.SiteProfile.record_fold`).
+Per-event ``record`` on :class:`~repro.core.tnv.TNVTable`,
+:class:`~repro.core.metrics.ValueStreamStats` and
+:class:`~repro.core.profile.SiteProfile` is the specification; every
+batch of values takes this kernel instead.  A site's value run is
+reduced **once** into a :class:`SiteFold` — run-length splitting at
+clearing-interval boundaries, per-chunk ``(value, count)`` group-by in
+first-appearance order, plus the order-sensitive scalars (LVP
+adjacency hits, zeros, first/last) the grouped representation cannot
+carry — and one fold feeds both the TNV table
+(:meth:`~repro.core.tnv.TNVTable.record_grouped`, chunk by chunk) and
+the exact statistics (:meth:`~repro.core.metrics.ValueStreamStats.record_fold`).
 
 One kernel does the reduction, in pure Python: one C-level counting
 pass per clear-interval chunk (the counting helper behind ``Counter``,
@@ -26,10 +26,9 @@ of one event), so the kernel's fixed cost per call matters as much as
 its cost per event: it counts into plain dicts rather than building a
 ``Counter`` per run, and a run that stays inside one clearing interval
 is counted once, with no chunk split.  A run that crosses a clearing
-boundary is counted once per chunk and never as a whole: its whole-run
-map is merged from the chunk maps only if someone asks for it, and the
-exact histogram takes the chunk maps or recounts the run itself
-(:meth:`~repro.core.metrics.ValueStreamStats.record_parts`).
+boundary is counted once per chunk and never as a whole: the exact
+histogram merges the chunk maps or recounts the run itself
+(:meth:`~repro.core.metrics.ValueStreamStats.record_fold`).
 """
 
 from __future__ import annotations
@@ -40,9 +39,20 @@ from itertools import islice
 from operator import eq
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.metrics import is_zero
-
 Value = Hashable
+
+#: Values considered "zero" for the %Zeros metric.  The ISA front end
+#: records machine integers; the Python front end may record ``None``
+#: or ``0.0`` which play the same "trivial value" role.
+_ZERO_VALUES = frozenset({0})
+
+
+def is_zero(value: Value) -> bool:
+    """Whether ``value`` counts toward the %Zeros metric."""
+    try:
+        return value in _ZERO_VALUES or value == 0
+    except TypeError:  # unhashable comparisons cannot happen; non-numeric can
+        return False
 
 
 @dataclass
@@ -65,9 +75,8 @@ class SiteFold:
             TNV admission bit-identical to per-event recording.
         interval: the clearing interval the chunks were split for.
         since: the table's ``since_clear`` position the split assumed.
-        values: the run itself when the kernel folded it, ``None`` for
-            a fold rebuilt from a payload; the exact histogram may
-            recount it in C instead of merging distinct values in Python.
+        values: the run itself; the exact histogram may recount it in C
+            instead of merging distinct values in Python.
     """
 
     n: int
@@ -77,32 +86,8 @@ class SiteFold:
     zeros: int
     chunks: List[Tuple[Dict[Value, int], int]]
     interval: Optional[int]
-    since: int = 0
-    values: Optional[Sequence[Value]] = None
-    #: whole-run map when one exists; ``None`` for a kernel fold split
-    #: into several chunks until :attr:`counts` merges it.
-    _counts: Optional[Dict[Value, int]] = None
-
-    @property
-    def counts(self) -> Dict[Value, int]:
-        """Whole-run ``value -> count`` map in first-appearance order.
-
-        A run the kernel split at clearing boundaries was counted per
-        chunk only; its whole-run map is merged from the chunk maps on
-        first use.
-        """
-        counts = self._counts
-        if counts is None:
-            counts = self._counts = _merge_chunk_counts(self.chunks)
-        return counts
-
-    def count_maps(self) -> List[Dict[Value, int]]:
-        """The run's counts as the fewest maps at hand: the whole-run
-        map when one exists, else one map per chunk."""
-        counts = self._counts
-        if counts is not None:
-            return [counts]
-        return [chunk for chunk, _ in self.chunks]
+    since: int
+    values: Sequence[Value]
 
 
 def _chunk_bounds(n: int, interval: Optional[int], since: int) -> List[Tuple[int, int]]:
@@ -120,18 +105,6 @@ def _chunk_bounds(n: int, interval: Optional[int], since: int) -> List[Tuple[int
         start = end
         room = interval
     return bounds
-
-
-def _merge_chunk_counts(chunks: List[Tuple[Dict[Value, int], int]]) -> Dict[Value, int]:
-    """Whole-run counts from chunk counts, first-appearance order kept."""
-    if len(chunks) == 1:
-        return chunks[0][0]
-    merged: Dict[Value, int] = {}
-    get = merged.get
-    for counts, _ in chunks:
-        for value, count in counts.items():
-            merged[value] = get(value, 0) + count
-    return merged
 
 
 def fold_values(
@@ -153,7 +126,7 @@ def fold_values(
         values = list(values)
     n = len(values)
     if n == 0:
-        return SiteFold(0, None, None, 0, 0, [], interval, since, values, {})
+        return SiteFold(0, None, None, 0, 0, [], interval, since, values)
     # Adjacent-equal pairs in one C pass (map+operator.eq beat both the
     # zip genexpr and itertools.groupby on every tested distribution).
     lvp_hits = sum(map(eq, values, islice(values, 1, None))) if n > 1 else 0
@@ -189,51 +162,5 @@ def fold_values(
         )
     return SiteFold(
         n, values[0], values[n - 1], lvp_hits, zeros, chunks, interval, since,
-        values, counts,
-    )
-
-
-# ----------------------------------------------------------------------
-# shipping (process-parallel fan-out)
-# ----------------------------------------------------------------------
-
-
-def fold_to_payload(fold: SiteFold) -> dict:
-    """Primitives-only form of a fold for cross-process shipping.
-
-    The chunk maps flatten to ``(value, count)`` triples-in-lists, so a
-    worker's payload is exactly the folded ``(site, value, count)``
-    representation the parallel runner ships instead of raw events.
-    """
-    return {
-        "n": fold.n,
-        "first": fold.first,
-        "last": fold.last,
-        "lvp_hits": fold.lvp_hits,
-        "zeros": fold.zeros,
-        "chunks": [
-            (list(counts.items()), chunk_n) for counts, chunk_n in fold.chunks
-        ],
-        "interval": fold.interval,
-        "since": fold.since,
-    }
-
-
-def fold_from_payload(payload: dict) -> SiteFold:
-    """Rebuild a :class:`SiteFold` from :func:`fold_to_payload` output."""
-    chunks = [
-        (dict(pairs), chunk_n) for pairs, chunk_n in payload["chunks"]
-    ]
-    # No run travels with a payload, so the whole-run map is rebuilt
-    # here: the exact histogram then merges one map, not every chunk's.
-    return SiteFold(
-        n=payload["n"],
-        first=payload["first"],
-        last=payload["last"],
-        lvp_hits=payload["lvp_hits"],
-        zeros=payload["zeros"],
-        chunks=chunks,
-        interval=payload["interval"],
-        since=payload["since"],
-        _counts=_merge_chunk_counts(chunks) if chunks else {},
+        values,
     )

@@ -21,20 +21,15 @@ from __future__ import annotations
 from collections import Counter, _count_elements
 from dataclasses import dataclass
 from heapq import nlargest
-from itertools import islice
-from operator import eq
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Sequence, Tuple
+
+from repro.core.fold import SiteFold, fold_values, is_zero
 
 Value = Hashable
 
 #: Number of top values contributing to "Inv-All" — the size of the
 #: paper's TNV table.
 TOP_N = 10
-
-#: Values considered "zero" for the %Zeros metric.  The ISA front end
-#: records machine integers; the Python front end may record ``None``
-#: or ``0.0`` which play the same "trivial value" role.
-_ZERO_VALUES = frozenset({0})
 
 #: A run folds into a non-empty exact histogram by recounting its
 #: events in C once it has more than one distinct value per this many
@@ -43,14 +38,6 @@ _ZERO_VALUES = frozenset({0})
 #: 2-CPU x86-64 host under CPython 3.11: the Python merge cost 150–310
 #: ns per distinct value, ``_count_elements`` 57–92 ns per event.
 RECOUNT_EVENTS_PER_DISTINCT = 3
-
-
-def is_zero(value: Value) -> bool:
-    """Whether ``value`` counts toward the %Zeros metric."""
-    try:
-        return value in _ZERO_VALUES or value == 0
-    except TypeError:  # unhashable comparisons cannot happen; non-numeric can
-        return False
 
 
 class ValueStreamStats:
@@ -100,92 +87,49 @@ class ValueStreamStats:
     def record_many(self, values: Iterable[Value]) -> None:
         """Record a run of dynamic values in order.
 
-        State-identical to per-value :meth:`record` calls, but counts
-        duplicates with one C-level pass and updates the LVP adjacency
-        count pairwise instead of paying a Python call per event.
+        State-identical to per-value :meth:`record` calls: the run is
+        folded once (:func:`~repro.core.fold.fold_values`, which counts
+        duplicates and LVP adjacency at C speed) and spliced on through
+        :meth:`record_fold`.
         """
-        if not isinstance(values, (list, tuple)):
-            values = list(values)
-        if not values:
-            return
-        counts = Counter(values)
-        zeros = 0
-        for value, count in counts.items():
-            if is_zero(value):
-                zeros += count
-        # map+operator.eq runs the adjacency scan at C speed; the old
-        # zip genexpr paid a Python-level comparison per event.
-        hits = sum(map(eq, values, islice(values, 1, None))) if len(values) > 1 else 0
-        self.record_parts((counts,), len(values), zeros, hits, values[0], values[-1], values)
+        self.record_fold(fold_values(values, None))
 
-    def record_run(self, value: Value, count: int) -> None:
-        """Record ``count`` consecutive executions producing ``value``.
-
-        State-identical to ``count`` :meth:`record` calls: the run
-        contributes ``count - 1`` internal last-value hits, plus the
-        run-boundary hit when it continues the previous value.
-        """
-        if count <= 0:
-            return
-        self.record_parts(
-            ({value: count},),
-            count,
-            count if is_zero(value) else 0,
-            count - 1,
-            value,
-            value,
-        )
-
-    def record_grouped(self, pairs: Iterable[Tuple[Value, int]]) -> None:
-        """Record run-length ``(value, count)`` pairs in stream order.
-
-        Each pair stands for ``count`` consecutive executions of
-        ``value``; the expanded stream is recorded exactly, including
-        last-value hits across pair boundaries (adjacent pairs may
-        carry equal values).
-        """
-        for value, count in pairs:
-            self.record_run(value, count)
-
-    def record_parts(
-        self,
-        count_maps: Sequence[Dict[Value, int]],
-        n: int,
-        zeros: int,
-        lvp_hits: int,
-        first: Value,
-        last: Value,
-        values: Optional[Sequence[Value]] = None,
-    ) -> None:
+    def record_fold(self, fold: SiteFold) -> None:
         """Fold an already-reduced run into the statistics.
 
-        The columnar fast path: a run's histogram, zero count and
+        The columnar fast path: a run's counts, zero count and
         *internal* adjacency hits arrive precomputed (one reduction,
         shared with the TNV table — see :mod:`repro.core.fold`); this
         method adds the counts and splices the run onto the stream
         recorded so far by adding the boundary last-value hit and
         advancing first/last.
 
-        ``count_maps`` holds the run's counts in first-appearance order:
-        one whole-run map or, for a run split at clearing boundaries,
-        one map per chunk.  Given the run itself as ``values``, a mostly
-        distinct run (see :data:`RECOUNT_EVENTS_PER_DISTINCT`) is
-        recounted into the histogram with one C pass instead of merging
-        its distinct values one at a time.  Every path inserts new
-        values in the same order.
+        The fold's chunk maps hold the run's counts in first-appearance
+        order.  A mostly distinct run (see
+        :data:`RECOUNT_EVENTS_PER_DISTINCT`) with more than one map to
+        merge is recounted into the histogram with one C pass over
+        :attr:`~repro.core.fold.SiteFold.values` instead of merging its
+        distinct values one at a time.  Every path inserts new values in
+        the same order.
         """
+        n = fold.n
         if n == 0:
             return
         histogram = self._histogram
-        if (
-            values is not None
-            and (histogram or len(count_maps) > 1)
-            and sum(map(len, count_maps)) * RECOUNT_EVENTS_PER_DISTINCT > n
-        ):
-            _count_elements(histogram, values)
+        chunks = fold.chunks
+        recount = False
+        if histogram or len(chunks) > 1:
+            # A loop, not ``sum`` over a generator: most runs are one
+            # event long, and a generator costs a frame per run.
+            pairs = 0
+            for counts, _ in chunks:
+                pairs += len(counts)
+            recount = pairs * RECOUNT_EVENTS_PER_DISTINCT > n
+        if recount:
+            _count_elements(histogram, fold.values)
         else:
             get = histogram.get
-            for counts in count_maps:
+            for counts, _ in chunks:
                 if histogram:
                     # ``Counter.update``'s loop, without its generic
                     # dispatch (a Mapping ABC check and a method call).
@@ -194,14 +138,14 @@ class ValueStreamStats:
                 else:
                     dict.update(histogram, counts)
         self._total += n
-        self._zeros += zeros
-        self._lvp_hits += lvp_hits
-        if self._has_last and first == self._last:
+        self._zeros += fold.zeros
+        self._lvp_hits += fold.lvp_hits
+        if self._has_last and fold.first == self._last:
             self._lvp_hits += 1
         if not self._has_first:
-            self._first = first
+            self._first = fold.first
             self._has_first = True
-        self._last = last
+        self._last = fold.last
         self._has_last = True
 
     # ------------------------------------------------------------------

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.fold import SiteFold, fold_values
-from repro.core.metrics import TOP_N, SiteMetrics, ValueStreamStats, aggregate_metrics, is_zero
+from repro.core.fold import SiteFold, fold_values, is_zero
+from repro.core.metrics import TOP_N, SiteMetrics, ValueStreamStats, aggregate_metrics
 from repro.core.sites import Site, SiteKind
 from repro.core.tnv import TNVTable
 from repro.errors import ProfileError
@@ -105,60 +105,19 @@ class SiteProfile:
         is reduced exactly once (:func:`repro.core.fold.fold_values` —
         one dedup pass split at this table's clearing boundaries, one
         adjacency pass) and the reduction feeds every structure through
-        :meth:`record_fold`.  The old path deduplicated three times:
-        here for zeros, in the TNV table per chunk, and again in the
-        exact statistics.
+        :meth:`record_fold`.
         """
-        if not isinstance(values, (list, tuple)):
-            values = list(values)
-        if not values:
-            return
-        self.record_fold(
-            fold_values(values, self.tnv.clear_interval, self.tnv._since_clear)
-        )
-
-    def record_run(self, value: Value, count: int) -> None:
-        """Record ``count`` consecutive executions producing ``value``.
-
-        State-identical to ``count`` :meth:`record` calls: ``count - 1``
-        internal last-value hits plus the run-boundary hit, with the
-        TNV table splitting the run at clearing boundaries.
-        """
-        if count <= 0:
-            return
-        self._total += count
-        if is_zero(value):
-            self._zeros += count
-        hits = count - 1
-        if self._has_last and value == self._last:
-            hits += 1
-        self._lvp_hits += hits
-        if not self._has_first:
-            self._first = value
-            self._has_first = True
-        self._last = value
-        self._has_last = True
-        self.tnv.record_run(value, count)
-        if self.exact is not None:
-            self.exact.record_run(value, count)
-
-    def record_grouped(self, pairs: Iterable[Tuple[Value, int]]) -> None:
-        """Record run-length ``(value, count)`` pairs in stream order.
-
-        Each pair stands for ``count`` consecutive executions of
-        ``value``; recording is state-identical to the expanded stream.
-        """
-        for value, count in pairs:
-            self.record_run(value, count)
+        tnv = self.tnv
+        self.record_fold(fold_values(values, tnv.clear_interval, tnv._since_clear))
 
     def record_fold(self, fold: SiteFold) -> None:
         """Fold an already-reduced value run into this profile.
 
-        The columnar fast path: the run arrives as a
+        The one batch path: the run arrives as a
         :class:`~repro.core.fold.SiteFold` whose chunks were split for
         exactly this profile's TNV table, so the scalars splice on
-        directly and the TNV/exact structures consume grouped counts
-        with no further dedup.
+        directly, the TNV table takes the chunks and the exact
+        statistics take the same fold, with no further dedup.
         """
         if fold.n == 0:
             return
@@ -184,10 +143,7 @@ class SiteProfile:
         for counts, chunk_n in fold.chunks:
             tnv.record_grouped(counts, chunk_n)
         if self.exact is not None:
-            self.exact.record_parts(
-                fold.count_maps(), fold.n, fold.zeros, fold.lvp_hits,
-                fold.first, fold.last, fold.values,
-            )
+            self.exact.record_fold(fold)
 
     @property
     def executions(self) -> int:
@@ -295,11 +251,33 @@ class ProfileDatabase:
         """Record a run of dynamic values for ``site``, in order.
 
         State-identical to per-value :meth:`record` calls but pays the
-        site lookup once per run instead of once per event; the batch
-        then flows through :meth:`SiteProfile.record_many`.
+        site lookup once per run instead of once per event; the run is
+        folded once (:func:`~repro.core.fold.fold_values`) and the fold
+        goes to :meth:`SiteProfile.record_fold`.
         """
         if not values:
             return
+        profile = self._batch_profile(site, len(values))
+        tnv = profile.tnv
+        profile.record_fold(fold_values(values, tnv.clear_interval, tnv._since_clear))
+
+    def record_fold(self, site: Site, fold: SiteFold) -> None:
+        """Record an already-reduced value run for ``site``.
+
+        The columnar replay path: the trace store folds each site's run
+        once (:func:`repro.core.tracestore.replay_profile`) and this
+        method splices the reduction in with the same batch accounting
+        :meth:`record_batch` pays — no per-event objects anywhere in
+        between.
+        """
+        if fold.n == 0:
+            return
+        self._batch_profile(site, fold.n).record_fold(fold)
+
+    def _batch_profile(self, site: Site, n: int) -> SiteProfile:
+        """``site``'s profile, created on demand, with a batch of ``n``
+        events counted against it: the accounting every batch pays once,
+        whichever way it arrives."""
         profile = self._profiles.get(site)
         if profile is None:
             profile = SiteProfile(site, self.config, exact=self.exact)
@@ -309,33 +287,10 @@ class ProfileDatabase:
         # called while they are on: a disabled call still costs a frame.
         if _METRICS.enabled:
             _METRICS.inc("profile.batches")
-            _METRICS.inc("profile.batch_events", len(values))
+            _METRICS.inc("profile.batch_events", n)
         if _TIMESERIES.enabled:
-            _TIMESERIES.advance(len(values))
-        profile.record_many(values)
-
-    def record_fold(self, site: Site, fold: SiteFold) -> None:
-        """Record an already-reduced value run for ``site``.
-
-        The columnar replay path: the trace store folds each site's run
-        once (:meth:`repro.core.tracestore.EventTrace.site_folds`) and
-        this method splices the reduction in with the same batch
-        accounting :meth:`record_batch` pays — no per-event objects
-        anywhere in between.
-        """
-        if fold.n == 0:
-            return
-        profile = self._profiles.get(site)
-        if profile is None:
-            profile = SiteProfile(site, self.config, exact=self.exact)
-            self._profiles[site] = profile
-            _METRICS.inc("profile.sites_created")
-        if _METRICS.enabled:
-            _METRICS.inc("profile.batches")
-            _METRICS.inc("profile.batch_events", fold.n)
-        if _TIMESERIES.enabled:
-            _TIMESERIES.advance(fold.n)
-        profile.record_fold(fold)
+            _TIMESERIES.advance(n)
+        return profile
 
     def profile_for(self, site: Site) -> SiteProfile:
         """The profile for ``site``; raises if the site was never seen."""

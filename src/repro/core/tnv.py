@@ -24,11 +24,11 @@ integers, the Python front end records any hashable object.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from heapq import nlargest
 from typing import Dict, Hashable, Iterable, List, Tuple
 
+from repro.core.fold import fold_values
 from repro.errors import ProfileError
 from repro.obs.metrics import METRICS as _METRICS
 
@@ -135,58 +135,38 @@ class TNVTable:
 
         Semantically identical to calling :meth:`record` once per value
         — including the exact positions of clearing passes — but far
-        faster: the stream is split into runs that contain no clearing
-        boundary and each run is deduplicated once (one ``Counter``
-        pass) and folded through :meth:`record_grouped`.
+        faster: the run is folded once
+        (:func:`~repro.core.fold.fold_values`, split at this table's
+        clearing boundaries) and each chunk goes through
+        :meth:`record_grouped`.
         """
-        if not isinstance(values, (list, tuple)):
-            values = list(values)
-        n = len(values)
-        if n == 0:
-            return
-        interval = self.clear_interval
-        if interval is None:
-            self.record_grouped(Counter(values), n)
-            return
-        start = 0
-        while start < n:
-            end = start + (interval - self._since_clear)
-            if end > n:
-                end = n
-            chunk = values if end - start == n else values[start:end]
-            self.record_grouped(Counter(chunk), end - start)
-            start = end
+        fold = fold_values(values, self.clear_interval, self._since_clear)
+        for counts, n in fold.chunks:
+            self.record_grouped(counts, n)
 
-    def record_grouped(
-        self,
-        pairs: "Dict[Value, int] | Iterable[Tuple[Value, int]]",
-        n: int | None = None,
-    ) -> None:
-        """Fold pre-deduplicated ``(value, count)`` pairs into the table.
+    def record_grouped(self, counts: Dict[Value, int], n: int) -> None:
+        """Fold one pre-counted, clear-free group of ``n`` events.
 
-        This is the columnar fast path: one clear-free group of ``n``
-        events arrives already counted, so the table is updated with one
-        dict operation per *distinct* value instead of one call per
-        event.  For bit-identity with per-event recording the pairs must
-        be in **first-appearance order** of the underlying stream —
-        which value claims the last free slot depends only on the order
+        This is the columnar fast path: the group arrives as a
+        ``value -> count`` map, so the table is updated with one dict
+        operation per *distinct* value instead of one call per event.
+        For bit-identity with per-event recording the map must be in
+        **first-appearance order** of the underlying stream — which
+        value claims the last free slot depends only on the order
         distinct values first arrive, never on their counts
-        (``Counter`` over a run yields exactly this order).
+        (:func:`~repro.core.fold.fold_values` counts in exactly this
+        order).
 
-        The group must not span a clearing boundary; callers split runs
-        first (:func:`repro.core.fold.fold_values` emits chunks aligned
-        to ``clear_interval``).  A clearing pass fires when the group
-        lands exactly on the boundary, matching per-event behavior.
+        The group must not span a clearing boundary;
+        :func:`~repro.core.fold.fold_values` emits chunks aligned to
+        ``clear_interval``.  A clearing pass fires when the group lands
+        exactly on the boundary, matching per-event behavior.
 
         Args:
-            pairs: mapping or iterable of ``(value, count)`` pairs with
-                positive counts, first-appearance ordered.
-            n: total event count of the group (sum of the counts);
-                computed when omitted.
+            counts: ``value -> count`` with positive counts,
+                first-appearance ordered.
+            n: total event count of the group (the sum of the counts).
         """
-        items = pairs.items() if isinstance(pairs, dict) else list(pairs)
-        if n is None:
-            n = sum(count for _, count in items)
         if n == 0:
             return
         interval = self.clear_interval
@@ -202,62 +182,33 @@ class TNVTable:
         if _METRICS.enabled:
             _METRICS.inc("tnv.batch_records", n)
         entries = self._entries
-        if isinstance(pairs, dict):
-            # Resident bumps and admissions are independent: bumping
-            # never changes occupancy and admitting never evicts, so
-            # probing the handful of residents against the group first
-            # and then admitting the first ``free`` unseen values is
-            # state-identical (entry order included) to the per-event
-            # interleaving — without walking every distinct value.
-            if entries:
-                get = pairs.get
-                for value in entries:
-                    count = get(value)
-                    if count is not None:
-                        entries[value] += count
-            free = self.capacity - len(entries)
-            if free:
-                for value, count in items:
-                    if value not in entries:
-                        entries[value] = count
-                        free -= 1
-                        if not free:
-                            break
-        else:
-            free = self.capacity - len(entries)
-            for value, count in items:
-                if value in entries:
+        # Resident bumps and admissions are independent: bumping never
+        # changes occupancy and admitting never evicts, so probing the
+        # handful of residents against the group first and then
+        # admitting the first ``free`` unseen values is state-identical
+        # (entry order included) to the per-event interleaving — without
+        # walking every distinct value.
+        if entries:
+            get = counts.get
+            for value in entries:
+                count = get(value)
+                if count is not None:
                     entries[value] += count
-                elif free:
+        free = self.capacity - len(entries)
+        if free:
+            for value, count in counts.items():
+                if value not in entries:
                     entries[value] = count
                     free -= 1
-                # else: full; the value is dropped — the periodic clear
-                # is what re-opens slots.
+                    if not free:
+                        break
+        # else: full; unseen values are dropped — the periodic clear is
+        # what re-opens slots.
         self._total += n
         if interval is not None:
             self._since_clear += n
             if self._since_clear >= interval:
                 self.clear_bottom()
-
-    def record_run(self, value: Value, count: int) -> None:
-        """Record ``count`` consecutive executions producing ``value``.
-
-        State-identical to ``count`` :meth:`record` calls: the run is
-        split at clearing boundaries and each piece folds as a
-        single-pair group.
-        """
-        if count <= 0:
-            return
-        interval = self.clear_interval
-        if interval is None:
-            self.record_grouped(((value, count),), count)
-            return
-        while count:
-            take = interval - self._since_clear
-            if take > count:
-                take = count
-            self.record_grouped(((value, take),), take)
-            count -= take
 
     def clear_bottom(self) -> None:
         """Evict the clear part: keep only the ``steady`` hottest entries.

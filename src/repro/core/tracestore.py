@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.fold import SiteFold, fold_values
+from repro.core.fold import fold_values
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import Site, SiteKind, parameter_site
 from repro.errors import ReproError
@@ -190,23 +190,6 @@ class EventTrace:
                     append = sink[sid] = drop
             append(value)
         return [(sites[sid], runs[sid]) for sid in order]
-
-    def site_folds(
-        self, targets: Iterable[ProfileTarget], interval: Optional[int]
-    ) -> List[Tuple[Site, SiteFold]]:
-        """Per-site folded runs, sites in the order of :meth:`site_values`.
-
-        Each site's value run is reduced once to its
-        :class:`~repro.core.fold.SiteFold` (grouped counts split at
-        ``interval`` boundaries, adjacency/zero scalars), so a profile
-        fold downstream touches one object per *distinct* value instead
-        of one per event.  Every fold assumes a fresh table
-        (``since == 0``), which is what replay always builds.
-        """
-        return [
-            (site, fold_values(values, interval))
-            for site, values in self.site_values(targets)
-        ]
 
     def with_parameter_context(self) -> "EventTrace":
         """This trace with each parameter event keyed by its call site.

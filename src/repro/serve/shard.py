@@ -445,10 +445,16 @@ class ShardCore:
             try:
                 with open(self.snapshot_path, "rb") as handle:
                     payload = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError) as error:
+            except Exception as error:  # any unpickling failure, not only UnpicklingError
                 raise ShardStateError(
-                    f"unreadable snapshot {self.snapshot_path}: {error}"
+                    f"unreadable snapshot {self.snapshot_path}: "
+                    f"{type(error).__name__}: {error}"
                 ) from None
+            if not isinstance(payload, dict):
+                raise ShardStateError(
+                    f"unreadable snapshot {self.snapshot_path}: holds a "
+                    f"{type(payload).__name__}, not a snapshot dict"
+                )
             if payload.get("format") != SNAPSHOT_FORMAT_VERSION:
                 raise ShardStateError(
                     f"unsupported snapshot format {payload.get('format')!r}"
@@ -482,7 +488,9 @@ class ShardCore:
 
     def _read_journal(self) -> List[tuple]:
         """Every whole record of the journal, each checked to be of the
-        current format before any is replayed."""
+        current format before any is replayed.  A torn final record
+        ends the journal; any other record that does not unpickle
+        raises :class:`ShardStateError`."""
         records: List[tuple] = []
         if not self.wal_path.exists():
             return records
@@ -494,7 +502,13 @@ class ShardCore:
             end = offset + _LEN.size + length
             if end > len(data):
                 break  # torn final record (crash mid-append): not applied, not acked
-            record = pickle.loads(data[offset + _LEN.size:end])
+            try:
+                record = pickle.loads(data[offset + _LEN.size:end])
+            except Exception as error:  # any unpickling failure, not only UnpicklingError
+                raise ShardStateError(
+                    f"unreadable journal record at byte {offset} of "
+                    f"{self.wal_path}: {type(error).__name__}: {error}"
+                ) from None
             if not isinstance(record, tuple) or len(record) != 4:
                 raise ShardStateError(
                     f"journal {self.wal_path} holds a record that is not of "

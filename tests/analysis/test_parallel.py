@@ -13,8 +13,6 @@ from repro.analysis import experiments
 from repro.analysis.parallel import (
     ProfileJob,
     _dispatch_order,
-    fold_and_merge,
-    fold_jobs,
     profile_and_merge,
     profile_jobs,
     run_experiments,
@@ -238,47 +236,3 @@ class TestProfileFanout:
     def test_profile_and_merge_rejects_empty(self):
         with pytest.raises(ExperimentError):
             profile_and_merge([])
-
-
-class TestFoldFanout:
-    """Workers ship folded (site, value, count) triples, not events."""
-
-    def test_fold_jobs_match_direct_profiling(self, isolated_cache):
-        from repro.workloads.harness import profile_workload
-
-        jobs = [
-            ProfileJob("compress", scale=SCALE),
-            ProfileJob("go", scale=0.05),
-        ]
-        databases = fold_jobs(jobs, jobs=2)
-        assert len(databases) == 2
-        for job, database in zip(jobs, databases):
-            direct = profile_workload(job.workload, job.variant, scale=job.scale)
-            direct.database.name = job.workload
-            assert database.to_json() == direct.database.to_json()
-            # Unlike the to_json-shipping path, folds carry the full
-            # histogram, so the rebuilt profiles keep exact statistics.
-            for profile in database:
-                assert profile.exact is not None
-                reference = direct.database.profile_for(profile.site).exact
-                assert profile.exact.metrics() == reference.metrics()
-
-    def test_fold_and_merge_equals_sequential_merge(self, isolated_cache):
-        jobs = [
-            ProfileJob("compress", variant="train", scale=SCALE),
-            ProfileJob("compress", variant="test", scale=SCALE),
-        ]
-        merged = fold_and_merge(jobs, jobs=2, name="compress-both")
-        databases = fold_jobs(jobs, jobs=1)
-        reference = databases[0]
-        reference.merge(databases[1])
-        reference.name = "compress-both"
-        assert merged.to_json() == reference.to_json()
-
-    def test_fold_and_merge_rejects_mixed_shapes(self):
-        jobs = [
-            ProfileJob("compress", capacity=10),
-            ProfileJob("compress", capacity=4),
-        ]
-        with pytest.raises(ExperimentError):
-            fold_and_merge(jobs)

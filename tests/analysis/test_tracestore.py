@@ -266,31 +266,6 @@ class TestGatherEquivalence:
         assert all(type(value) is int for _, run in runs for value in run)
 
 
-class TestFoldModeEquivalence:
-    """``site_folds``, the fold path :mod:`repro.analysis.parallel`
-    takes, must fold exactly the runs ``site_values`` gathers.
-
-    ``site_folds`` is ``fold_values`` over ``site_values``, so these
-    run under the default gather; ``TestGatherEquivalence`` holds both
-    gathers to the same runs.
-    """
-
-    def test_site_folds_order_matches_site_values(self, captured):
-        targets = tuple(ALL_TARGETS)
-        for trace in (captured, captured.with_parameter_context()):
-            by_values = [site for site, _ in trace.site_values(targets)]
-            by_folds = [site for site, _ in trace.site_folds(targets, 2000)]
-            assert by_folds == by_values
-
-    def test_site_folds_counts_are_python_ints(self, captured):
-        trace = captured.with_parameter_context()
-        for _, fold in trace.site_folds(tuple(ALL_TARGETS), 2000):
-            assert all(
-                type(value) is int and type(count) is int
-                for value, count in fold.counts.items()
-            )
-
-
 class TestValueTraceCollectorDropped:
     def test_uncapped_collection_drops_nothing(self):
         collector = ValueTraceCollector(get_workload(NAME).program())

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fold import fold_values
 from repro.core.profile import ProfileDatabase, SiteProfile, TNVConfig
 from repro.core.sites import SiteKind, instruction_site, load_site, memory_site
 from repro.errors import ProfileError
+from repro.obs.metrics import METRICS
+from repro.obs.timeseries import TIMESERIES
 
 SITE_A = load_site("prog", "main", 1)
 SITE_B = load_site("prog", "main", 2)
@@ -181,6 +184,86 @@ class TestProfileDatabase:
         db = ProfileDatabase()
         db.record(SITE_A, 1)
         assert [p.site for p in db] == [SITE_A]
+
+
+#: the counters every batch pays for, whichever method records it.
+_BATCH_COUNTERS = (
+    "profile.sites_created",
+    "profile.batches",
+    "profile.batch_events",
+    "tnv.batch_records",
+    "tnv.clears",
+)
+
+
+@pytest.fixture
+def observed():
+    """The process-wide metrics registry and time-series collector,
+    enabled for the test and switched off and emptied after it."""
+    METRICS.reset()
+    METRICS.enable()
+    TIMESERIES.enable(interval=1_000_000)
+    yield
+    TIMESERIES.disable()
+    TIMESERIES.reset()
+    METRICS.disable()
+    METRICS.reset()
+
+
+def _fold_into(db, site, values):
+    """``values`` as ``db.record_fold`` takes them: folded for the phase
+    of the site's TNV table (a fresh table when the site is new)."""
+    since = db.profile_for(site).tnv._since_clear if site in db else 0
+    db.record_fold(site, fold_values(values, db.config.clear_interval, since))
+
+
+def _accounting(record, runs):
+    """(batch counters, time-series event clock) after recording ``runs``
+    one ``record(site, values)`` call each, from zero."""
+    METRICS.reset()
+    TIMESERIES.reset()
+    for site, values in runs:
+        record(site, values)
+    return {name: METRICS.counter(name) for name in _BATCH_COUNTERS}, TIMESERIES.events
+
+
+class TestBatchAccounting:
+    """``record_batch`` and ``record_fold`` share one lookup-and-accounting
+    step: the same runs count the same way through either."""
+
+    CONFIG = TNVConfig(capacity=4, steady=2, clear_interval=8)
+    RUNS = [
+        (SITE_A, [1, 2, 2, 3] * 5),
+        (SITE_B, [0] * 9),
+        (SITE_A, [4, 4, 1]),
+        (SITE_C, list(range(12))),
+    ]
+
+    def test_record_batch_and_record_fold_count_alike(self, observed):
+        batched = ProfileDatabase(config=self.CONFIG)
+        folded = ProfileDatabase(config=self.CONFIG)
+        by_batch = _accounting(batched.record_batch, self.RUNS)
+        by_fold = _accounting(lambda site, values: _fold_into(folded, site, values), self.RUNS)
+        assert by_fold == by_batch
+        counters, events = by_batch
+        assert counters["profile.sites_created"] == 3
+        assert counters["profile.batches"] == 4
+        assert counters["profile.batch_events"] == 44
+        assert counters["tnv.batch_records"] == 44
+        assert counters["tnv.clears"] == 4  # every 8 events: 23 on A, 9 on B, 12 on C
+        assert events == 44
+        assert folded.to_json() == batched.to_json()
+
+    def test_empty_run_creates_and_counts_nothing(self, observed):
+        for record in (
+            lambda db, site: db.record_batch(site, []),
+            lambda db, site: _fold_into(db, site, []),
+        ):
+            db = ProfileDatabase(config=self.CONFIG)
+            counters, events = _accounting(lambda site, values: record(db, site), self.RUNS)
+            assert len(db) == 0
+            assert counters == dict.fromkeys(_BATCH_COUNTERS, 0)
+            assert events == 0
 
 
 class TestSerialization:

@@ -294,7 +294,7 @@ def test_stream_invariance_matches_sorted_top(stream):
 def test_tied_histogram_invariance_matches_sorted_top(counts):
     stats = ValueStreamStats()
     for value, count in counts.items():
-        stats.record_run(value, count)
+        stats.record_many([value] * count)
     for k in KS:
         assert stats.invariance(k) == sorted_invariance(stats, k)
         assert stats.metrics(k).inv_top_n == sorted_invariance(stats, k)

@@ -146,6 +146,52 @@ def test_format_1_state_is_refused_not_replayed(tmp_path):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 
+#: a pickle naming a class this build lacks: unpickling it raises
+#: ``AttributeError``, not ``UnpicklingError``.
+_MISSING_CLASS = b"\x80\x04crepro.serve.shard\nNoSuchThing\n."
+
+
+def _write_journal(path, bodies):
+    path.write_bytes(b"".join(struct.pack(">I", len(body)) + body for body in bodies))
+
+
+@pytest.mark.parametrize(
+    "body,error",
+    [(b"n" * 22, "UnpicklingError"), (_MISSING_CLASS, "AttributeError")],
+    ids=["not-a-pickle", "missing-class"],
+)
+def test_unreadable_journal_record_is_refused(tmp_path, body, error):
+    """A whole journal record that does not unpickle names the journal
+    and the record's byte offset; only a torn final record is skipped."""
+    core = ShardCore(0, str(tmp_path), exact=True)
+    core.close()
+    good = pickle.dumps(("c", 0, [], []))
+    _write_journal(core.wal_path, [good, body])
+    offset = struct.calcsize(">I") + len(good)
+    with pytest.raises(ShardStateError) as caught:
+        ShardCore(0, str(tmp_path), exact=True, restore=True)
+    message = str(caught.value)
+    assert str(core.wal_path) in message
+    assert f"at byte {offset} " in message
+    assert error in message
+
+
+@pytest.mark.parametrize(
+    "body,error",
+    [(_MISSING_CLASS, "AttributeError"), (pickle.dumps([1, 2]), "holds a list")],
+    ids=["missing-class", "not-a-dict"],
+)
+def test_unreadable_snapshot_is_refused(tmp_path, body, error):
+    core = ShardCore(0, str(tmp_path), exact=True)
+    core.close()
+    core.snapshot_path.write_bytes(body)
+    with pytest.raises(ShardStateError) as caught:
+        ShardCore(0, str(tmp_path), exact=True, restore=True)
+    message = str(caught.value)
+    assert str(core.snapshot_path) in message
+    assert error in message
+
+
 def test_resume_seq_is_min_over_shards():
     assert resume_seq([]) == 0
     assert resume_seq([-1, -1]) == 0
