@@ -244,6 +244,7 @@ def _run_go(observer=None):
 def test_simulator_uninstrumented(benchmark):
     result = benchmark(_run_go)
     assert result.halted
+    write_bench_json(benchmark, "simulate")
 
 
 def test_simulator_with_value_profiling(benchmark):

@@ -6,18 +6,18 @@ Per-event ``record`` on :class:`~repro.core.tnv.TNVTable`,
 batch of values takes this kernel instead.  A site's value run is
 reduced **once** into a :class:`SiteFold` — run-length splitting at
 clearing-interval boundaries, per-chunk ``(value, count)`` group-by in
-first-appearance order, plus the order-sensitive scalars (LVP
-adjacency hits, zeros, first/last) the grouped representation cannot
-carry — and one fold feeds both the TNV table
+first-appearance order, plus the order-sensitive scalars (zeros,
+first/last, and LVP adjacency hits counted on first read) the grouped
+representation cannot carry — and one fold feeds both the TNV table
 (:meth:`~repro.core.tnv.TNVTable.record_grouped`, chunk by chunk) and
 the exact statistics (:meth:`~repro.core.metrics.ValueStreamStats.record_fold`).
 
 One kernel does the reduction, in pure Python: one C-level counting
 pass per clear-interval chunk (the counting helper behind ``Counter``,
-which preserves first-appearance order) and a C-level
-``sum(map(eq, ...))`` adjacency pass.  It outran a sort-based
-vectorized kernel on the skewed small-integer runs the workloads
-produce; only the per-site gather ahead of it
+which preserves first-appearance order) and, for the exact statistics
+only, a C-level ``sum(map(eq, ...))`` adjacency pass.  It outran a
+sort-based vectorized kernel on the skewed small-integer runs the
+workloads produce; only the per-site gather ahead of it
 (:meth:`repro.core.tracestore.EventTrace.site_values`) is vectorized,
 and it hands each run over as a list of Python ints.
 
@@ -34,7 +34,7 @@ histogram merges the chunk maps or recounts the run itself
 from __future__ import annotations
 
 from collections import _count_elements
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import eq
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -66,8 +66,6 @@ class SiteFold:
         n: total number of events in the run.
         first: first value of the run (``None`` iff ``n == 0``).
         last: last value of the run.
-        lvp_hits: adjacent-equal pairs *inside* the run (the recorder
-            adds the run-boundary hit against its own previous value).
         zeros: events whose value is zero (:func:`is_zero`).
         chunks: ``(counts, n)`` per clearing-interval chunk, split
             exactly where per-event recording would clear; each chunk's
@@ -82,12 +80,28 @@ class SiteFold:
     n: int
     first: Value
     last: Value
-    lvp_hits: int
     zeros: int
     chunks: List[Tuple[Dict[Value, int], int]]
     interval: Optional[int]
     since: int
     values: Sequence[Value]
+    _lvp_hits: Optional[int] = field(default=None, repr=False, compare=False)
+
+    @property
+    def lvp_hits(self) -> int:
+        """Adjacent-equal pairs *inside* the run (the recorder adds the
+        run-boundary hit against its own previous value).
+
+        Counted from :attr:`values` on first read, in one C pass
+        (map+operator.eq beat both the zip genexpr and
+        itertools.groupby on every tested distribution): a TNV table
+        never reads it, so its fold skips the pass.
+        """
+        hits = self._lvp_hits
+        if hits is None:
+            values = self.values
+            hits = self._lvp_hits = sum(map(eq, values, islice(values, 1, None)))
+        return hits
 
 
 def _chunk_bounds(n: int, interval: Optional[int], since: int) -> List[Tuple[int, int]]:
@@ -126,10 +140,7 @@ def fold_values(
         values = list(values)
     n = len(values)
     if n == 0:
-        return SiteFold(0, None, None, 0, 0, [], interval, since, values)
-    # Adjacent-equal pairs in one C pass (map+operator.eq beat both the
-    # zip genexpr and itertools.groupby on every tested distribution).
-    lvp_hits = sum(map(eq, values, islice(values, 1, None))) if n > 1 else 0
+        return SiteFold(0, None, None, 0, [], interval, since, values)
     # ``Counter``'s own C counting loop, into a plain dict: a ``Counter``
     # per run costs more to construct than a short run costs to count.
     # Every event is counted exactly once: the whole run when it stays
@@ -160,7 +171,4 @@ def fold_values(
             for value, count in chunk.items()
             if is_zero(value)
         )
-    return SiteFold(
-        n, values[0], values[n - 1], lvp_hits, zeros, chunks, interval, since,
-        values,
-    )
+    return SiteFold(n, values[0], values[n - 1], zeros, chunks, interval, since, values)

@@ -35,14 +35,22 @@ import zlib
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.fold import fold_values
 from repro.core.profile import ProfileDatabase, TNVConfig
-from repro.core.sites import Site, SiteKind, parameter_site
+from repro.core.sites import (
+    Site,
+    SiteKind,
+    instruction_site,
+    load_site,
+    memory_site,
+    parameter_site,
+    return_site,
+)
 from repro.errors import ReproError
-from repro.isa.instrument import ALL_TARGETS, ProfileTarget, ValueProfiler
-from repro.isa.machine import MachineObserver
+from repro.isa.instrument import ProfileTarget
+from repro.isa.machine import AppendSink, CallSink, MachineObserver
 from repro.obs.flight import FLIGHT as _FLIGHT
 from repro.obs.metrics import METRICS as _METRICS
 from repro.obs.timeseries import TIMESERIES as _TIMESERIES
@@ -305,72 +313,195 @@ def _discard(value) -> None:
 class TraceCaptureObserver(MachineObserver):
     """Observer that records every profile event into event columns.
 
-    Site interning and event-family fan-out are delegated to an inner
-    :class:`ValueProfiler` subscribed to every target, so the captured
-    stream is exactly the union of what per-family observers would see.
-    Each call also appends its calling pc to ``call_pcs`` once per
-    argument, after the argument events themselves.
+    The captured stream is exactly the union of what per-family
+    :class:`~repro.isa.instrument.ValueProfiler` observers would see,
+    with sites from the same :mod:`repro.core.sites` constructors.  Each
+    call also appends its calling pc to ``call_pcs`` once per argument.
+
+    No captured event runs a Python frame on the threaded and tier-2
+    engines.  Each static site (an instruction's define or load, a
+    procedure's parameters or return) is interned when its hook is
+    bound, as raw id ``~k`` for the ``k``-th, and the hook is an
+    :class:`~repro.isa.machine.AppendSink` the engines render as two
+    appends: the raw id and the value.  A store appends its address as
+    its raw id, so no memory site is built or hashed per event.  A call
+    extends the columns with its procedure's parameter ids, its
+    arguments and its calling pc (a
+    :class:`~repro.isa.machine.CallSink`).  The ``on_*`` methods append
+    the same raw ids event by event, the ``simple`` engine's oracle.
+
+    Reading :attr:`sites` or :attr:`site_ids` renumbers the raw ids into
+    first-appearance order, making each memory site as it first
+    appears: the columns a recorder that interns each site on first
+    sight would hold.  The raw column itself never changes, so the ids
+    bound into handlers stay valid when the machine runs again.
     """
 
     def __init__(self, program) -> None:
-        self._profiler = ValueProfiler(program, recorder=self, targets=ALL_TARGETS)
-        self.sites: List[Site] = []
-        self.site_ids: array = array("I")
+        self.program = program
         self.values: array = array("q")
         self.call_pcs: array = array("I")
-        self._index: Dict[Site, int] = {}
+        self._ids: array = array("q")
+        #: interned static sites; raw id ``~k`` names ``_static[k]``.
+        self._static: List[Site] = []
+        self._static_ids: Dict[tuple, int] = {}
+        self._store_sink = AppendSink(self.values.append, self._ids.append)
+        #: ``(raw events, sites, site_ids)`` of the last renumber.
+        self._read: Optional[Tuple[int, List[Site], array]] = None
+        #: events already counted and teed by :meth:`flush`.
+        self._flushed = 0
 
-    # Recorder protocol (the inner ValueProfiler writes into us).
-    def record(self, site: Site, value: Hashable) -> None:
-        index = self._index
-        sid = index.get(site)
+    # -- static sites ---------------------------------------------------
+
+    def _intern(self, key: tuple, make_site, *args) -> int:
+        """Raw id of the static site ``key``; ``make_site(program, *args)``
+        builds it the first time."""
+        sid = self._static_ids.get(key)
         if sid is None:
-            sid = index[site] = len(self.sites)
-            self.sites.append(site)
-        self.site_ids.append(sid)
+            sid = self._static_ids[key] = ~len(self._static)
+            self._static.append(make_site(self.program.name, *args))
+        return sid
+
+    def _define_id(self, inst) -> int:
+        return self._intern(("define", inst.pc), instruction_site,
+                            inst.procedure, inst.pc, inst.opcode)
+
+    def _load_id(self, inst) -> int:
+        return self._intern(("load", inst.pc), load_site,
+                            inst.procedure, inst.pc, inst.opcode)
+
+    def _parameter_ids(self, procedure) -> List[int]:
+        name = procedure.name
+        return [self._intern(("parameter", name, index), parameter_site, name, index)
+                for index in range(procedure.nargs)]
+
+    def _return_id(self, procedure) -> int:
+        return self._intern(("return", procedure.name), return_site, procedure.name)
+
+    # -- the columns ----------------------------------------------------
+
+    def _renumbered(self) -> Tuple[List[Site], array]:
+        read = self._read
+        if read is None or read[0] != len(self._ids):
+            read = self._read = (len(self._ids), *_first_appearance(
+                self._ids, self._static, self.program.name))
+        return read[1], read[2]
+
+    @property
+    def sites(self) -> List[Site]:
+        """The site table, in order of first event."""
+        return self._renumbered()[0]
+
+    @property
+    def site_ids(self) -> array:
+        """Each event's index into :attr:`sites`, in program order."""
+        return self._renumbered()[1]
+
+    def flush(self) -> None:
+        """Count and tee the events captured since the last flush; the
+        machine calls this on every exit, error exits included.
+
+        With metrics on they add to ``profiler.events``; with the flight
+        recorder on they reach its ring in program order.
+        """
+        start, end = self._flushed, len(self.values)
+        if start == end:
+            return
+        self._flushed = end
+        if _METRICS.enabled:
+            _METRICS.inc("profiler.events", end - start)
+        if _FLIGHT.enabled:
+            sites, site_ids = self._renumbered()
+            record = _FLIGHT.record
+            for sid, value in zip(site_ids[start:], self.values[start:end]):
+                record(sites[sid], value)
+
+    # -- MachineObserver interface: the simple engine's oracle -----------
+
+    def on_define(self, inst, value) -> None:
+        self._ids.append(self._define_id(inst))
         self.values.append(value)
 
-    # MachineObserver interface — delegate to the site-interning profiler.
-    def on_define(self, inst, value) -> None:
-        self._profiler.on_define(inst, value)
-
     def on_load(self, inst, address, value) -> None:
-        self._profiler.on_load(inst, address, value)
+        self._ids.append(self._load_id(inst))
+        self.values.append(value)
 
     def on_store(self, inst, address, value) -> None:
-        self._profiler.on_store(inst, address, value)
+        self._ids.append(address)
+        self.values.append(value)
 
     def on_call(self, procedure, args, call_site=-1) -> None:
-        self._profiler.on_call(procedure, args, call_site)
+        self._ids.extend(self._parameter_ids(procedure))
+        self.values.extend(args)
         self.call_pcs.extend(repeat(call_site, len(args)))
 
     def on_return(self, procedure, value) -> None:
-        self._profiler.on_return(procedure, value)
+        self._ids.append(self._return_id(procedure))
+        self.values.append(value)
 
-    # Threaded-engine binding — reuse the inner profiler's site logic.
+    # -- decode-time binding: append sinks ------------------------------
+
     def bind_define(self, inst):
-        return self._profiler.bind_define(inst)
+        if not inst.info.defines_register:
+            return None
+        return AppendSink(self.values.append, self._ids.append, self._define_id(inst))
 
     def bind_load(self, inst):
-        return self._profiler.bind_load(inst)
+        if not inst.info.is_load:
+            return None
+        return AppendSink(self.values.append, self._ids.append, self._load_id(inst))
 
     def bind_store(self, inst):
-        return self._profiler.bind_store(inst)
+        return self._store_sink if inst.info.is_store else None
 
     def bind_call(self, procedure, call_pc):
-        hook = self._profiler.bind_call(procedure, call_pc)
         if not procedure.nargs:
-            return hook
-
-        def capture(args, _hook=hook, _extend=self.call_pcs.extend,
-                    _pcs=array("I", [call_pc] * procedure.nargs)):
-            _hook(args)
-            _extend(_pcs)
-
-        return capture
+            return None
+        return CallSink(self._ids.extend, array("q", self._parameter_ids(procedure)),
+                        self.values.extend, self.call_pcs.extend,
+                        array("I", [call_pc] * procedure.nargs))
 
     def bind_return(self, procedure):
-        return self._profiler.bind_return(procedure)
+        return AppendSink(self.values.append, self._ids.append, self._return_id(procedure))
+
+
+def _first_appearance(raw: array, static: List[Site], program: str) -> Tuple[List[Site], array]:
+    """The site table and ``uint32`` id column of a capture's raw ids.
+
+    Raw id ``~k`` names ``static[k]``; any other raw id is a stored-to
+    address, named by its memory site.  Sites are numbered in order of
+    first event.  With numpy the renumber is a few vector passes: the
+    distinct stored addresses are ranked after the static sites, each
+    key's first event is found with ``minimum.at``, and one gather
+    renumbers the column.  Without it, ``dict.fromkeys`` orders the raw
+    ids in one pass.
+    """
+    if not raw:
+        return [], array("I")
+    if _np is None:
+        order = list(dict.fromkeys(raw))
+        index = {key: sid for sid, key in enumerate(order)}
+        site_ids = array("I", map(index.__getitem__, raw))
+    else:
+        column = _np.frombuffer(raw, dtype=_np.int64)
+        n = column.shape[0]
+        stored = column >= 0
+        keys = ~column
+        addresses = column[stored]
+        if addresses.shape[0]:
+            addresses, rank = _np.unique(addresses, return_inverse=True)
+            keys[stored] = len(static) + rank
+        first = _np.full(len(static) + addresses.shape[0], n, dtype=_np.int64)
+        _np.minimum.at(first, keys, _np.arange(n, dtype=_np.int64))
+        by_first = _np.argsort(first, kind="stable")[: _np.count_nonzero(first < n)]
+        renumber = _np.empty(first.shape[0], dtype=_np.uint32)
+        renumber[by_first] = _np.arange(by_first.shape[0], dtype=_np.uint32)
+        site_ids = array("I", renumber[keys].tobytes())
+        split = len(static)
+        addresses = addresses.tolist()
+        order = [~key if key < split else addresses[key - split] for key in by_first.tolist()]
+    sites = [static[~key] if key < 0 else memory_site(program, key) for key in order]
+    return sites, site_ids
 
 
 # ----------------------------------------------------------------------

@@ -27,11 +27,12 @@ direct-threaded code::
 
 with no mnemonic comparison, no ``inst.`` loads and no dead observer
 calls on the hot path (a hook an observer declines at decode time is
-not called at all).  The ``range`` iterator carries both the
-instruction counter and the budget check in C; cycle accounting is a
-flat cycle per iteration plus surcharges the multi-cycle handlers
-(loads, stores, mul/div) bank on the side, so neither bookkeeping line
-appears in the loop.
+not called at all, and an :class:`~repro.isa.machine.AppendSink` hook
+is rendered as its bound appends, so its events run no Python frame).
+The ``range`` iterator carries both the instruction counter and the
+budget check in C; cycle accounting is a flat cycle per iteration plus
+surcharges the multi-cycle handlers (loads, stores, mul/div) bank on
+the side, so neither bookkeeping line appears in the loop.
 
 The tier-2 engine (:mod:`repro.isa.tier2`) renders whole traces through
 a subclass of the same emitter.  Semantics are bit-identical to the
@@ -61,6 +62,7 @@ from repro.isa.instructions import (
     cycle_cost,
     evaluate,
 )
+from repro.isa.machine import AppendSink, CallSink
 from repro.obs.metrics import METRICS as _METRICS
 from repro.obs.timeseries import TIMESERIES as _TIMESERIES
 
@@ -110,8 +112,13 @@ _PER_PC = {
     # an instruction that reads no register computes a constant
     "value": "evaluate(inst.opcode, _immediate(inst))",
     "m0": "_trap_message(machine.program.name, inst)",
-    "hd0": "hooks[0]", "hl0": "hooks[1]", "hs0": "hooks[2]",
 }
+# The define, load and store hooks (tags d, l, s): a callable ``h``, or
+# an append sink's value append ``v``, id append ``i`` and site id ``s``.
+for _index, _tag in enumerate("dls"):
+    _PER_PC[f"h{_tag}0"] = f"hooks[{_index}]"
+    for _part, _field in (("v", "vals"), ("i", "ids"), ("s", "sid")):
+        _PER_PC[f"{_part}{_tag}0"] = f"hooks[{_index}].{_field}"
 
 #: globals of every rendered function; all else it names is an argument.
 _GLOBALS = {"__builtins__": builtins}
@@ -236,7 +243,14 @@ class ThreadedEngine:
         started = time.perf_counter() if _METRICS.enabled else 0.0
         error = None
         if not machine.halted:
-            pc, executed, error = self._dispatch(pc, executed, max_instructions)
+            if 0 <= pc < len(self._handlers) or executed >= max_instructions:
+                pc, executed, error = self._dispatch(pc, executed, max_instructions)
+            else:
+                # A run that starts outside the code segment (a machine
+                # run again after a bad jump) stops before its first
+                # instruction, as the reference loop does; a negative pc
+                # would otherwise index the handler table from its end.
+                error = f"{machine.program.name}: pc {pc} outside code segment"
         self._sync(pc, executed)
         if error is not None:
             machine._flush_observer()
@@ -357,19 +371,19 @@ class ThreadedEngine:
             "outp": machine.output.append, "dyn": self._dyn,
             "cyc": self._extra_cycles, "ist": self._input_state, **_CONSTANTS,
         }
-        self._handlers = [
-            self._decode_one(inst) for inst in machine.program.instructions
+        instructions = machine.program.instructions
+        #: per pc, the (define, load, store) hooks the observer binds;
+        #: bound once per decode, so every rendering of a pc shares them.
+        self._hooks = [
+            (
+                _bind(observer, "bind_define", inst),
+                _bind(observer, "bind_load", inst),
+                _bind(observer, "bind_store", inst),
+            )
+            for inst in instructions
         ]
+        self._handlers = [self._decode_one(inst) for inst in instructions]
         self._bound_observer = observer
-
-    def _hooks_for(self, inst):
-        """(define, load, store) hooks the observer binds for one instruction."""
-        observer = self._machine.observer
-        return (
-            _bind(observer, "bind_define", inst),
-            _bind(observer, "bind_load", inst),
-            _bind(observer, "bind_store", inst),
-        )
 
     def _decode_one(self, inst) -> Callable[[], int]:
         """The handler of one static instruction.
@@ -407,6 +421,22 @@ class ThreadedEngine:
                 return handler
             call_hook = _bind(machine.observer, "bind_call", procedure, pc)
             arg_regs = REG_ARGS[: procedure.nargs]
+            if type(call_hook) is CallSink:
+                def handler(R=R, npc=npc, t=target, LINK=REG_LINK, dyn=dyn,
+                            pcalls=machine.procedure_calls, pname=procedure.name,
+                            sink=call_hook, get=R.__getitem__, arg_regs=arg_regs,
+                            ok=target_ok):
+                    R[LINK] = npc
+                    dyn[2] += 1
+                    pcalls[pname] = pcalls.get(pname, 0) + 1
+                    sink.ids(sink.sids)
+                    sink.vals(map(get, arg_regs))
+                    sink.pcs(sink.call_pcs)
+                    if ok:
+                        return t
+                    raise _BadPC(t)
+
+                return handler
 
             def handler(R=R, npc=npc, t=target, LINK=REG_LINK, dyn=dyn,
                         pcalls=machine.procedure_calls, pname=procedure.name,
@@ -431,7 +461,8 @@ class ThreadedEngine:
                         cs=code_size, by_entry=machine._procedures_by_entry,
                         pcalls=machine.procedure_calls,
                         bind=_bind, observer=machine.observer,
-                        pc=pc, cache={}, ARGS=REG_ARGS):
+                        pc=pc, cache={}, ARGS=REG_ARGS, get=R.__getitem__,
+                        Sink=CallSink):
                 # The reference writes the link before reading the target,
                 # so ``jalr rX, rX`` jumps to pc+1 — replicated verbatim.
                 L[rd] = npc
@@ -449,7 +480,11 @@ class ThreadedEngine:
                         )
                         cache[target] = bound
                     hook, arg_regs = bound
-                    if hook is not None:
+                    if type(hook) is Sink:
+                        hook.ids(hook.sids)
+                        hook.vals(map(get, arg_regs))
+                        hook.pcs(hook.call_pcs)
+                    elif hook is not None:
                         hook(tuple([R[i] for i in arg_regs]))
                 if 0 <= target < cs:
                     return target
@@ -463,6 +498,19 @@ class ThreadedEngine:
             returning = machine._procedure_by_pc[pc]
             if returning is not None:
                 return_hook = _bind(machine.observer, "bind_return", returning)
+        if type(return_hook) is AppendSink:
+            if return_hook.ids is not None:
+                def handler(R=R, rd=inst.rd, cs=code_size, ri=return_hook.ids,
+                            sid=return_hook.sid, rv=return_hook.vals, RET=REG_RETURN):
+                    target = R[rd]
+                    ri(sid)
+                    rv(R[RET])
+                    if 0 <= target < cs:
+                        return target
+                    raise _BadPC(target)
+
+                return handler
+            return_hook = return_hook.vals
         if return_hook is None:
             def handler(R=R, rd=inst.rd, cs=code_size):
                 target = R[rd]
@@ -477,6 +525,17 @@ class ThreadedEngine:
                     return target
                 raise _BadPC(target)
         return handler
+
+
+def _hook_form(hook):
+    """How :meth:`_Emitter.emit_hook` renders ``hook``: not at all, as a
+    call, or as an append sink with or without an id append and a
+    constant site id."""
+    if hook is None:
+        return None
+    if type(hook) is AppendSink:
+        return ("sink", hook.ids is None, hook.sid is None)
+    return "call"
 
 
 def _immediate(inst) -> int:
@@ -650,12 +709,31 @@ class _Emitter:
             self.emit(line)
         self.dead = True
 
-    def emit_hook(self, j: int, hook, tag: str, call_args: str) -> None:
-        """Call a bound observer hook; nothing if the observer declined."""
-        if hook is not None:
+    def emit_hook(self, j: int, hook, tag: str, value: str,
+                  address: Optional[str] = None) -> None:
+        """Call a bound observer hook with the event's ``value`` (after
+        its ``address``, for loads and stores), or render an
+        :class:`~repro.isa.machine.AppendSink`'s appends inline; nothing
+        if the observer declined."""
+        if hook is None:
+            return
+        if type(hook) is not AppendSink:
             name = f"h{tag}{j}"
             self.args[name] = hook
-            self.emit(f"{name}({call_args})")
+            self.emit(f"{name}({value})" if address is None else f"{name}({address}, {value})")
+            return
+        if hook.ids is not None:
+            ids = f"i{tag}{j}"
+            self.args[ids] = hook.ids
+            if hook.sid is None:
+                self.emit(f"{ids}({address})")
+            else:
+                sid = f"s{tag}{j}"
+                self.args[sid] = hook.sid
+                self.emit(f"{ids}({sid})")
+        vals = f"v{tag}{j}"
+        self.args[vals] = hook.vals
+        self.emit(f"{vals}({value})")
 
     def finish_define(self, j: int, inst, kind: str, val, dh) -> None:
         """Common tail of a defining instruction: register write, dyn
@@ -742,7 +820,7 @@ class _Emitter:
         if inst.rd != 0:
             self.set_reg(inst, vt, is_temp=True)
         self.pending[0] += 1
-        self.emit_hook(j, lh, "l", f"{aexpr}, {vt}")
+        self.emit_hook(j, lh, "l", vt, aexpr)
         self.pending[2] += 1
         self.emit_hook(j, dh, "d", vt if inst.rd != 0 else "0")
 
@@ -757,7 +835,7 @@ class _Emitter:
             vx = vt
         self.emit(f"M[{aexpr}] = {vx}")
         self.pending[1] += 1
-        self.emit_hook(j, sh, "s", f"{aexpr}, {vx}")
+        self.emit_hook(j, sh, "s", vx, aexpr)
 
     def emit_div(self, j: int, inst, dh) -> None:
         (nc, nx), (dc, dx) = self.operands(inst)
@@ -839,17 +917,17 @@ class _Emitter:
         """The threaded handler of ``inst`` (any opcode but a call).
 
         A handler's source depends only on the instruction's shape: its
-        opcode, whether it writes ``r0``, which hooks it calls, whether
-        a static target is in range and whether an immediate divisor is
-        zero.  Each shape is rendered once per process (``_SHAPES``),
-        with a binder that reads every pc's parameters (``_PER_PC``) and
-        the engine's shared objects into that one code object's
-        defaults.
+        opcode, whether it writes ``r0``, which hooks it calls and in
+        which form (:func:`_hook_form`), whether a static target is in
+        range and whether an immediate divisor is zero.  Each shape is
+        rendered once per process (``_SHAPES``), with a binder that
+        reads every pc's parameters (``_PER_PC``) and the engine's
+        shared objects into that one code object's defaults.
         """
-        hooks = dh, lh, sh = engine._hooks_for(inst)
+        hooks = engine._hooks[inst.pc]
         info = inst.info
         machine = engine._machine
-        key = (inst.opcode, inst.rd == 0, dh is None, lh is None, sh is None,
+        key = (inst.opcode, inst.rd == 0, *map(_hook_form, hooks),
                0 <= inst.target < len(machine.program.instructions),
                info.divides and info.has_immediate and inst.imm == 0)
         shape = _SHAPES.get(key)

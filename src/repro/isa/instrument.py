@@ -28,7 +28,7 @@ from repro.core.sites import (
     return_site,
 )
 from repro.isa.instructions import Instruction
-from repro.isa.machine import MachineObserver, observer_poll
+from repro.isa.machine import AppendSink, MachineObserver, hook_function, observer_poll
 from repro.isa.program import Procedure, Program
 from repro.obs.flight import FLIGHT as _FLIGHT
 from repro.obs.metrics import METRICS as _METRICS
@@ -281,9 +281,10 @@ class ValueProfiler(MachineObserver):
     # the emit sink with its site pre-bound, or None when the event
     # family is off — in which case the engine skips the call entirely.
     # A buffered profiler's hook is the site buffer's own bound
-    # ``list.append``, so an event runs no Python frame; the flush
-    # threshold is checked at :meth:`poll` instead of per event.  The
-    # resulting profiles are byte-identical to the on_* path.
+    # ``list.append`` (its load hook an AppendSink of it, which the
+    # engines render inline), so an event runs no Python frame; the
+    # flush threshold is checked at :meth:`poll` instead of per event.
+    # The resulting profiles are byte-identical to the on_* path.
 
     def _bind_emit(self, site: Site):
         """Per-site emit sink for decode-time binding: the site buffer's
@@ -307,12 +308,9 @@ class ValueProfiler(MachineObserver):
         if site is None:
             return None
         if self.buffered:
-            # The engines call load hooks as ``(address, value)``, so
-            # this one stays a function around the buffer's append.
-            def hook(address, value, _append=self._buffer_for(site).append):
-                _append(value)
-
-            return hook
+            # A callable load hook is called as ``(address, value)``; a
+            # value-only sink is rendered as the append alone.
+            return AppendSink(self._buffer_for(site).append)
 
         def hook(address, value, _emit=self._emit, _site=site):
             _emit(_site, value)
@@ -506,7 +504,9 @@ def _compose_hooks(hooks):
 
     ``None`` children (observers that declined the event at decode
     time) are dropped; with no takers the composition itself is
-    ``None`` so the engine skips the event entirely.
+    ``None`` so the engine skips the event entirely.  A lone taker is
+    returned as it is; among several, a sink is wrapped in a function
+    (:func:`~repro.isa.machine.hook_function`).
     """
     takers = [hook for hook in hooks if hook is not None]
     if not takers:
@@ -514,7 +514,7 @@ def _compose_hooks(hooks):
     if len(takers) == 1:
         return takers[0]
 
-    def fan(*args, _hooks=tuple(takers)):
+    def fan(*args, _hooks=tuple(map(hook_function, takers))):
         for hook in _hooks:
             hook(*args)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.errors import MachineError
 from repro.isa.instructions import (
@@ -88,6 +88,50 @@ def resolve_engine(engine: Optional[str]) -> str:
     return engine
 
 
+class AppendSink(NamedTuple):
+    """A define, load, store or return hook made only of bound appends.
+
+    The threaded and tier-2 engines render it inline instead of calling
+    it: ``ids(sid); vals(value)``, two C calls and no Python frame.
+    With ``ids`` unset only the value is appended; with ``sid`` unset a
+    load or store sink appends the event's address to ``ids`` instead
+    of a constant.  :func:`hook_function` turns a sink into the plain
+    function of the event a caller can call.
+    """
+
+    vals: Callable[[int], object]
+    ids: Optional[Callable[[int], object]] = None
+    sid: Optional[int] = None
+
+
+class CallSink(NamedTuple):
+    """A call hook made only of bound extends, rendered inline like
+    :class:`AppendSink`: ``ids(sids); vals(arguments); pcs(call_pcs)``
+    — one site id, one argument and one calling pc per parameter."""
+
+    ids: Callable[[Sequence[int]], object]
+    sids: Sequence[int]
+    vals: Callable[[Sequence[int]], object]
+    pcs: Callable[[Sequence[int]], object]
+    call_pcs: Sequence[int]
+
+
+def hook_function(hook):
+    """``hook`` as a function of its event's arguments: a sink wrapped
+    in one, anything else (``None`` included) as it is."""
+    if isinstance(hook, AppendSink):
+        vals, ids, sid = hook
+        if ids is None:
+            return lambda *event: vals(event[-1])
+        if sid is None:
+            return lambda address, value: (ids(address), vals(value))
+        return lambda *event: (ids(sid), vals(event[-1]))
+    if isinstance(hook, CallSink):
+        ids, sids, vals, pcs, call_pcs = hook
+        return lambda args: (ids(sids), vals(args), pcs(call_pcs))
+    return hook
+
+
 class MachineObserver:
     """Instrumentation callbacks (all no-ops by default).
 
@@ -96,13 +140,16 @@ class MachineObserver:
 
     The ``bind_*`` methods are the decode-time counterpart used by the
     threaded engine: for each static instruction (or call/return edge)
-    they return either a per-event callable with the site decision
-    already made, or ``None`` when the observer does not care — in
-    which case the engine emits nothing for that instruction at all.
-    The defaults wrap the corresponding ``on_*`` method, so observers
-    that only override ``on_*`` behave identically under both engines;
-    observers may override ``bind_*`` for a faster specialized path
-    (see :class:`~repro.isa.instrument.ValueProfiler`).
+    they return either a per-event hook with the site decision already
+    made, or ``None`` when the observer does not care — in which case
+    the engine emits nothing for that instruction at all.  A hook is a
+    callable, or an :class:`AppendSink` (a :class:`CallSink` from
+    :meth:`bind_call`) that the engines render inline.  The defaults
+    wrap the corresponding ``on_*`` method, so observers that only
+    override ``on_*`` behave identically under every engine; observers
+    may override ``bind_*`` for a faster specialized path (see
+    :class:`~repro.isa.instrument.ValueProfiler` and
+    :class:`~repro.core.tracestore.TraceCaptureObserver`).
 
     :meth:`poll` is the engines' periodic call between events: an
     observer whose bound hooks only buffer overrides it to drain what
@@ -165,7 +212,7 @@ class MachineObserver:
         return hook
 
     def bind_load(self, inst: Instruction):
-        """Per-event load hook ``f(address, value)``, or ``None``."""
+        """Per-event load hook ``f(address, value)`` or sink, or ``None``."""
         if type(self).on_load is MachineObserver.on_load:
             return None
 
@@ -175,7 +222,7 @@ class MachineObserver:
         return hook
 
     def bind_store(self, inst: Instruction):
-        """Per-event store hook ``f(address, value)``, or ``None``."""
+        """Per-event store hook ``f(address, value)`` or sink, or ``None``."""
         if type(self).on_store is MachineObserver.on_store:
             return None
 

@@ -22,10 +22,12 @@ table by the emitter that renders the threaded handlers
   compares them against the sampled values,
 * observer hooks collapsed: blocks with no active instrumentation
   targets compile to pure compute, and every other hook is one call in
-  the generated body (a buffered
-  :class:`~repro.isa.instrument.ValueProfiler`'s define, return and
-  parameter hooks are its buffers' own ``list.append``, so the call
-  runs no Python frame),
+  the generated body or, for an
+  :class:`~repro.isa.machine.AppendSink`, its appends inline (a
+  buffered :class:`~repro.isa.instrument.ValueProfiler`'s hooks are
+  its buffers' own ``list.append`` or a sink of it, and a
+  :class:`~repro.core.tracestore.TraceCaptureObserver`'s are sinks, so
+  none of their events runs a Python frame),
 * dynamic-counter and cycle bookkeeping batched to one add per block.
 
 A failed guard *deopts*: the entry falls back to a chain of the
@@ -908,7 +910,7 @@ class _Codegen(_Emitter):
                 self.args[h] = engine._handlers[inst.pc]
                 self.ret = f"{h}()"
             else:
-                self.emit_inst(j, inst, engine._hooks_for(inst))
+                self.emit_inst(j, inst, engine._hooks[inst.pc])
             if self.dead:
                 break
         if not self.dead:

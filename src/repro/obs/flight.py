@@ -16,9 +16,11 @@ the ring at construction time, so it sees exactly the event stream the
 profiler saw — under the simple engine via ``on_*`` callbacks, under
 the threaded engine via the decode-time ``bind_*`` hooks; buffered
 profilers tee whole batches at flush time, which is the order their
-recorder consumed them.  Replay consumers
-(:mod:`repro.core.tracestore`) feed the ring directly, in replay
-order.
+recorder consumed them.  A
+:class:`~repro.core.tracestore.TraceCaptureObserver`, whose hooks only
+append, tees the events it captured at each machine exit, in program
+order.  Replay consumers (:mod:`repro.core.tracestore`) feed the ring
+directly, in replay order.
 
 The ring is per process.  Parallel workers each run their own; a crash
 inside a worker dumps from that worker, named after the experiment

@@ -9,14 +9,17 @@ the disk cache depends on.
 """
 
 import pickle
+import sys
 import zlib
 from array import array
+from types import FunctionType
 
 import pytest
 
 from repro.analysis import experiments
-from repro.core import diskcache
+from repro.core import diskcache, sites, tracestore
 from repro.core.profile import ProfileDatabase
+from repro.core.sites import Site
 from repro.core.tracestore import (
     EventTrace,
     TraceCaptureObserver,
@@ -25,6 +28,8 @@ from repro.core.tracestore import (
     replay_profile,
     replay_site_traces,
 )
+from repro.errors import MachineError
+from repro.isa import instrument
 from repro.isa.instrument import (
     ALL_TARGETS,
     GlobalTraceCollector,
@@ -33,7 +38,9 @@ from repro.isa.instrument import (
     ValueTraceCollector,
 )
 from repro.isa.machine import Machine
+from repro.obs.flight import FLIGHT
 from repro.obs.jitlog import JITLOG
+from repro.obs.metrics import METRICS
 from repro.workloads.harness import capture_workload_events
 from repro.workloads.registry import get_workload, workload_names
 
@@ -385,7 +392,8 @@ def capture_columns():
 @pytest.mark.parametrize("engine", CAPTURE_ENGINES)
 @pytest.mark.parametrize("name,variant", PROGRAM_INPUTS)
 class TestCaptureColumns:
-    """The call-pc and pc-count columns equal what live runs observe."""
+    """Every engine captures the simple engine's event columns, and the
+    call-pc and pc-count columns equal what live runs observe."""
 
     def test_pc_counts_equal_count_pcs_run(self, capture_columns, name, variant, engine):
         trace_of, counted, _ = capture_columns
@@ -412,6 +420,99 @@ class TestCaptureColumns:
         assert restored.call_pcs == trace.call_pcs
         assert restored.pc_counts == trace.pc_counts
         _same_capture(restored, trace)
+
+    def test_event_columns_equal_simple_capture(self, capture_columns, name, variant, engine):
+        trace_of = capture_columns[0]
+        trace = trace_of(name, variant, engine)
+        expected = trace_of(name, variant, "simple")
+        assert trace.sites == expected.sites
+        assert [site.opcode for site in trace.sites] == [site.opcode for site in expected.sites]
+        assert trace.site_ids == expected.site_ids
+        assert trace.values == expected.values
+        assert trace.call_pcs == expected.call_pcs
+
+
+def _calls_into(modules, action):
+    """``action()``'s result, and how many Python calls it made into
+    ``modules`` or into :class:`Site`'s dataclass-generated methods."""
+    files = {module.__file__ for module in modules}
+    generated = {
+        method.__code__ for method in vars(Site).values()
+        if isinstance(method, FunctionType) and method.__code__.co_filename != sites.__file__
+    }
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and (frame.f_code.co_filename in files or frame.f_code in generated):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = action()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def _machine_capture(engine, budget=None):
+    """An observer capturing ``NAME``/train on ``engine``, and its machine,
+    run to its halt (first to ``budget`` instructions, when given)."""
+    workload = get_workload(NAME)
+    program = workload.program()
+    capture = TraceCaptureObserver(program)
+    machine = Machine(program, observer=capture, engine=engine)
+    machine.set_input(workload.dataset("train", scale=SCALE).values)
+    if budget is not None:
+        with pytest.raises(MachineError, match="budget"):
+            machine.run(max_instructions=budget)
+    machine.run()
+    return capture, machine
+
+
+class TestFrameFreeCapture:
+    """On the threaded and tier-2 engines a captured event runs no
+    Python frame: what the capture calls into Python for is bounded by
+    its sites, its calls and its program, never by its events."""
+
+    @pytest.mark.parametrize("engine", ["threaded", "tier2"])
+    def test_python_calls_do_not_grow_with_events(self, engine):
+        def capture():
+            observer, machine = _machine_capture(engine)
+            return observer, machine, observer.sites
+
+        (observer, machine, site_table), calls = _calls_into(
+            (tracestore, instrument, sites), capture
+        )
+        budget = (2 * len(site_table) + machine.dynamic_calls
+                  + 8 * len(machine.program.instructions))
+        assert len(observer.values) > 5 * budget
+        assert calls <= budget
+
+    def test_metrics_count_every_captured_event(self):
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            capture, _ = _machine_capture("threaded")
+            counters = METRICS.snapshot()["counters"]
+        finally:
+            METRICS.disable()
+            METRICS.reset()
+        assert counters["profiler.events"] == len(capture.values)
+
+    def test_flight_ring_gets_events_in_program_order(self):
+        FLIGHT.enable()
+        try:
+            # A budget error exits midway; the run then continues.
+            capture, _ = _machine_capture("threaded", budget=10_000)
+            ring = [(site, value) for _, site, value in FLIGHT.events()]
+            total = FLIGHT.total_events
+        finally:
+            FLIGHT.disable()
+            FLIGHT.reset()
+        events = list(zip(map(capture.sites.__getitem__, capture.site_ids), capture.values))
+        assert total == len(events)
+        assert ring == events[-len(ring):]
 
 
 class TestCallPcColumn:

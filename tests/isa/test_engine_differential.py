@@ -8,13 +8,14 @@ program generator — every opcode, division by (possibly) zero,
 loads/stores that can leave the data segment, computed jumps that can
 leave the code segment, writes to the hardwired ``r0``, and budgets
 small enough to exhaust — drives all engines and asserts identical
-results, identical machine state, identical trap messages, and
-identical value profiles.  Hand-built programs cover what the
-assembler cannot produce: branch, jump and call targets outside the
-code segment.  The tier-2 leg runs with an aggressive
-config (hot threshold 2, fail limit 2) so the random programs exercise
-quickening, guard failure, deopt, requickening, and despecialization
-within the small budgets.
+results, identical machine state, identical trap messages, identical
+value profiles and identical captured event columns, read after a
+failed or finished run and again after the machine runs once more.
+Hand-built programs cover what the assembler cannot produce: branch,
+jump and call targets outside the code segment.  The tier-2 leg runs
+with an aggressive config (hot threshold 2, fail limit 2) so the
+random programs exercise quickening, guard failure, deopt,
+requickening, and despecialization within the small budgets.
 """
 
 import random
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.profile import ProfileDatabase
+from repro.core.tracestore import TraceCaptureObserver
 from repro.errors import MachineError
 from repro.isa import machine as machine_module
 from repro.isa.assembler import assemble
@@ -233,6 +235,30 @@ def _run(program, engine: str, budget: int, buffered: bool,
     )
 
 
+def _capture(program, engine: str, budget: int):
+    """The columns a :class:`TraceCaptureObserver` holds after one run
+    under one engine, and again after the machine runs once more with
+    twice the budget (a halted machine returns its result, a trap traps
+    again, an exhausted budget continues)."""
+    capture = TraceCaptureObserver(program)
+    config = _hot_tier2_config() if engine == "tier2" else None
+    machine = Machine(program, observer=capture, engine=engine, tier2_config=config)
+    machine.set_input([3, 1, 4, 1, 5, 9, 2, 6])
+    columns = []
+    for max_instructions in (budget, 2 * budget):
+        try:
+            machine.run(max_instructions=max_instructions)
+        except MachineError:
+            pass
+        columns.append((
+            [(site, site.opcode) for site in capture.sites],
+            list(capture.site_ids),
+            list(capture.values),
+            list(capture.call_pcs),
+        ))
+    return columns
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=100_000),
@@ -246,6 +272,9 @@ def test_engines_agree_on_random_programs(seed, budget, buffered):
     assert threaded == simple
     tier2 = _run(program, "tier2", budget, buffered)
     assert tier2 == simple
+    captured = _capture(program, "simple", budget)
+    assert _capture(program, "threaded", budget) == captured
+    assert _capture(program, "tier2", budget) == captured
 
 
 def test_generator_emits_every_opcode():
@@ -289,6 +318,20 @@ def test_engines_agree_on_targets_outside_the_code(opcode, target):
     assert simple[0] == ("error", f"bad_target: pc {target} outside code segment")
     assert _run(program, "threaded", 100, True) == simple
     assert _run(program, "tier2", 100, True) == simple
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+def test_rerun_after_bad_jump_executes_nothing(engine):
+    """A machine whose jump left the code segment stays where it
+    stopped when run again: a negative pc is not an index from the end
+    of the handler table."""
+    program = assemble(".text\n.proc main nargs=0\n    li r8, -1\n    jr r8\n"
+                       "    out r8\n    halt\n.endproc\n")
+    machine = Machine(program, engine=engine)
+    for _ in range(2):
+        with pytest.raises(MachineError, match="pc -1 outside code segment"):
+            machine.run(max_instructions=100)
+        assert (machine.pc, machine.instructions_executed, machine.output) == (-1, 2, [])
 
 
 @settings(max_examples=60, deadline=None)
