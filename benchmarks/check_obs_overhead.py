@@ -43,7 +43,9 @@ sides run back to back in each of ``ROUNDS`` rounds, the side that runs
 first alternates from round to round, and the gate is the median of the
 per-round ratios.  Pairing cancels drift in host speed, alternating
 cancels the cost of running first, and the median ignores the rounds a
-preemption hit.
+preemption hit.  Each side is timed as the CPU time of the measuring
+thread (``time.thread_time``), so time spent preempted by other
+processes on a shared host is not charged to either side.
 
 Exit status 0 on pass, 1 on regression.  Run as:
 
@@ -119,10 +121,10 @@ def _time_once(table_factory) -> float:
     table = table_factory()
     record = table.record
     values = _VALUES
-    start = time.perf_counter()
+    start = time.thread_time()
     for value in values:
         record(value)
-    return time.perf_counter() - start
+    return time.thread_time() - start
 
 
 def _gate(
@@ -172,10 +174,10 @@ def _time_batches() -> float:
     batch = _VALUES[:1000]
     database = ProfileDatabase(exact=False)
     record_batch = database.record_batch
-    start = time.perf_counter()
+    start = time.thread_time()
     for index in range(50):
         record_batch(sites[index % len(sites)], batch)
-    return time.perf_counter() - start
+    return time.thread_time() - start
 
 
 def _time_batches_sampled() -> float:
@@ -231,11 +233,11 @@ def _time_shard_submit(telemetry: bool, batches: int = 100) -> float:
     with tempfile.TemporaryDirectory() as directory:
         core = ShardCore(0, directory, exact=False, telemetry=telemetry)
         submit = core.submit
-        start = time.perf_counter()
+        start = time.thread_time()
         for seq in range(batches):
             submit("bench", seq, payloads, runs, journal=False)
         core.db  # reading it folds every pending run
-        elapsed = time.perf_counter() - start
+        elapsed = time.thread_time() - start
         core.close()
     return elapsed
 
@@ -285,9 +287,9 @@ def _time_tier2_run(journal: bool) -> float:
     if journal:
         JITLOG.enable()
     try:
-        start = time.perf_counter()
+        start = time.thread_time()
         machine.run()
-        return time.perf_counter() - start
+        return time.thread_time() - start
     finally:
         if journal:
             JITLOG.disable()

@@ -305,8 +305,9 @@ def profiled(
     With replay on (the default), the run's database is rebuilt from
     the shared event trace — byte-identical to a live
     :func:`profile_workload` (all database queries sort, and per-site
-    batch replay is state-identical per site).  With replay off, falls
-    back to the original simulate-per-call path with its own L2 pickle.
+    batch replay is state-identical per site).  With replay off, the
+    fresh-simulation oracle, each key simulates once per process and
+    nothing goes to the disk cache.
     ``parameter_context`` keys parameter sites by calling site, as
     :func:`profile_workload`'s option does.
     """
@@ -339,22 +340,6 @@ def profiled(
         )
         _RUN_CACHE[key] = run
         return run
-    disk_path = (
-        diskcache.cache_path("profile", key) if diskcache.cache_enabled() else None
-    )
-    if disk_path is not None:
-        payload = diskcache.cache_load(disk_path)
-        if payload is not None:
-            METRICS.inc("cache.disk_hits")
-            _LOG.debug("disk cache hit: profile %s/%s scale %s", name, variant, scale)
-            run = ProfiledRun(
-                workload=get_workload(name),
-                dataset=payload["dataset"],
-                result=payload["result"],
-                database=payload["database"],
-            )
-            _RUN_CACHE[key] = run
-            return run
     METRICS.inc("cache.misses")
     _LOG.debug("cache miss: profiling %s/%s scale %s", name, variant, scale)
     with TRACER.span(
@@ -369,14 +354,6 @@ def profiled(
             parameter_context=parameter_context,
         )
     _RUN_CACHE[key] = run
-    if disk_path is not None:
-        # The workload object holds unpicklable builder callables; it is
-        # reattached from the registry on load.
-        METRICS.inc("cache.writes")
-        diskcache.cache_store(
-            disk_path,
-            {"dataset": run.dataset, "result": run.result, "database": run.database},
-        )
     return run
 
 
@@ -412,17 +389,6 @@ def traced(
             "dropped": dropped,
         }
         return traces
-    disk_path = (
-        diskcache.cache_path("trace", key) if diskcache.cache_enabled() else None
-    )
-    if disk_path is not None:
-        payload = diskcache.cache_load(disk_path)
-        if payload is not None:
-            METRICS.inc("cache.disk_hits")
-            _LOG.debug("disk cache hit: trace %s/%s scale %s", name, variant, scale)
-            _TRACE_CACHE[key] = payload["traces"]
-            _TRACE_INFO[key] = payload["info"]
-            return payload["traces"]
     METRICS.inc("cache.misses")
     _LOG.debug("cache miss: tracing %s/%s scale %s", name, variant, scale)
     with TRACER.span(
@@ -436,9 +402,6 @@ def traced(
     }
     _TRACE_CACHE[key] = traces
     _TRACE_INFO[key] = info
-    if disk_path is not None:
-        METRICS.inc("cache.writes")
-        diskcache.cache_store(disk_path, {"traces": traces, "info": info})
     return traces
 
 

@@ -1,37 +1,26 @@
-"""Process-parallel experiment execution and profile fan-out.
+"""Process-parallel experiment execution.
 
 The paper's headline cost result is that full value profiling is
 order-of-magnitude slow; the reproduction's answer is to batch the hot
 path (:mod:`repro.core`) and to parallelize the cold one.  This module
-provides the latter:
+provides the latter: :func:`run_experiments` fans the experiment
+registry out over a ``ProcessPoolExecutor``.  Each worker renders its
+experiment exactly as the serial path would, so results (including the
+rendered text) are byte-identical; only the wall clock changes.
+Workers share the persistent event-trace cache
+(:func:`repro.analysis.experiments.load_events`), so a workload
+captured by one worker is a disk hit for the next run.
 
-* :func:`run_experiments` — fan the experiment registry out over a
-  ``ProcessPoolExecutor``.  Each worker renders its experiment exactly
-  as the serial path would, so results (including the rendered text)
-  are byte-identical; only the wall clock changes.  Workers share the
-  persistent profile cache (:func:`repro.analysis.experiments.profiled`),
-  so a workload profiled by one worker is a disk hit for the next run.
-* :class:`ProfileJob` / :func:`profile_jobs` / :func:`profile_and_merge`
-  — fan raw ``profile_workload`` jobs out and ship each result back as
-  its ``to_json`` snapshot, then rebuild/merge databases in the parent
-  with the existing ``from_json``/``merge`` machinery.  This is the
-  multi-input aggregation path (e.g. profiling many input sets of one
-  program and merging them into a single profile).
-
-Everything submitted to a worker is a plain tuple/dataclass of
-primitives, so the module works under both ``fork`` and ``spawn`` start
-methods.
+Everything submitted to a worker is a plain tuple of primitives, so
+the module works under both ``fork`` and ``spawn`` start methods.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.profile import ProfileDatabase, TNVConfig
-from repro.errors import ExperimentError
 from repro.obs import METRICS, TRACER, get_logger
 
 _LOG = get_logger(__name__)
@@ -198,97 +187,3 @@ def run_experiments(
                 JITLOG.merge(jl_payload)
             results.append(result)
         return results
-
-
-# ----------------------------------------------------------------------
-# profile fan-out
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProfileJob:
-    """One ``profile_workload`` invocation, described by primitives.
-
-    ``targets`` holds :class:`~repro.isa.instrument.ProfileTarget`
-    *values* (strings) so the job pickles cheaply under any start
-    method.  Workers profile TNV-only (``exact=False``): results travel
-    back as ``to_json`` snapshots, which — modelling what a real value
-    profiler writes to disk — never carry exact histograms anyway.
-    """
-
-    workload: str
-    variant: str = "train"
-    scale: float = 1.0
-    targets: Tuple[str, ...] = ("instructions", "loads")
-    capacity: int = 10
-    steady: int = 5
-    clear_interval: Optional[int] = 2000
-
-    def config(self) -> TNVConfig:
-        return TNVConfig(
-            capacity=self.capacity,
-            steady=self.steady,
-            clear_interval=self.clear_interval,
-        )
-
-
-def _profile_worker(job: ProfileJob) -> str:
-    from repro.isa.instrument import ProfileTarget
-    from repro.workloads.harness import profile_workload
-
-    run = profile_workload(
-        job.workload,
-        job.variant,
-        scale=job.scale,
-        targets=tuple(ProfileTarget(t) for t in job.targets),
-        config=job.config(),
-        exact=False,
-    )
-    return run.database.to_json()
-
-
-def profile_jobs(
-    jobs_list: Iterable[ProfileJob],
-    jobs: Optional[int] = None,
-) -> List[ProfileDatabase]:
-    """Profile every job across worker processes.
-
-    Returns one rebuilt :class:`ProfileDatabase` per job, in job order.
-    """
-    jobs_list = list(jobs_list)
-    if not jobs_list:
-        return []
-    workers = min(_default_jobs(jobs), len(jobs_list))
-    if workers == 1:
-        payloads = [_profile_worker(job) for job in jobs_list]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(_profile_worker, jobs_list))
-    return [ProfileDatabase.from_json(payload) for payload in payloads]
-
-
-def profile_and_merge(
-    jobs_list: Iterable[ProfileJob],
-    jobs: Optional[int] = None,
-    name: str = "",
-) -> ProfileDatabase:
-    """Profile every job in parallel and merge the results site-by-site.
-
-    All jobs must share one TNV configuration — merging tables of
-    different shapes would silently change clearing semantics.
-    """
-    jobs_list = list(jobs_list)
-    if not jobs_list:
-        raise ExperimentError("profile_and_merge needs at least one job")
-    shapes = {(job.capacity, job.steady, job.clear_interval) for job in jobs_list}
-    if len(shapes) > 1:
-        raise ExperimentError(
-            f"profile_and_merge needs one TNV configuration, got {sorted(shapes)}"
-        )
-    databases = profile_jobs(jobs_list, jobs=jobs)
-    merged = databases[0]
-    for database in databases[1:]:
-        merged.merge(database)
-    if name:
-        merged.name = name
-    return merged

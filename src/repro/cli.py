@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--scale", type=float, default=1.0)
     run_parser.add_argument("--json", help="also write the raw data to this JSON file")
     run_parser.add_argument(
-        "--no-cache", action="store_true", help="ignore the persistent profile cache"
+        "--no-cache", action="store_true", help="ignore the persistent event-trace cache"
     )
     _add_obs_args(run_parser)
     _add_engine_args(run_parser)
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, help="worker processes (0 = all CPUs)"
     )
     all_parser.add_argument(
-        "--no-cache", action="store_true", help="ignore the persistent profile cache"
+        "--no-cache", action="store_true", help="ignore the persistent event-trace cache"
     )
     _add_obs_args(all_parser)
     _add_engine_args(all_parser)

@@ -1,15 +1,15 @@
 """Persistent source-hash-keyed pickle cache.
 
 One small module owns the on-disk cache layout so every cached artifact
-(profiled runs, value traces, event traces) shares the same invalidation
+(today the captured event traces) shares the same invalidation
 rule: every key embeds a hash of the entire ``repro`` source tree, so
 editing any module silently invalidates all derived results — the only
 safe default for a cache of computed data.
 
 Layout: ``cache_dir()/{kind}-{sha256(key)[:32]}.pkl``, one pickle per
 entry, written atomically (temp file + ``os.replace``).  ``kind`` names
-the artifact family (``profile``, ``trace``, ``events``) purely so a
-directory listing is self-describing; the hash alone is the identity.
+the artifact family (``events``) purely so a directory listing is
+self-describing; the hash alone is the identity.
 
 ``REPRO_CACHE_DIR`` overrides the cache location and ``REPRO_NO_CACHE``
 disables the cache entirely; both are read at import time, and the

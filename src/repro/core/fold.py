@@ -8,13 +8,17 @@ reduced **once** into a :class:`SiteFold` — run-length splitting at
 clearing-interval boundaries, per-chunk ``(value, count)`` group-by in
 first-appearance order, plus the order-sensitive scalars (zeros,
 first/last, and LVP adjacency hits counted on first read) the grouped
-representation cannot carry — and one fold feeds both the TNV table
+representation cannot carry — and one fold feeds each per-site
+structure once: the profile's scalars
+(:meth:`~repro.core.profile.SiteProfile.record_fold`, the only place
+they are kept), its TNV table
 (:meth:`~repro.core.tnv.TNVTable.record_grouped`, chunk by chunk) and
-the exact statistics (:meth:`~repro.core.metrics.ValueStreamStats.record_fold`).
+its exact histogram
+(:meth:`~repro.core.metrics.ValueStreamStats.record_fold`).
 
 One kernel does the reduction, in pure Python: one C-level counting
 pass per clear-interval chunk (the counting helper behind ``Counter``,
-which preserves first-appearance order) and, for the exact statistics
+which preserves first-appearance order) and, for a profile's LVP hits
 only, a C-level ``sum(map(eq, ...))`` adjacency pass.  It outran a
 sort-based vectorized kernel on the skewed small-integer runs the
 workloads produce; only the per-site gather ahead of it

@@ -3,13 +3,15 @@
 The thesis reports four metrics per site, plus an execution-weighted
 aggregate across sites.  This module provides both:
 
-* :class:`ValueStreamStats` — an exact, online accumulator over a value
-  stream.  It maintains the full value histogram, the last value (for
-  the LVP metric), and the zero count.  This is the *reference*
-  implementation the bounded TNV table is measured against.
+* :class:`ValueStreamStats` — the exact value histogram of a stream,
+  and nothing else.  It is the *reference* the bounded TNV table's
+  invariance and distinct-value estimates are measured against.
 * :class:`SiteMetrics` — the per-site result row: ``LVP``,
   ``Inv-Top(1)``, ``Inv-Top(N)`` ("Inv-All" in Table V.5's caption),
-  ``Diff(L/I)`` and ``%Zeros``.
+  ``Diff(L/I)`` and ``%Zeros``.  One method builds it,
+  :meth:`repro.core.profile.SiteProfile.metrics`, from the profile's
+  own scalars (executions, LVP hits, zeros) and either this histogram
+  or the TNV table's estimates.
 * :func:`weighted_mean` / :func:`aggregate_metrics` — the paper weights
   every per-program number by execution frequency, so a load executed a
   million times influences the average a million times more than a load
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from heapq import nlargest
 from typing import Hashable, Iterable, List, Sequence, Tuple
 
-from repro.core.fold import SiteFold, fold_values, is_zero
+from repro.core.fold import SiteFold
 
 Value = Hashable
 
@@ -41,73 +43,45 @@ RECOUNT_EVENTS_PER_DISTINCT = 3
 
 
 class ValueStreamStats:
-    """Exact online statistics over one site's dynamic value stream.
+    """The exact value histogram of one site's dynamic value stream.
 
     Unlike :class:`repro.core.tnv.TNVTable` this keeps the *full*
-    histogram, so its metrics are exact.  It exists (a) as ground truth
-    for TNV-accuracy experiments and (b) to compute LVP, which a TNV
-    table cannot produce because it stores no ordering information.
+    histogram, so the invariance and distinct-value figures it yields
+    are exact: it is the ground truth TNV-accuracy experiments measure
+    the bounded table against.  It keeps nothing else.  The
+    order-sensitive scalars (LVP hits, zeros, first and last value) and
+    the execution count live once, on the
+    :class:`~repro.core.profile.SiteProfile` that owns the histogram,
+    and :meth:`~repro.core.profile.SiteProfile.metrics` builds the
+    per-site row from both.
     """
 
-    __slots__ = (
-        "_histogram",
-        "_total",
-        "_zeros",
-        "_lvp_hits",
-        "_last",
-        "_has_last",
-        "_first",
-        "_has_first",
-    )
+    __slots__ = ("_histogram",)
 
     def __init__(self) -> None:
         self._histogram: Counter = Counter()
-        self._total = 0
-        self._zeros = 0
-        self._lvp_hits = 0
-        self._last: Value = None
-        self._has_last = False
-        self._first: Value = None
-        self._has_first = False
 
     def record(self, value: Value) -> None:
         """Record one dynamic execution producing ``value``."""
-        self._total += 1
         self._histogram[value] += 1
-        if is_zero(value):
-            self._zeros += 1
-        if self._has_last and value == self._last:
-            self._lvp_hits += 1
-        if not self._has_first:
-            self._first = value
-            self._has_first = True
-        self._last = value
-        self._has_last = True
 
     def record_many(self, values: Iterable[Value]) -> None:
         """Record a run of dynamic values in order.
 
-        State-identical to per-value :meth:`record` calls: the run is
-        folded once (:func:`~repro.core.fold.fold_values`, which counts
-        duplicates and LVP adjacency at C speed) and spliced on through
-        :meth:`record_fold`.
+        State-identical to per-value :meth:`record` calls: one C-level
+        counting pass, which inserts new values in first-appearance
+        order.
         """
-        self.record_fold(fold_values(values, None))
+        _count_elements(self._histogram, values)
 
     def record_fold(self, fold: SiteFold) -> None:
-        """Fold an already-reduced run into the statistics.
+        """Fold an already-reduced run into the histogram.
 
-        The columnar fast path: a run's counts, zero count and
-        *internal* adjacency hits arrive precomputed (one reduction,
-        shared with the TNV table — see :mod:`repro.core.fold`); this
-        method adds the counts and splices the run onto the stream
-        recorded so far by adding the boundary last-value hit and
-        advancing first/last.
-
-        The fold's chunk maps hold the run's counts in first-appearance
-        order.  A mostly distinct run (see
-        :data:`RECOUNT_EVENTS_PER_DISTINCT`) with more than one map to
-        merge is recounted into the histogram with one C pass over
+        The columnar fast path: the run's counts arrive precomputed
+        (one reduction, shared with the TNV table — see
+        :mod:`repro.core.fold`) in first-appearance order.  A mostly
+        distinct run (see :data:`RECOUNT_EVENTS_PER_DISTINCT`) with
+        more than one map to merge is recounted with one C pass over
         :attr:`~repro.core.fold.SiteFold.values` instead of merging its
         distinct values one at a time.  Every path inserts new values in
         the same order.
@@ -137,22 +111,13 @@ class ValueStreamStats:
                         histogram[value] = get(value, 0) + count
                 else:
                     dict.update(histogram, counts)
-        self._total += n
-        self._zeros += fold.zeros
-        self._lvp_hits += fold.lvp_hits
-        if self._has_last and fold.first == self._last:
-            self._lvp_hits += 1
-        if not self._has_first:
-            self._first = fold.first
-            self._has_first = True
-        self._last = fold.last
-        self._has_last = True
 
     # ------------------------------------------------------------------
 
     @property
     def total(self) -> int:
-        return self._total
+        """Executions recorded: the sum of the histogram's counts."""
+        return sum(self._histogram.values())
 
     @property
     def distinct(self) -> int:
@@ -176,69 +141,15 @@ class ValueStreamStats:
         sum does not depend on how :meth:`top` breaks ties, so it equals
         the sum of the counts ``top(k)`` returns.
         """
-        if self._total == 0:
+        counts = self._histogram.values()
+        total = sum(counts)
+        if total == 0:
             return 0.0
-        return sum(nlargest(k, self._histogram.values())) / self._total
-
-    def lvp(self) -> float:
-        """Last-value predictability: P(value == previous value).
-
-        The first execution has no predecessor and is excluded from the
-        denominator, matching a last-value predictor that cannot predict
-        its first encounter.
-        """
-        if self._total <= 1:
-            return 0.0
-        return self._lvp_hits / (self._total - 1)
-
-    def pct_zeros(self) -> float:
-        """Fraction of executions whose value was zero."""
-        if self._total == 0:
-            return 0.0
-        return self._zeros / self._total
+        return sum(nlargest(k, counts)) / total
 
     def merge(self, other: "ValueStreamStats") -> None:
-        """Fold another stream's histogram into this one.
-
-        The merged state matches recording ``other``'s stream directly
-        after this one: when ``other``'s first value equals this
-        stream's last value, the run boundary itself is an LVP hit and
-        is counted.
-        """
+        """Fold another stream's histogram into this one."""
         self._histogram.update(other._histogram)
-        self._total += other._total
-        self._zeros += other._zeros
-        self._lvp_hits += other._lvp_hits
-        if self._has_last and other._has_first and other._first == self._last:
-            self._lvp_hits += 1
-        if not self._has_first:
-            self._first = other._first
-            self._has_first = other._has_first
-        if other._has_last:
-            self._last = other._last
-            self._has_last = True
-
-    def metrics(self, top_n: int = TOP_N) -> "SiteMetrics":
-        """Freeze the current state into a :class:`SiteMetrics` row.
-
-        Takes the top counts once; Inv-Top(1) and Inv-Top(N) both come
-        from that list, exactly as :meth:`invariance` computes them.
-        """
-        total = self._total
-        if total == 0:
-            inv_top1 = inv_top_n = 0.0
-        else:
-            counts = nlargest(max(top_n, 1), self._histogram.values())
-            inv_top1 = counts[0] / total
-            inv_top_n = sum(counts[:top_n]) / total
-        return SiteMetrics(
-            executions=total,
-            lvp=self.lvp(),
-            inv_top1=inv_top1,
-            inv_top_n=inv_top_n,
-            distinct=self.distinct,
-            pct_zeros=self.pct_zeros(),
-        )
 
 
 @dataclass(frozen=True)

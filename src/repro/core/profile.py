@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nlargest
 from operator import attrgetter
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,50 +51,41 @@ class TNVConfig:
 class SiteProfile:
     """All profiling state for one site.
 
+    Each per-site scalar is kept once.  The execution count is the TNV
+    table's ``total``, which the table keeps anyway for its invariance
+    estimates; the zero count, LVP hits and first and last value live
+    here, and the exact statistics add only the full histogram.
+    ``_first`` and ``_last`` mean something only once ``executions`` is
+    positive.
+
     Attributes:
         site: the profiled entity.
         tnv: the bounded top-value table (always maintained).
-        exact: exact reference statistics, or ``None`` when the profile
-            was created in TNV-only mode.
+        exact: the exact value histogram, or ``None`` when the profile
+            was created in TNV-only mode or has merged a TNV-only one.
     """
 
-    __slots__ = (
-        "site",
-        "tnv",
-        "exact",
-        "_total",
-        "_zeros",
-        "_lvp_hits",
-        "_last",
-        "_has_last",
-        "_first",
-        "_has_first",
-    )
+    __slots__ = ("site", "tnv", "exact", "_zeros", "_lvp_hits", "_first", "_last")
 
     def __init__(self, site: Site, config: TNVConfig, exact: bool = True) -> None:
         self.site = site
         self.tnv = config.make_table()
         self.exact: Optional[ValueStreamStats] = ValueStreamStats() if exact else None
-        self._total = 0
         self._zeros = 0
         self._lvp_hits = 0
-        self._last: Value = None
-        self._has_last = False
         self._first: Value = None
-        self._has_first = False
+        self._last: Value = None
 
     def record(self, value: Value) -> None:
         """Record one dynamic value for this site."""
-        self._total += 1
+        if self.tnv._total:
+            if value == self._last:
+                self._lvp_hits += 1
+        else:
+            self._first = value
         if is_zero(value):
             self._zeros += 1
-        if self._has_last and value == self._last:
-            self._lvp_hits += 1
-        if not self._has_first:
-            self._first = value
-            self._has_first = True
         self._last = value
-        self._has_last = True
         self.tnv.record(value)
         if self.exact is not None:
             self.exact.record(value)
@@ -117,7 +109,7 @@ class SiteProfile:
         :class:`~repro.core.fold.SiteFold` whose chunks were split for
         exactly this profile's TNV table, so the scalars splice on
         directly, the TNV table takes the chunks and the exact
-        statistics take the same fold, with no further dedup.
+        histogram takes the same fold, with no further dedup.
         """
         if fold.n == 0:
             return
@@ -129,17 +121,15 @@ class SiteProfile:
                 f"clear_interval={tnv.clear_interval} "
                 f"since={tnv._since_clear}"
             )
-        self._total += fold.n
-        self._zeros += fold.zeros
         hits = fold.lvp_hits
-        if self._has_last and fold.first == self._last:
-            hits += 1
-        self._lvp_hits += hits
-        if not self._has_first:
+        if tnv._total:
+            if fold.first == self._last:
+                hits += 1
+        else:
             self._first = fold.first
-            self._has_first = True
+        self._lvp_hits += hits
+        self._zeros += fold.zeros
         self._last = fold.last
-        self._has_last = True
         for counts, chunk_n in fold.chunks:
             tnv.record_grouped(counts, chunk_n)
         if self.exact is not None:
@@ -147,34 +137,60 @@ class SiteProfile:
 
     @property
     def executions(self) -> int:
-        return self._total
+        return self.tnv._total
 
     def lvp(self) -> float:
-        if self._total <= 1:
+        """Last-value predictability: P(value == previous value).
+
+        The first execution has no predecessor and is excluded from the
+        denominator, matching a last-value predictor that cannot predict
+        its first encounter.
+        """
+        total = self.tnv._total
+        if total <= 1:
             return 0.0
-        return self._lvp_hits / (self._total - 1)
+        return self._lvp_hits / (total - 1)
 
     def pct_zeros(self) -> float:
-        if self._total == 0:
+        """Fraction of executions whose value was zero."""
+        total = self.tnv._total
+        if total == 0:
             return 0.0
-        return self._zeros / self._total
+        return self._zeros / total
 
     def metrics(self, top_n: int = TOP_N, prefer_exact: bool = True) -> SiteMetrics:
-        """The per-site result row.
+        """The per-site result row; every :class:`SiteMetrics` row of a
+        profile is built here.
 
-        With exact statistics available (and ``prefer_exact``), the
-        invariance and distinct-value numbers are ground truth;
-        otherwise they are the TNV table's estimates, with ``distinct``
-        reported as the number of resident entries (a lower bound).
+        Executions, LVP and %Zeros are this profile's own scalars.  With
+        exact statistics available (and ``prefer_exact``), the
+        invariance and distinct-value numbers are ground truth from the
+        histogram, whose top counts are taken once for Inv-Top(1) and
+        Inv-Top(N); otherwise they are the TNV table's estimates, with
+        ``distinct`` reported as the number of resident entries (a lower
+        bound).
         """
+        tnv = self.tnv
+        total = tnv._total
         if prefer_exact and self.exact is not None:
-            return self.exact.metrics(top_n)
+            histogram = self.exact.histogram
+            if total == 0:
+                inv_top1 = inv_top_n = 0.0
+            else:
+                counts = nlargest(max(top_n, 1), histogram.values())
+                inv_top1 = counts[0] / total
+                inv_top_n = sum(counts[:top_n]) / total
+            distinct = len(histogram)
+        else:
+            inv_top1 = tnv.estimated_invariance(1)
+            inv_top_n = tnv.estimated_invariance(top_n)
+            distinct = len(tnv)
         return SiteMetrics(
-            executions=self._total,
+            executions=total,
             lvp=self.lvp(),
-            inv_top1=self.tnv.estimated_invariance(1),
-            inv_top_n=self.tnv.estimated_invariance(top_n),
-            distinct=len(self.tnv),
+            inv_top1=inv_top1,
+            inv_top_n=inv_top_n,
+            distinct=distinct,
             pct_zeros=self.pct_zeros(),
         )
 
@@ -187,27 +203,30 @@ class SiteProfile:
 
         The merged LVP matches the concatenated value stream: when
         ``other``'s first value equals this profile's last value, the
-        run boundary is itself a last-value hit and is counted.
+        run boundary is itself a last-value hit and is counted.  The
+        exact histogram survives only when both sides have one: after
+        merging a TNV-only profile it would cover only some of the
+        counted executions, so the merged profile becomes TNV-only.
         """
         if other.site != self.site:
             raise ProfileError(f"cannot merge profiles of different sites: {self.site} vs {other.site}")
-        self._total += other._total
+        if other.tnv._total:
+            if not self.tnv._total:
+                self._first = other._first
+            elif other._first == self._last:
+                self._lvp_hits += 1
+            self._last = other._last
         self._zeros += other._zeros
         self._lvp_hits += other._lvp_hits
-        if self._has_last and other._has_first and other._first == self._last:
-            self._lvp_hits += 1
-        if not self._has_first:
-            self._first = other._first
-            self._has_first = other._has_first
-        if other._has_last:
-            self._last = other._last
-            self._has_last = True
         self.tnv.merge(other.tnv)
-        if self.exact is not None and other.exact is not None:
-            self.exact.merge(other.exact)
+        if self.exact is not None:
+            if other.exact is None:
+                self.exact = None
+            else:
+                self.exact.merge(other.exact)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SiteProfile({self.site}, executions={self._total})"
+        return f"SiteProfile({self.site}, executions={self.executions})"
 
 
 class ProfileDatabase:
@@ -411,8 +430,6 @@ class ProfileDatabase:
         ``Counter`` reduction, a ``Site`` ``__dict__``) that dwarfs the
         data itself.  Rows are in insertion order, so the rebuilt
         database iterates, merges and renders exactly like this one.
-        Pickles written before this encoding carry the default form and
-        still load through pickle's ordinary path.
         """
         profiles = list(self._profiles.values())
         sites = [
@@ -421,8 +438,7 @@ class ProfileDatabase:
         ]
         tables = [_tnv_fields(profile.tnv) for profile in profiles]
         stats = [
-            None if (exact := profile.exact) is None
-            else (dict(exact._histogram),) + _stats_rest(exact)
+            None if (exact := profile.exact) is None else dict(exact._histogram)
             for profile in profiles
         ]
         scalars = [_profile_fields(profile) for profile in profiles]
@@ -468,15 +484,20 @@ class ProfileDatabase:
         # First/last values let merges of reloaded profiles count the
         # run-boundary LVP hit; the keys are present only when the
         # profile saw at least one value, so None stays unambiguous.
-        if profile._has_first:
+        if profile.executions:
             entry["first"] = profile._first
-        if profile._has_last:
             entry["last"] = profile._last
         return entry
 
     @classmethod
     def from_json(cls, text: str) -> "ProfileDatabase":
-        """Rebuild a TNV-only database from :meth:`to_json` output."""
+        """Rebuild a TNV-only database from :meth:`to_json` output.
+
+        A site's execution count is its TNV table's ``total``; an entry
+        whose ``executions`` says otherwise, or one with executions but
+        without ``first`` and ``last``, is not :meth:`to_json` output
+        and raises :class:`ProfileError`.
+        """
         payload = json.loads(text)
         config = TNVConfig(**payload["config"])
         db = cls(config=config, exact=False, name=payload.get("name", ""))
@@ -490,16 +511,23 @@ class ProfileDatabase:
             )
             profile = SiteProfile(site, config, exact=False)
             profile.tnv = TNVTable.from_dict(entry["tnv"])
-            profile._total = entry["executions"]
-            profile._zeros = round(entry["pct_zeros"] * entry["executions"])
-            if entry["executions"] > 1:
-                profile._lvp_hits = round(entry["lvp"] * (entry["executions"] - 1))
-            if "first" in entry:
+            executions = entry["executions"]
+            if executions != profile.tnv.total:
+                raise ProfileError(
+                    f"site {site}: executions {executions} differ from its "
+                    f"TNV table's total {profile.tnv.total}"
+                )
+            if executions:
+                if "first" not in entry or "last" not in entry:
+                    raise ProfileError(
+                        f"site {site}: {executions} executions without a "
+                        "first and last value"
+                    )
                 profile._first = entry["first"]
-                profile._has_first = True
-            if "last" in entry:
                 profile._last = entry["last"]
-                profile._has_last = True
+                profile._zeros = round(entry["pct_zeros"] * executions)
+                if executions > 1:
+                    profile._lvp_hits = round(entry["lvp"] * (executions - 1))
             db._profiles[site] = profile
         return db
 
@@ -509,21 +537,22 @@ class ProfileDatabase:
 # ----------------------------------------------------------------------
 
 # Field lists come from the classes' own __slots__, so a slot added
-# later is carried through a pickle instead of silently dropped.
+# later is carried through a pickle instead of silently dropped.  An
+# exact statistics row is its histogram as a plain dict.
 _TNV_SLOTS = TNVTable.__slots__
-# The histogram leads each stats row: it travels as a plain dict.
-_STATS_FIELDS = ("_histogram",) + tuple(
-    name for name in ValueStreamStats.__slots__ if name != "_histogram"
-)
 _PROFILE_SCALARS = tuple(
     name for name in SiteProfile.__slots__ if name not in ("site", "tnv", "exact")
 )
 _tnv_fields = attrgetter(*_TNV_SLOTS)
-_stats_rest = attrgetter(*_STATS_FIELDS[1:])
 _profile_fields = attrgetter(*_PROFILE_SCALARS)
 
 
 def _fill_slots(obj, names: Sequence[str], row: Sequence) -> None:
+    if len(row) != len(names):
+        raise ProfileError(
+            f"a pickled {type(obj).__name__} row holds {len(row)} fields, "
+            f"not the {len(names)} of {', '.join(names)}"
+        )
     for name, value in zip(names, row):
         setattr(obj, name, value)
 
@@ -534,30 +563,35 @@ def _rebuild_database(
     name: str,
     sites: List[tuple],
     tables: List[tuple],
-    stats: List[Optional[tuple]],
+    stats: List[Optional[dict]],
     scalars: List[tuple],
 ) -> ProfileDatabase:
     """Reconstructor for :meth:`ProfileDatabase.__reduce__` rows.
 
     Every mutable container is copied: ``copy.copy`` hands this
     function the original's own dicts, and the copy must not share
-    them.
+    them.  A row whose length differs from its class's field list (a
+    pickle written with other slots) raises :class:`ProfileError`.
     """
     db = ProfileDatabase(config=config, exact=exact, name=name)
     profiles = db._profiles
-    for (kind, program, procedure, label, opcode), tnv_row, stats_row, scalar_row in zip(
+    for (kind, program, procedure, label, opcode), tnv_row, histogram, scalar_row in zip(
         sites, tables, stats, scalars
     ):
         site = Site(SiteKind(kind), program, procedure, label, opcode)
         table = TNVTable.__new__(TNVTable)
         _fill_slots(table, _TNV_SLOTS, tnv_row)
         table._entries = dict(table._entries)
-        if stats_row is None:
+        if histogram is None:
             exact_stats = None
-        else:
+        elif type(histogram) is dict:
             exact_stats = ValueStreamStats.__new__(ValueStreamStats)
-            _fill_slots(exact_stats, _STATS_FIELDS, stats_row)
-            exact_stats._histogram = Counter(exact_stats._histogram)
+            exact_stats._histogram = Counter(histogram)
+        else:
+            raise ProfileError(
+                f"a pickled exact statistics row is a {type(histogram).__name__}, "
+                "not a histogram dict"
+            )
         profile = SiteProfile.__new__(SiteProfile)
         profile.site = site
         profile.tnv = table

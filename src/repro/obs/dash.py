@@ -154,7 +154,7 @@ def _section_caches(payload: dict) -> str:
                 "profile cache",
                 f"{cache['lookups']}",
                 f"{cache['memory_hits']}",
-                f"{cache['disk_hits']}",
+                "",
                 f"{cache['misses']}",
                 f"{cache['hit_rate'] * 100:.1f}%",
                 hbar(cache["hit_rate"]),

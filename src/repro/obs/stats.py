@@ -246,29 +246,28 @@ def render_jitlog(snapshot: dict) -> str:
 
 
 def cache_stats(counters: Dict[str, int]) -> dict:
+    """The in-process profile and trace memo; it has no disk tier (the
+    event-trace store's disk hits are in :func:`tracestore_stats`)."""
     memory_hits = counters.get("cache.memory_hits", 0)
-    disk_hits = counters.get("cache.disk_hits", 0)
     misses = counters.get("cache.misses", 0)
-    lookups = memory_hits + disk_hits + misses
+    lookups = memory_hits + misses
     return {
         "memory_hits": memory_hits,
-        "disk_hits": disk_hits,
         "misses": misses,
         "lookups": lookups,
-        "hit_rate": (memory_hits + disk_hits) / lookups if lookups else 0.0,
+        "hit_rate": memory_hits / lookups if lookups else 0.0,
     }
 
 
 def render_cache(counters: Dict[str, int]) -> str:
     stats = cache_stats(counters)
     table = Table(
-        ("cache lookups", "L1 hits", "disk hits", "misses", "hit rate%"),
+        ("cache lookups", "L1 hits", "misses", "hit rate%"),
         title="Profile cache behavior",
     )
     table.add_row(
         stats["lookups"],
         stats["memory_hits"],
-        stats["disk_hits"],
         stats["misses"],
         percentage(stats["hit_rate"]),
     )

@@ -67,7 +67,10 @@ _LOG = get_logger(__name__)
 
 #: bumped when the snapshot or journal layout changes.
 #: 2: journal records are ``(client, seq, site_payloads, runs)``.
-SNAPSHOT_FORMAT_VERSION = 2
+#: 3: a pickled database's rows keep each per-site scalar once (the
+#: exact statistics row is the histogram alone); journal records are
+#: unchanged.
+SNAPSHOT_FORMAT_VERSION = 3
 
 _LEN = struct.Struct(">I")
 

@@ -10,13 +10,7 @@ cannot show one), so these tests assert equivalence, not timing.
 import pytest
 
 from repro.analysis import experiments
-from repro.analysis.parallel import (
-    ProfileJob,
-    _dispatch_order,
-    profile_and_merge,
-    profile_jobs,
-    run_experiments,
-)
+from repro.analysis.parallel import _dispatch_order, run_experiments
 from repro.errors import ExperimentError
 from repro.obs import METRICS, TRACER
 
@@ -195,44 +189,3 @@ class TestObservabilityFanout:
             JITLOG.disable()
             JITLOG.reset()
             experiments.set_replay_enabled(replay_before)
-
-
-class TestProfileFanout:
-    def test_profile_jobs_match_direct_profiling(self, isolated_cache):
-        from repro.workloads.harness import profile_workload
-
-        jobs = [
-            ProfileJob("compress", scale=SCALE),
-            ProfileJob("go", scale=0.05),
-        ]
-        databases = profile_jobs(jobs, jobs=2)
-        assert len(databases) == 2
-        for job, database in zip(jobs, databases):
-            direct = profile_workload(
-                job.workload, job.variant, scale=job.scale, exact=False
-            )
-            assert database.to_json() == direct.database.to_json()
-
-    def test_profile_and_merge_equals_sequential_merge(self, isolated_cache):
-        jobs = [
-            ProfileJob("compress", variant="train", scale=SCALE),
-            ProfileJob("compress", variant="test", scale=SCALE),
-        ]
-        merged = profile_and_merge(jobs, jobs=2, name="compress-both")
-        databases = profile_jobs(jobs, jobs=1)
-        reference = databases[0]
-        reference.merge(databases[1])
-        reference.name = "compress-both"
-        assert merged.to_json() == reference.to_json()
-
-    def test_profile_and_merge_rejects_mixed_shapes(self):
-        jobs = [
-            ProfileJob("compress", capacity=10),
-            ProfileJob("compress", capacity=4),
-        ]
-        with pytest.raises(ExperimentError):
-            profile_and_merge(jobs)
-
-    def test_profile_and_merge_rejects_empty(self):
-        with pytest.raises(ExperimentError):
-            profile_and_merge([])

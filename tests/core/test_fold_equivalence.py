@@ -63,20 +63,19 @@ def tnv_full_state(table: TNVTable):
 
 
 def stats_state(stats: ValueStreamStats):
-    return {slot: getattr(stats, slot) for slot in ValueStreamStats.__slots__}
+    """The histogram, items in stored order: insertion order is state."""
+    return list(stats.histogram.items())
 
 
 def profile_state(profile: SiteProfile):
-    state = {
-        "tnv": tnv_full_state(profile.tnv),
-        "metrics": profile.metrics(),
-        "tnv_metrics": profile.tnv_metrics(),
-        "lvp": profile.lvp(),
-        "first": (profile._has_first, profile._first),
-        "last": (profile._has_last, profile._last),
-    }
-    if profile.exact is not None:
-        state["exact"] = stats_state(profile.exact)
+    """Every slot of the profile (the zeros, LVP hits, first and last
+    value live only there), the full TNV state, the histogram, and the
+    rows built from them."""
+    state = {slot: getattr(profile, slot) for slot in SiteProfile.__slots__}
+    state["tnv"] = tnv_full_state(profile.tnv)
+    state["exact"] = None if profile.exact is None else stats_state(profile.exact)
+    state["metrics"] = profile.metrics()
+    state["tnv_metrics"] = profile.tnv_metrics()
     return state
 
 

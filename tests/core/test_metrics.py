@@ -4,46 +4,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fold import is_zero
 from repro.core.metrics import (
     SiteMetrics,
     ValueStreamStats,
     aggregate_metrics,
-    is_zero,
     mean_unweighted,
     weighted_mean,
 )
+from repro.core.profile import SiteProfile, TNVConfig
+from repro.core.sites import load_site
+
+SITE = load_site("prog", "main", 1)
+
+
+def profile_of(values) -> SiteProfile:
+    """A profile with exact statistics over ``values``, in order."""
+    profile = SiteProfile(SITE, TNVConfig())
+    profile.record_many(values)
+    return profile
 
 
 class TestValueStreamStats:
+    """The exact stream statistics: the histogram's figures on
+    :class:`ValueStreamStats`, the order-sensitive ones (LVP, %Zeros)
+    on the :class:`SiteProfile` that owns the histogram."""
+
     def test_empty(self):
         stats = ValueStreamStats()
         assert stats.total == 0
         assert stats.invariance(1) == 0.0
-        assert stats.lvp() == 0.0
-        assert stats.pct_zeros() == 0.0
         assert stats.distinct == 0
+        profile = profile_of([])
+        assert profile.lvp() == 0.0
+        assert profile.pct_zeros() == 0.0
+
+    def test_histogram_is_the_only_state(self):
+        assert ValueStreamStats.__slots__ == ("_histogram",)
+        stats = ValueStreamStats()
+        stats.record_many([4, 4, 9])
+        stats.record(4)
+        assert stats.total == sum(stats.histogram.values()) == 4
 
     def test_constant_stream(self):
-        stats = ValueStreamStats()
-        stats.record_many([5] * 10)
-        assert stats.invariance(1) == 1.0
-        assert stats.lvp() == 1.0
-        assert stats.distinct == 1
+        profile = profile_of([5] * 10)
+        assert profile.exact.invariance(1) == 1.0
+        assert profile.lvp() == 1.0
+        assert profile.exact.distinct == 1
 
     def test_lvp_excludes_first_execution(self):
-        stats = ValueStreamStats()
-        stats.record_many([1, 1])
-        assert stats.lvp() == 1.0  # 1 hit / (2 - 1)
+        assert profile_of([1, 1]).lvp() == 1.0  # 1 hit / (2 - 1)
 
     def test_lvp_alternating(self):
-        stats = ValueStreamStats()
-        stats.record_many([1, 2, 1, 2, 1])
-        assert stats.lvp() == 0.0
+        assert profile_of([1, 2, 1, 2, 1]).lvp() == 0.0
 
     def test_lvp_single_execution_is_zero(self):
-        stats = ValueStreamStats()
-        stats.record(9)
-        assert stats.lvp() == 0.0
+        profile = profile_of([])
+        profile.record(9)
+        assert profile.lvp() == 0.0
 
     def test_invariance_top1_majority(self):
         stats = ValueStreamStats()
@@ -56,9 +74,7 @@ class TestValueStreamStats:
         assert stats.invariance(4) == 1.0
 
     def test_pct_zeros(self):
-        stats = ValueStreamStats()
-        stats.record_many([0, 0, 5, 5])
-        assert stats.pct_zeros() == pytest.approx(0.5)
+        assert profile_of([0, 0, 5, 5]).pct_zeros() == pytest.approx(0.5)
 
     def test_diff_counts_distinct(self):
         stats = ValueStreamStats()
@@ -71,9 +87,7 @@ class TestValueStreamStats:
         assert stats.top(2) == stats.top(2)
 
     def test_metrics_snapshot(self):
-        stats = ValueStreamStats()
-        stats.record_many([0, 0, 0, 7])
-        metrics = stats.metrics()
+        metrics = profile_of([0, 0, 0, 7]).metrics()
         assert metrics.executions == 4
         assert metrics.inv_top1 == pytest.approx(0.75)
         assert metrics.pct_zeros == pytest.approx(0.75)
@@ -91,9 +105,8 @@ class TestValueStreamStats:
     def test_lvp_lower_bounds_invariance_relation(self):
         # A stream sorted by value maximizes LVP for its histogram;
         # sanity: sorted constant-heavy stream has LVP >= inv_top1 - 1/n.
-        stats = ValueStreamStats()
-        stats.record_many(sorted([7] * 90 + list(range(10))))
-        assert stats.lvp() >= stats.invariance(1) - 0.05
+        profile = profile_of(sorted([7] * 90 + list(range(10))))
+        assert profile.lvp() >= profile.exact.invariance(1) - 0.05
 
 
 class TestIsZero:
@@ -164,18 +177,14 @@ def test_property_invariance_bounds(values):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=300))
 def test_property_lvp_counts_adjacent_pairs(values):
-    stats = ValueStreamStats()
-    stats.record_many(values)
     expected_hits = sum(1 for a, b in zip(values, values[1:]) if a == b)
-    assert stats.lvp() == pytest.approx(expected_hits / (len(values) - 1))
+    assert profile_of(values).lvp() == pytest.approx(expected_hits / (len(values) - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=200))
 def test_property_zero_fraction(values):
-    stats = ValueStreamStats()
-    stats.record_many(values)
-    assert stats.pct_zeros() == pytest.approx(values.count(0) / len(values))
+    assert profile_of(values).pct_zeros() == pytest.approx(values.count(0) / len(values))
 
 
 @settings(max_examples=100, deadline=None)

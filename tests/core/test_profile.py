@@ -1,5 +1,7 @@
 """Tests for SiteProfile and ProfileDatabase."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,25 @@ class TestSiteProfile:
     def test_tnv_metrics_report_estimates(self):
         profile = make_profile([1] * 10)
         assert profile.tnv_metrics().inv_top1 == 1.0
+
+    def test_each_scalar_is_kept_once(self):
+        assert not {"_total", "_has_first", "_has_last"} & set(SiteProfile.__slots__)
+        profile = make_profile([0, 4, 4])
+        assert profile.executions == profile.tnv.total == 3
+        assert profile.metrics().executions == 3
+
+    def test_merging_a_tnv_only_profile_drops_the_histogram(self):
+        """A histogram that saw only one side of a merge would report
+        that side's executions and LVP against the merged counts."""
+        merged = make_profile([1, 1, 2])
+        merged.merge(make_profile([3, 3, 3, 3], exact=False))
+        assert merged.exact is None
+        assert merged.executions == 7
+        row = merged.metrics()
+        assert row == merged.tnv_metrics()
+        assert row.executions == 7
+        assert row.lvp == merged.lvp() == pytest.approx(4 / 6)
+        assert row == make_profile([1, 1, 2, 3, 3, 3, 3], exact=False).metrics()
 
 
 class TestProfileDatabase:
@@ -288,6 +309,21 @@ class TestSerialization:
         db.record(SITE_A, 1)
         clone = ProfileDatabase.from_json(db.to_json())
         assert clone.profile_for(SITE_A).exact is None
+
+    @pytest.mark.parametrize("damage", ["executions", "first", "last"])
+    def test_from_json_refuses_entries_to_json_never_writes(self, damage):
+        """An entry's count is its TNV table's total, and an entry with
+        executions carries its first and last value."""
+        db = ProfileDatabase()
+        db.record_batch(SITE_A, [2, 2, 5])
+        payload = json.loads(db.to_json())
+        entry = payload["sites"][0]
+        if damage == "executions":
+            entry["executions"] += 1
+        else:
+            del entry[damage]
+        with pytest.raises(ProfileError, match="executions"):
+            ProfileDatabase.from_json(json.dumps(payload))
 
     def test_config_roundtrip(self):
         db = ProfileDatabase(config=TNVConfig(capacity=6, steady=2, clear_interval=77))

@@ -13,11 +13,13 @@ import copy
 import pickle
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.profile import ProfileDatabase, TNVConfig
-from repro.core.sites import Site, SiteKind
+from repro.core.sites import Site, SiteKind, load_site
+from repro.errors import ProfileError
 
 from tests.serve.harness import db_state, object_graph_dumps
 
@@ -154,3 +156,24 @@ def test_empty_database_round_trips():
             restored = pickle.loads(blob)
             assert full_state(restored) == full_state(db)
             assert len(restored) == 0
+
+
+def test_rows_of_another_layout_are_refused():
+    """A row whose length differs from its class's fields raises instead
+    of shifting fields into the wrong slots: a format-2 scalar row,
+    which led with the execution total, would load that total as the
+    zero count.  A stats row is the histogram dict alone."""
+    db = ProfileDatabase()
+    db.record_batch(load_site("prog", "main", 1), [0, 3, 3])
+    rebuild, (config, exact, name, sites, tables, stats, scalars) = db.__reduce__()
+    assert rebuild(config, exact, name, sites, tables, stats, scalars) is not None
+    format_2_scalars = [(3, 1, 1, 3, True, 0, True)]
+    format_2_stats = [(stats[0], 3, 1, 1, 3, True, 0, True)]
+    short_tables = [row[:-1] for row in tables]
+    for bad in (
+        (tables, stats, format_2_scalars),
+        (tables, format_2_stats, scalars),
+        (short_tables, stats, scalars),
+    ):
+        with pytest.raises(ProfileError, match="pickled"):
+            rebuild(config, exact, name, sites, *bad)

@@ -29,8 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.convergence import ConvergenceConfig
-from repro.core.metrics import ValueStreamStats
-from repro.core.profile import TNVConfig
+from repro.core.profile import SiteProfile, TNVConfig
 from repro.core.sampling import (
     ConvergentSampling,
     FullSampling,
@@ -277,12 +276,13 @@ value_lists = st.lists(values, max_size=60)
 @settings(max_examples=150, deadline=None)
 @given(stream=value_lists)
 def test_stream_invariance_matches_sorted_top(stream):
-    stats = ValueStreamStats()
-    stats.record_many(stream)
+    profile = SiteProfile(SITES[0], TNVConfig())
+    profile.record_many(stream)
+    stats = profile.exact
     for k in KS:
         assert stats.invariance(k) == sorted_invariance(stats, k)
     for top_n in KS:
-        row = stats.metrics(top_n)
+        row = profile.metrics(top_n)
         assert row.inv_top1 == sorted_invariance(stats, 1)
         assert row.inv_top_n == sorted_invariance(stats, top_n)
 
@@ -292,12 +292,13 @@ def test_stream_invariance_matches_sorted_top(stream):
     counts=st.dictionaries(values, st.integers(min_value=1, max_value=3), max_size=12)
 )
 def test_tied_histogram_invariance_matches_sorted_top(counts):
-    stats = ValueStreamStats()
+    profile = SiteProfile(SITES[0], TNVConfig())
     for value, count in counts.items():
-        stats.record_many([value] * count)
+        profile.record_many([value] * count)
+    stats = profile.exact
     for k in KS:
         assert stats.invariance(k) == sorted_invariance(stats, k)
-        assert stats.metrics(k).inv_top_n == sorted_invariance(stats, k)
+        assert profile.metrics(k).inv_top_n == sorted_invariance(stats, k)
 
 
 @pytest.mark.parametrize(

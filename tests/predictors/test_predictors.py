@@ -57,13 +57,14 @@ class TestLastValue:
 
     def test_accuracy_matches_lvp_metric(self):
         # The LVP metric is by construction this predictor's hit rate.
-        from repro.core.metrics import ValueStreamStats
+        from repro.core.profile import SiteProfile, TNVConfig
+        from repro.core.sites import load_site
 
         trace = [1, 1, 2, 2, 2, 3, 1, 1]
-        stats = ValueStreamStats()
-        stats.record_many(trace)
+        profile = SiteProfile(load_site("prog", "main", 1), TNVConfig())
+        profile.record_many(trace)
         predictor_stats = run_trace(LastValuePredictor(), trace)
-        assert predictor_stats.hits / (len(trace) - 1) == pytest.approx(stats.lvp())
+        assert predictor_stats.hits / (len(trace) - 1) == pytest.approx(profile.lvp())
 
 
 class TestStride:

@@ -140,8 +140,9 @@ def profile_state(profile) -> dict:
 
     Every slot of the profile, its TNV table and its exact statistics:
     TNV entries and the exact histogram in stored order, the steady
-    set, the health counters, the LVP/zeros/boundary scalars — and the
-    site's ``opcode``, which ``Site`` equality ignores.
+    set, the health counters, the zeros, LVP hits and first and last
+    value (kept only in the profile's own slots) — and the site's
+    ``opcode``, which ``Site`` equality ignores.
     """
     state = slot_state(profile)
     state["site"] = (profile.site, profile.site.opcode)
@@ -155,7 +156,7 @@ def object_graph_dumps(obj) -> bytes:
 
     Before :meth:`ProfileDatabase.__reduce__` existed, a database
     pickled as ``copyreg.__newobj__`` plus its ``__dict__`` — the whole
-    object graph.  Snapshots and cache entries written then must load.
+    object graph.  That form, with the current classes, must still load.
     """
 
     class ObjectGraphPickler(pickle.Pickler):

@@ -121,18 +121,20 @@ def test_snapshot_identity_checks(tmp_path):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 
-def test_format_1_state_is_refused_not_replayed(tmp_path):
-    """Shard state of format 1 — a snapshot, or a journal whose records
-    carry 5 fields (``client, seq, site_payloads, sidx, values``) — raises
-    instead of being replayed into the profiles."""
+@pytest.mark.parametrize("stamp", [1, 2])
+def test_format_1_state_is_refused_not_replayed(tmp_path, stamp):
+    """Shard state of an older format — a snapshot stamped 1 or 2, or a
+    journal whose records carry 5 fields (format 1's ``client, seq,
+    site_payloads, sidx, values``) — raises instead of being replayed
+    into the profiles."""
     core = ShardCore(0, str(tmp_path), exact=True)
     _feed_core(core, make_stream(num_sites=3, num_events=40, seed=27))
     core.checkpoint()
     core.close()
     snapshot = pickle.loads(core.snapshot_path.read_bytes())
-    snapshot["format"] = 1
+    snapshot["format"] = stamp
     core.snapshot_path.write_bytes(pickle.dumps(snapshot))
-    with pytest.raises(ShardStateError, match="unsupported snapshot format 1"):
+    with pytest.raises(ShardStateError, match=f"unsupported snapshot format {stamp}"):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
     core.snapshot_path.unlink()
@@ -142,7 +144,7 @@ def test_format_1_state_is_refused_not_replayed(tmp_path):
         struct.pack(">I", len(body)) + body
         for body in (pickle.dumps(record) for record in records)
     ))
-    with pytest.raises(ShardStateError, match="not of format 2"):
+    with pytest.raises(ShardStateError, match="not of format 3"):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 

@@ -7,8 +7,7 @@ just with their own unit tests.
 
 import pytest
 
-from repro.core.metrics import ValueStreamStats
-from repro.core.profile import ProfileDatabase
+from repro.core.profile import ProfileDatabase, SiteProfile, TNVConfig
 from repro.core.sites import SiteKind
 from repro.isa.instrument import ProfileTarget
 from repro.predictors.base import run_trace
@@ -35,20 +34,20 @@ class TestMetricPredictorAgreement:
         for site, trace in go_traces.items():
             if len(trace) < 2:
                 continue
-            stats = ValueStreamStats()
-            stats.record_many(trace)
+            profile = SiteProfile(site, TNVConfig())
+            profile.record_many(trace)
             predictor_stats = run_trace(LastValuePredictor(), trace)
             assert predictor_stats.hits / (len(trace) - 1) == pytest.approx(
-                stats.lvp()
+                profile.lvp()
             ), str(site)
 
     def test_profile_matches_trace_replay(self, go_traces, go_profile):
         """Profiling online must equal replaying the trace offline."""
         for site, trace in go_traces.items():
-            replay = ValueStreamStats()
+            replay = SiteProfile(site, TNVConfig())
             replay.record_many(trace)
-            online = go_profile.database.profile_for(site).exact
-            assert online.histogram == replay.histogram
+            online = go_profile.database.profile_for(site)
+            assert online.exact.histogram == replay.exact.histogram
             assert online.lvp() == pytest.approx(replay.lvp())
 
 
