@@ -16,7 +16,7 @@ from collections import Counter
 
 from helpers import append_history, write_bench_json
 
-from repro.core import tracestore
+from repro.core import columns
 from repro.core.metrics import ValueStreamStats
 from repro.core.profile import ProfileDatabase
 from repro.core.sampling import ConvergentSampling, SamplingProfiler
@@ -205,8 +205,8 @@ def test_replay_fold_throughput(benchmark, monkeypatch):
 
     assert benchmark(replay_default).to_json() == reference
     event_eps = _events_per_second(trace, _replay_per_event)
-    numpy_gather = tracestore._np is not None
-    monkeypatch.setattr(tracestore, "_np", None)
+    numpy_gather = columns._np is not None
+    monkeypatch.setattr(columns, "_np", None)
     assert replay_profile(trace, _TARGETS).to_json() == reference
     python_eps = _events_per_second(trace, lambda t: replay_profile(t, _TARGETS))
 

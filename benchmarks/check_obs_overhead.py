@@ -29,7 +29,9 @@ enforces that contract two ways:
    (``ShardCore(telemetry=True)``, the production default).  That
    instrumentation sits at batch boundaries too, so the telemetry-on
    fold loop must stay within ``TOLERANCE`` of ``telemetry=False``.
-   Journaling is off, so the comparison times the fold, not the disk.
+   Each shard defines its 8 sites once and then takes id-only
+   sub-batches.  Journaling is off, so the comparison times the apply
+   and the fold, not the disk.
 
 5. **Tier-2 jitlog enabled (always run).**  The specialization journal
    records only at lifecycle points (hot/quicken/deopt/compile), never
@@ -207,36 +209,36 @@ def _time_shard_submit(telemetry: bool, batches: int = 100) -> float:
     """One fresh shard folding ``batches`` sub-batches, journal off.
 
     The shard buffers what it applies and folds at a flush, so the timed
-    region ends by reading ``core.db``: that folds every pending run, and
-    the comparison covers the fold, not only the appends.
+    region ends by reading ``core.db``: that folds the pending columns,
+    and the comparison covers the fold, not only the appends.
     """
+    from array import array
+
     from repro.core.sites import Site, SiteKind
-    from repro.serve.protocol import site_to_payload
     from repro.serve.shard import ShardCore
 
-    payloads = [
-        site_to_payload(
-            Site(
-                kind=SiteKind.LOAD,
-                program="bench",
-                procedure=f"proc{index % 3}",
-                label=f"site{index}",
-                opcode="load",
-            )
+    sites = [
+        Site(
+            kind=SiteKind.LOAD,
+            program="bench",
+            procedure=f"proc{index % 3}",
+            label=f"site{index}",
+            opcode="load",
         )
         for index in range(8)
     ]
-    # One sub-batch whose events cycle through the 8 sites, grouped by
-    # site as the router hands it over: site ``i`` holds every 8th value.
-    values = _VALUES[: len(_VALUES) // 10]
-    runs = [values[index::len(payloads)] for index in range(len(payloads))]
+    # One sub-batch whose events cycle through the 8 sites, as the
+    # router hands it over: each event's site id and its value.
+    values = array("q", _VALUES[: len(_VALUES) // 10])
+    ids = array("I", (index % len(sites) for index in range(len(values))))
     with tempfile.TemporaryDirectory() as directory:
         core = ShardCore(0, directory, exact=False, telemetry=telemetry)
+        core.define("bench", range(len(sites)), sites)
         submit = core.submit
         start = time.thread_time()
         for seq in range(batches):
-            submit("bench", seq, payloads, runs, journal=False)
-        core.db  # reading it folds every pending run
+            submit("bench", seq, ids, values, journal=False)
+        core.db  # reading it folds every pending column
         elapsed = time.thread_time() - start
         core.close()
     return elapsed

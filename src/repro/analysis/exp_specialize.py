@@ -31,24 +31,25 @@ def _best_times(
     candidate: Tuple[Callable, List[tuple]],
     repeats: int = 9,
 ) -> Tuple[float, float]:
-    """Minimum-of-N wall times of two ``(func, calls)`` replays.
+    """Minimum-of-N CPU times of two ``(func, calls)`` replays.
 
-    Every round times both sides, so a host slowdown that outlasts
-    several rounds slows both alike instead of flipping their ratio.
-    The side that goes first swaps each round: a process sharing the
-    CPU tends to preempt every other millisecond-long body, and in a
-    fixed order it would keep hitting the same side.  The minimum over
-    rounds suppresses the remaining scheduler noise.
+    Each side is timed with the calling thread's CPU clock
+    (:func:`time.thread_time`), so time the thread spends preempted by
+    another process sharing its CPU is not counted at all.  Every round
+    times both sides, so a host slowdown that outlasts several rounds
+    (a slower clock, a cold cache) slows both alike instead of flipping
+    their ratio, and the side that goes first swaps each round.  The
+    minimum over rounds suppresses the remaining noise.
     """
     sides = (baseline, candidate)
     best = [float("inf"), float("inf")]
     for round_ in range(repeats):
         for side in (0, 1) if round_ % 2 == 0 else (1, 0):
             func, calls = sides[side]
-            start = time.perf_counter()
+            start = time.thread_time()
             for args in calls:
                 func(*args)
-            best[side] = min(best[side], time.perf_counter() - start)
+            best[side] = min(best[side], time.thread_time() - start)
     return best[0], best[1]
 
 
@@ -59,7 +60,7 @@ def _best_times(
     "Specializing on profiled semi-invariant parameters speeds up the "
     "invariant path; the guard costs a small constant, so net benefit "
     "requires high invariance (the break-even argument).",
-    deterministic=False,  # measures real wall-clock speedups
+    deterministic=False,  # measures real speedups, in thread CPU time
 )
 def table_specialization(scale: float = 1.0):
     calls_count = max(30, int(300 * scale))

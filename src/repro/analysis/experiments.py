@@ -320,6 +320,7 @@ def profiled(
     if cached is not None:
         METRICS.inc("cache.memory_hits")
         return cached
+    METRICS.inc("cache.misses")
     if _REPLAY_ENABLED:
         trace = load_events(name, variant, scale)
         with TRACER.span(
@@ -340,7 +341,6 @@ def profiled(
         )
         _RUN_CACHE[key] = run
         return run
-    METRICS.inc("cache.misses")
     _LOG.debug("cache miss: profiling %s/%s scale %s", name, variant, scale)
     with TRACER.span(
         "profile-workload", workload=name, variant=variant, scale=scale
@@ -376,6 +376,7 @@ def traced(
     if cached is not None:
         METRICS.inc("cache.memory_hits")
         return cached
+    METRICS.inc("cache.misses")
     if _REPLAY_ENABLED:
         trace = load_events(name, variant, scale)
         with TRACER.span(
@@ -389,7 +390,6 @@ def traced(
             "dropped": dropped,
         }
         return traces
-    METRICS.inc("cache.misses")
     _LOG.debug("cache miss: tracing %s/%s scale %s", name, variant, scale)
     with TRACER.span(
         "trace-workload", workload=name, variant=variant, scale=scale

@@ -21,9 +21,12 @@ pass per clear-interval chunk (the counting helper behind ``Counter``,
 which preserves first-appearance order) and, for a profile's LVP hits
 only, a C-level ``sum(map(eq, ...))`` adjacency pass.  It outran a
 sort-based vectorized kernel on the skewed small-integer runs the
-workloads produce; only the per-site gather ahead of it
-(:meth:`repro.core.tracestore.EventTrace.site_values`) is vectorized,
-and it hands each run over as a list of Python ints.
+workloads produce.
+
+Only the step ahead of it is vectorized: the per-site gather
+(:func:`repro.core.columns.gather`), which the trace store's replays
+and a serve shard's flushes share, hands the kernel each site's run as
+a list of Python ints.
 
 Most runs are short (a live shard's buffered runs have a median length
 of one event), so the kernel's fixed cost per call matters as much as

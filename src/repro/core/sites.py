@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import attrgetter
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+from repro.errors import ProfileError
 
 
 class SiteKind(str, enum.Enum):
@@ -69,6 +72,41 @@ class Site:
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.qualified_name()})"
+
+
+#: the fields of a site, in the order :func:`site_columns` lists them.
+SITE_FIELDS = ("kind", "program", "procedure", "label", "opcode")
+
+
+def site_columns(sites: Iterable[Site]) -> Tuple[list, list, list, list, list]:
+    """A site table as five flat lists, one per field of :data:`SITE_FIELDS`.
+
+    Kinds are their string values.  This is how site tables pickle (the
+    profile database's and a serve shard's): a fixed number of lists,
+    with no container built per site, and each string shared across
+    sites pickles once.
+    """
+    sites = list(sites)
+    # ``kind._value_`` is the enum's own value slot, read in C.
+    getters = (attrgetter("kind._value_"), *map(attrgetter, SITE_FIELDS[1:]))
+    return tuple(list(map(getter, sites)) for getter in getters)
+
+
+def sites_from_columns(columns: Sequence[list]) -> List[Site]:
+    """Rebuild the sites of :func:`site_columns` output, in order.
+
+    Columns that are not five lists of one length raise
+    :class:`~repro.errors.ProfileError`.
+    """
+    if len(columns) != len(SITE_FIELDS) or len({len(column) for column in columns}) > 1:
+        raise ProfileError(
+            f"a pickled site table holds columns of lengths "
+            f"{[len(column) for column in columns]}, not five of one length"
+        )
+    return [
+        Site(SiteKind(kind), program, procedure, label, opcode)
+        for kind, program, procedure, label, opcode in zip(*columns)
+    ]
 
 
 def instruction_site(program: str, procedure: str, pc: int, opcode: str) -> Site:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.core.columns import gather
 from repro.core.fold import fold_values
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import (
@@ -55,7 +56,7 @@ from repro.obs.flight import FLIGHT as _FLIGHT
 from repro.obs.metrics import METRICS as _METRICS
 from repro.obs.timeseries import TIMESERIES as _TIMESERIES
 
-try:  # numpy is optional: it only vectorizes the per-site gather.
+try:  # numpy is optional: it only vectorizes the capture's renumbering.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised with numpy hidden
     _np = None
@@ -149,55 +150,18 @@ class EventTrace:
         iterate identically to live-collected ones.  Each run is a list
         of Python ints in program order.
 
-        With numpy importable the gather is one stable argsort of the
-        site-id column; without it, one pass appending each event to
-        its site's list.  Both give the same runs in the same order.
+        The gather is :func:`repro.core.columns.gather`, the one a serve
+        shard's flush uses: one stable argsort of the site-id column when
+        numpy imports, one pass appending each event to its site's list
+        otherwise.  Both give the same runs in the same order.
         """
-        wanted = self._wanted(targets)
         sites = self.sites
-        if _np is not None:
-            sids = _np.frombuffer(self.site_ids, dtype=_np.uint32)
-            values = _np.frombuffer(self.values, dtype=_np.int64)
-            mask = _np.asarray(wanted, dtype=bool)[sids]
-            if not mask.all():
-                sids = sids[mask]
-                values = values[mask]
-            if sids.shape[0] == 0:
-                return []
-            # A stable sort keeps each site's events in program order, so
-            # every group starts with its site's earliest event; ordering
-            # the groups by that event's position gives first appearance.
-            perm = _np.argsort(sids, kind="stable")
-            sorted_sids = sids[perm]
-            sorted_values = values[perm]
-            starts = _np.flatnonzero(sorted_sids[1:] != sorted_sids[:-1]) + 1
-            starts = _np.concatenate(([0], starts))
-            ends = _np.append(starts[1:], sorted_sids.shape[0])
-            order = _np.argsort(perm[starts])
-            return [
-                (sites[sid], sorted_values[start:end].tolist())
-                for sid, start, end in zip(
-                    sorted_sids[starts[order]].tolist(),
-                    starts[order].tolist(),
-                    ends[order].tolist(),
-                )
-            ]
-        sink: List[Optional[callable]] = [None] * len(sites)
-        order: List[int] = []
-        runs: List[Optional[List[int]]] = [None] * len(sites)
-        drop = _discard
-        for sid, value in zip(self.site_ids, self.values):
-            append = sink[sid]
-            if append is None:
-                if wanted[sid]:
-                    run: List[int] = []
-                    runs[sid] = run
-                    order.append(sid)
-                    append = sink[sid] = run.append
-                else:
-                    append = sink[sid] = drop
-            append(value)
-        return [(sites[sid], runs[sid]) for sid in order]
+        return [
+            (sites[sid], run)
+            for sid, run in gather(
+                self.site_ids, self.values, len(sites), self._wanted(targets)
+            )
+        ]
 
     def with_parameter_context(self) -> "EventTrace":
         """This trace with each parameter event keyed by its call site.
@@ -304,10 +268,6 @@ def _unpack(typecode: str, data: bytes) -> array:
     column = array(typecode)
     column.frombytes(zlib.decompress(data))
     return column
-
-
-def _discard(value) -> None:
-    """Append-sink for events outside the replayed families."""
 
 
 class TraceCaptureObserver(MachineObserver):

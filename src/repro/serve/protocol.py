@@ -59,8 +59,8 @@ Server → client messages:
   point: every batch below ``SEQ`` is applied on every shard, so the
   client drops those from its unacked buffer and resends the rest.
 * ``{"t": "ack", "seq": N}`` — batch ``N`` has been journaled and
-  applied on every shard: its events sit in the shard's pending runs,
-  which every query folds first.  An acked batch survives any
+  applied on every shard: its events sit in the shard's pending
+  columns, which every query folds first.  An acked batch survives any
   single-shard crash (restart replays the journal), which is what
   bounds loss to the unacknowledged window.
 * ``{"t": "flow", "state": "pause" | "resume"}`` — bounded-queue flow

@@ -224,13 +224,16 @@ GATHER_VIEWS = [((target,), False) for target in ProfileTarget] + [
 
 @pytest.fixture(params=["numpy", "python"])
 def gather(request, monkeypatch):
-    """Run under one per-site gather: numpy's argsort, or the loop."""
-    from repro.core import tracestore
+    """Run under one per-site gather (:func:`repro.core.columns.gather`):
+    numpy's argsort, or the loop; the python leg hides numpy from the
+    trace store's renumbering too."""
+    from repro.core import columns, tracestore
 
     if request.param == "numpy":
-        if tracestore._np is None:
+        if columns._np is None:
             pytest.skip("numpy not installed")
     else:
+        monkeypatch.setattr(columns, "_np", None)
         monkeypatch.setattr(tracestore, "_np", None)
     return request.param
 

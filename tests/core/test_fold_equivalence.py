@@ -328,3 +328,58 @@ def test_kernel_zeros_fallback_matches_per_event(boundaries):
     assert fold.zeros == 0
     per_event, folded = _record_both(head, tail)
     assert profile_state(folded) == profile_state(per_event)
+
+
+# ----------------------------------------------------------------------
+# the event-column helpers: one gather, and the router's split
+# ----------------------------------------------------------------------
+
+columns_strategy = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(-(2**63), 2**63 - 1)), max_size=200
+)
+
+
+@pytest.mark.parametrize("mode", ["numpy", "python"])
+@settings(max_examples=150, deadline=None)
+@given(events=columns_strategy, wanted=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_column_helpers_match_per_event_oracles(mode, events, wanted):
+    """Both paths of :func:`gather` group by id in first-appearance
+    order into runs of Python ints, both paths of :func:`partition`
+    keep each owner's events in column order, and both paths of
+    :func:`lookup` map each id through its table."""
+    from repro.core import columns
+    from repro.core.columns import gather, lookup, partition
+
+    if mode == "numpy" and columns._np is None:
+        pytest.skip("numpy not installed")
+    ids = array("I", [sid for sid, _ in events])
+    values = array("q", [value for _, value in events])
+    owners = bytes(sid % 3 for sid in range(8))
+    runs, kept = {}, {}
+    for sid, value in events:
+        runs.setdefault(sid, []).append(value)
+        if wanted[sid]:
+            kept.setdefault(sid, []).append(value)
+    with pytest.MonkeyPatch.context() as patch:
+        if mode == "python":
+            patch.setattr(columns, "_np", None)
+        assert gather(ids, values, 8) == list(runs.items())
+        assert gather(ids, values, 1 << 17) == list(runs.items())  # ids too wide for uint16
+        assert gather(ids, values, 8, wanted) == list(kept.items())
+        assert all(type(value) is int for _, run in gather(ids, values, 8) for value in run)
+        split = partition(ids, values, owners, 3)
+        assert [(part.typecode, part_values.typecode) for part, part_values in split] == [("I", "q")] * 3
+        assert [(list(part), list(part_values)) for part, part_values in split] == [
+            ([sid for sid, _ in events if owners[sid] == owner],
+             [value for sid, value in events if owners[sid] == owner])
+            for owner in range(3)
+        ]
+        with pytest.raises(IndexError):
+            partition(array("I", [0, 8]), array("q", [1, 2]), owners, 3)
+        table = array("i", [5, -1, 7, 0, 1, 2, 3, 4])
+        found = lookup(table, array("I", [sid for sid, _ in events if sid != 1]))
+        assert found.typecode == "I"
+        assert list(found) == [table[sid] for sid, _ in events if sid != 1]
+        for bad in ([1], [8], [0, 9]):
+            with pytest.raises(IndexError):
+                lookup(table, array("I", bad))

@@ -159,21 +159,48 @@ def test_empty_database_round_trips():
 
 
 def test_rows_of_another_layout_are_refused():
-    """A row whose length differs from its class's fields raises instead
-    of shifting fields into the wrong slots: a format-2 scalar row,
-    which led with the execution total, would load that total as the
-    zero count.  A stats row is the histogram dict alone."""
+    """A pickle whose field lists do not fit this build's layout raises
+    instead of shifting fields into the wrong slots: a field list more
+    or fewer (a pickle written with other slots), a list of another
+    length than the site count, or histogram sizes that do not add up
+    to the flattened values.  Format 3's per-site rows are refused the
+    same way."""
     db = ProfileDatabase()
     db.record_batch(load_site("prog", "main", 1), [0, 3, 3])
-    rebuild, (config, exact, name, sites, tables, stats, scalars) = db.__reduce__()
-    assert rebuild(config, exact, name, sites, tables, stats, scalars) is not None
-    format_2_scalars = [(3, 1, 1, 3, True, 0, True)]
-    format_2_stats = [(stats[0], 3, 1, 1, 3, True, 0, True)]
-    short_tables = [row[:-1] for row in tables]
+    db.record_batch(load_site("prog", "main", 2), [4])
+    rebuild, args = db.__reduce__()
+    config, exact, name, sites, tables, scalars, sizes, values, counts = args
+    assert full_state(rebuild(*args)) == full_state(db)
+    format_3_scalars = [(1, 1, 0, 3), (0, 0, 4, 4)]
     for bad in (
-        (tables, stats, format_2_scalars),
-        (tables, format_2_stats, scalars),
-        (short_tables, stats, scalars),
+        (sites, tables[:-1], scalars, sizes, values, counts),
+        (sites, tables, scalars + [[0, 0]], sizes, values, counts),
+        (sites, tables, [column[:1] for column in scalars], sizes, values, counts),
+        (sites, tables, format_3_scalars, sizes, values, counts),
+        (sites, tables, scalars, sizes, values[:-1], counts),
+        (sites, tables, scalars, [sizes[0] + 1, sizes[1]], values, counts),
+        ([column[:1] for column in sites], tables, scalars, sizes, values, counts),
     ):
         with pytest.raises(ProfileError, match="pickled"):
-            rebuild(config, exact, name, sites, *bad)
+            rebuild(config, exact, name, *bad)
+
+
+def test_pickle_is_a_fixed_number_of_lists():
+    """However many sites a database holds, its pickle is the same few
+    flat lists: no container is built per site."""
+    shapes = []
+    for count in (1, 50):
+        db = ProfileDatabase()
+        for pc in range(count):
+            db.record_batch(load_site("prog", "main", pc), [pc, 0, pc])
+        _, (_, _, _, sites, tables, scalars, sizes, values, counts) = db.__reduce__()
+        columns = [*sites, *tables, *scalars, sizes, values, counts]
+        assert all(type(column) is list for column in columns)
+        assert all(len(column) == count for column in [*sites, *tables, *scalars, sizes])
+        assert not any(
+            type(cell) in (tuple, list)
+            for column in [*sites, *scalars, sizes, values, counts]
+            for cell in column
+        )
+        shapes.append(len(columns))
+    assert shapes[0] == shapes[1]

@@ -30,6 +30,7 @@ statistics — not just rendered metrics.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import copyreg
 import io
 import json
@@ -42,6 +43,7 @@ import time
 import urllib.request
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.core import columns
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import Site, SiteKind
 from repro.serve import protocol as proto
@@ -168,6 +170,28 @@ def object_graph_dumps(obj) -> bytes:
     buffer = io.BytesIO()
     ObjectGraphPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
     return buffer.getvalue()
+
+
+#: the two ways :func:`repro.core.columns.gather` (and the router's
+#: :func:`~repro.core.columns.partition`) can run.
+GATHERS = ["numpy", "python"]
+
+
+@contextlib.contextmanager
+def gather_mode(name: str):
+    """Run the body under one gather: numpy's argsort, or the loop.
+
+    A context manager rather than a fixture, so Hypothesis tests can
+    use it too; asking for numpy where it is not installed skips.
+    """
+    import pytest
+
+    if name == "numpy" and columns._np is None:
+        pytest.skip("numpy not installed")
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "python":
+            patch.setattr(columns, "_np", None)
+        yield
 
 
 def db_state(db: ProfileDatabase) -> Dict[Site, dict]:

@@ -5,28 +5,33 @@ depends only on the site's own value subsequence, so hashing the site
 space across shards and folding per-shard sub-batches yields state
 identical to one process recording the stream event by event — TNV
 entry order, health counters and exact statistics included.  The same
-holds when a shard buffers its sub-batches into per-site pending runs
+holds when a shard buffers its sub-batches into pending id and value columns
 and folds them only at reads, checkpoints and a size bound.  The
-properties cut their sub-batches with the router's own grouping
-(:func:`repro.serve.server.group_by_site`).
+properties cut their sub-batches with the router's own split
+(:func:`repro.core.columns.partition`) and run under both gathers
+(numpy's argsort and the pure-Python loop), which the shards' flushes
+and the split share with the trace store.
 """
 
 import tempfile
 import threading
+from array import array
 
 import pytest
 
 from repro.analysis.tables import profile_table
+from repro.core.columns import partition
 from repro.core.profile import ProfileDatabase, TNVConfig
 from repro.core.sites import SiteKind
 from repro.serve import protocol as proto
 from repro.serve import shard as shard_module
-from repro.serve.server import group_by_site
 from repro.serve.shard import ShardCore
 
 from tests.serve.harness import (
+    GATHERS,
     ServeCluster,
     assert_same_profile_state,
+    gather_mode,
     make_sites,
     make_stream,
     offline_reference,
@@ -48,19 +53,31 @@ def split_batches(events, batch_sizes):
     return batches
 
 
+def owners(sites, shards):
+    return bytes(proto.shard_for_site(site, shards) for site in sites)
+
+
+def define_everywhere(cores, sites, client="c"):
+    """Define the client site table ``sites`` on ``cores`` as the
+    router does: each core gets the ids and sites it owns."""
+    owner = owners(sites, len(cores))
+    for index, core in enumerate(cores):
+        sids = [sid for sid in range(len(sites)) if owner[sid] == index]
+        core.define(client, sids, [sites[sid] for sid in sids])
+
+
 def route(batch, sites, shards):
     """One batch as the server routes it, through the router's own
-    grouping: a ``(site_payloads, runs)`` sub-batch for every shard.
+    split: an ``(ids, values)`` sub-batch for every shard.
 
     ``batch`` holds ``(sid, value)`` events over the client site table
     ``sites``; shards that own none of the batch's sites get an empty
     sub-batch, so per-shard sequences stay gapless.
     """
-    return group_by_site(
-        [sid for sid, _ in batch],
-        [value for _, value in batch],
-        [proto.shard_for_site(site, shards) for site in sites],
-        [proto.site_to_payload(site) for site in sites],
+    return partition(
+        array("I", [sid for sid, _ in batch]),
+        array("q", [value for _, value in batch]),
+        owners(sites, shards),
         shards,
     )
 
@@ -80,9 +97,10 @@ def fold_through_shards(events, sites, batch_sizes, shards, config, client="c"):
             ShardCore(index, tmp, config=config, exact=True)
             for index in range(shards)
         ]
+        define_everywhere(cores, sites, client)
         for seq, batch in enumerate(split_batches(events, batch_sizes)):
-            for core, (payloads, runs) in zip(cores, route(batch, sites, shards)):
-                done = core.submit(client, seq, payloads, runs, journal=False)
+            for core, (ids, values) in zip(cores, route(batch, sites, shards)):
+                done = core.submit(client, seq, ids, values, journal=False)
                 assert done == [seq]
         merged = merge_cores(cores, config)
         for core in cores:
@@ -90,9 +108,10 @@ def fold_through_shards(events, sites, batch_sizes, shards, config, client="c"):
         return merged
 
 
+@pytest.mark.parametrize("gather", GATHERS)
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_any_partition_matches_single_process(data):
+def test_any_partition_matches_single_process(gather, data):
     sites = make_sites(6)
     events = data.draw(
         st.lists(
@@ -109,24 +128,33 @@ def test_any_partition_matches_single_process(data):
     # Small TNV knobs so clearing/steady-state logic actually fires
     # inside these short streams.
     config = TNVConfig(capacity=4, steady=2, clear_interval=16)
-    merged = fold_through_shards(events, sites, batch_sizes, shards, config)
+    with gather_mode(gather):
+        merged = fold_through_shards(events, sites, batch_sizes, shards, config)
     reference = offline_reference(
         [(sites[index], value) for index, value in events], config=config, exact=True
     )
     assert_same_profile_state(merged, reference)
 
 
+@pytest.mark.parametrize("gather", GATHERS)
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_buffered_folds_survive_reads_checkpoints_and_kills(data):
-    """Pending runs never show, and never get lost or folded twice.
+def test_buffered_folds_survive_reads_checkpoints_and_kills(gather, data):
+    """Pending columns never show, and never get lost or folded twice.
 
-    Between submits the schedule reads the merged database, checkpoints
-    every shard (as ``/checkpoint`` does), or kills one shard and
-    rebuilds it from its snapshot and journal.  The flush bound is
-    drawn small, so bound-triggered flushes land anywhere in the
-    schedule.  Every read must equal the per-event fold of everything
-    submitted so far.
+    The client defines each site just before the first batch that uses
+    it, as the production client does, so definition items interleave
+    with sub-batches.  Between submits the schedule reads the merged
+    database, checkpoints every shard (as ``/checkpoint`` does), kills
+    one shard and restarts it from its snapshot and journal, or
+    restarts every shard (``--restore``) with the client replaying its
+    whole site table, which must journal nothing.  A shard can also die
+    with a definition item still queued: it never arrives, and the
+    restart defines the session's sites again, as
+    :meth:`ServeServer.restart_shard` does.  The flush bound is drawn
+    small, so bound-triggered flushes land anywhere in the schedule.
+    Every read must equal the per-event fold of everything submitted
+    so far.
     """
     sites = make_sites(6)
     events = data.draw(
@@ -143,8 +171,25 @@ def test_buffered_folds_survive_reads_checkpoints_and_kills(data):
     )
     bound = data.draw(st.integers(1, 40), label="flush_bound")
     config = TNVConfig(capacity=4, steady=2, clear_interval=16)
-    schedule = st.lists(st.sampled_from(["read", "checkpoint", "kill"]), max_size=3)
-    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+    schedule = st.lists(
+        st.sampled_from(["read", "checkpoint", "kill", "restore"]), max_size=3
+    )
+    owner = owners(sites, shards)
+    defined = set()
+
+    def owned(index, sids):
+        return sorted(sid for sid in sids if owner[sid] == index)
+
+    def define(core, sids):
+        return core.define("c", sids, [sites[sid] for sid in sids])
+
+    def restart(index):
+        core = ShardCore(index, tmp, config=config, exact=True, restore=True)
+        define(core, owned(index, defined))
+        return core
+
+    with gather_mode(gather), pytest.MonkeyPatch.context() as patch, \
+            tempfile.TemporaryDirectory() as tmp:
         patch.setattr(shard_module, "FLUSH_EVENTS", bound)
         cores = [
             ShardCore(index, tmp, config=config, exact=True)
@@ -153,8 +198,21 @@ def test_buffered_folds_survive_reads_checkpoints_and_kills(data):
         try:
             submitted = []
             for seq, batch in enumerate(split_batches(events, batch_sizes)):
-                for core, (payloads, runs) in zip(cores, route(batch, sites, shards)):
-                    assert core.submit("c", seq, payloads, runs) == [seq]
+                new = {sid for sid, _ in batch} - defined
+                if new:
+                    defined |= new
+                    lost = data.draw(
+                        st.sampled_from([None, *range(shards)]),
+                        label=f"shard killed with batch {seq}'s definitions queued",
+                    )
+                    for index, core in enumerate(cores):
+                        if index != lost and owned(index, new):
+                            define(core, owned(index, new))
+                    if lost is not None:
+                        cores[lost].close()
+                        cores[lost] = restart(lost)
+                for core, (ids, values) in zip(cores, route(batch, sites, shards)):
+                    assert core.submit("c", seq, ids, values) == [seq]
                 submitted.extend((sites[index], value) for index, value in batch)
                 for op in data.draw(schedule, label=f"after batch {seq}"):
                     if op == "read":
@@ -163,12 +221,19 @@ def test_buffered_folds_survive_reads_checkpoints_and_kills(data):
                     elif op == "checkpoint":
                         for core in cores:
                             core.checkpoint()
-                    else:
+                    elif op == "kill":
                         index = data.draw(st.integers(0, shards - 1), label="killed")
                         cores[index].close()
-                        cores[index] = ShardCore(
-                            index, tmp, config=config, exact=True, restore=True
-                        )
+                        cores[index] = restart(index)
+                    else:
+                        for index, core in enumerate(cores):
+                            core.close()
+                            cores[index] = core = ShardCore(
+                                index, tmp, config=config, exact=True, restore=True
+                            )
+                            records = core.counters["wal_records"]
+                            assert define(core, owned(index, defined)) == 0
+                            assert core.counters["wal_records"] == records
             reference = offline_reference(submitted, config=config)
             assert_same_profile_state(merge_cores(cores, config), reference)
         finally:

@@ -242,7 +242,7 @@ class TestSlowOpsAndHealth:
     def test_stats_carries_shard_health(self, tmp_path):
         with ServeCluster(shards=2, snapshot_dir=str(tmp_path)) as cluster:
             cluster.push_events("c1", make_stream(num_sites=12, num_events=600))
-            cluster.merged_database()  # a query folds the pending runs
+            cluster.merged_database()  # a query folds the pending columns
             cluster.checkpoint()
             stats = cluster.http_json("/stats")
             snapshot_sizes = [

@@ -6,34 +6,59 @@ query surface, byte for byte.
 """
 
 import pickle
+import shutil
 import struct
+import time
+from array import array
+from pathlib import Path
 
 import pytest
 
 from repro.core.profile import TNVConfig
 from repro.core.sites import SiteKind
 from repro.serve import protocol as proto
-from repro.serve.shard import ShardCore, ShardStateError, resume_seq
+from repro.serve.shard import SNAPSHOT_MAGIC, ShardCore, ShardStateError, resume_seq
 
 from tests.serve.harness import (
     ServeCluster,
     assert_same_profile_state,
     db_state,
+    make_sites,
     make_stream,
     object_graph_dumps,
     offline_reference,
 )
 
+#: a client's id for each synthetic site: its index in ``make_sites``.
+SITE_IDS = {site: sid for sid, site in enumerate(make_sites(16))}
+
+#: a snapshot and a journal written by a shard of format 3, the format
+#: before sites were defined once (40 events over 3 sites, 2 batches
+#: in the snapshot and 2 in the journal).
+FORMAT_3 = Path(__file__).parent / "format3"
+
+
+def _header(stamp=4):
+    return b"%s %d\n" % (SNAPSHOT_MAGIC, stamp)
+
+
+def _split_snapshot(path):
+    """A snapshot's header line and its state, unpickled."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return header + b"\n", pickle.loads(body)
+
 
 def _feed_core(core, events, seq_base=0, batch_size=20, client="c"):
-    """Push a stream into one core as single-shard batches."""
+    """Push a stream into one core as single-shard batches, each site
+    defined before its first batch (defining it again maps nothing)."""
     seq = seq_base
     for start in range(0, len(events), batch_size):
-        runs = {}
-        for site, value in events[start : start + batch_size]:
-            runs.setdefault(site, []).append(value)
-        payloads = [proto.site_to_payload(site) for site in runs]
-        assert core.submit(client, seq, payloads, list(runs.values())) == [seq]
+        batch = events[start : start + batch_size]
+        sites = list(dict.fromkeys(site for site, _ in batch))
+        core.define(client, [SITE_IDS[site] for site in sites], sites)
+        ids = array("I", [SITE_IDS[site] for site, _ in batch])
+        values = array("q", [value for _, value in batch])
+        assert core.submit(client, seq, ids, values) == [seq]
         seq += 1
     return seq
 
@@ -95,9 +120,9 @@ def test_restore_reads_object_graph_snapshot(tmp_path):
     core = ShardCore(0, str(tmp_path), config=config, exact=True)
     seq = _feed_core(core, events[:300])
     core.checkpoint()
-    payload = pickle.loads(core.snapshot_path.read_bytes())
+    header, payload = _split_snapshot(core.snapshot_path)
     payload["db"] = core.db  # the live database, not the decoded copy
-    core.snapshot_path.write_bytes(object_graph_dumps(payload))
+    core.snapshot_path.write_bytes(header + object_graph_dumps(payload))
     core.close()
 
     restored = ShardCore(0, str(tmp_path), config=config, exact=True, restore=True)
@@ -116,35 +141,45 @@ def test_snapshot_identity_checks(tmp_path):
     wrong.write_bytes(core.snapshot_path.read_bytes())
     with pytest.raises(ShardStateError, match="belongs to shard"):
         ShardCore(1, str(tmp_path), exact=True, restore=True)
-    core.snapshot_path.write_bytes(b"not a pickle")
+    core.snapshot_path.write_bytes(_header() + b"not a pickle")
     with pytest.raises(ShardStateError, match="unreadable"):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 
-@pytest.mark.parametrize("stamp", [1, 2])
+@pytest.mark.parametrize("stamp", [1, 2, 3])
 def test_format_1_state_is_refused_not_replayed(tmp_path, stamp):
-    """Shard state of an older format — a snapshot stamped 1 or 2, or a
-    journal whose records carry 5 fields (format 1's ``client, seq,
-    site_payloads, sidx, values``) — raises instead of being replayed
-    into the profiles."""
+    """Shard state of an older format — a snapshot stamped 1 to 3, or a
+    journal whose records are format 3's ``(client, seq,
+    site_payloads, runs)`` or format 1's five fields — raises instead of
+    being replayed into the profiles."""
     core = ShardCore(0, str(tmp_path), exact=True)
     _feed_core(core, make_stream(num_sites=3, num_events=40, seed=27))
     core.checkpoint()
     core.close()
-    snapshot = pickle.loads(core.snapshot_path.read_bytes())
-    snapshot["format"] = stamp
-    core.snapshot_path.write_bytes(pickle.dumps(snapshot))
+    _, state = _split_snapshot(core.snapshot_path)
+    core.snapshot_path.write_bytes(_header(stamp) + pickle.dumps(state))
     with pytest.raises(ShardStateError, match=f"unsupported snapshot format {stamp}"):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
     core.snapshot_path.unlink()
     payload = proto.site_to_payload(make_stream(num_sites=1, num_events=1)[0][0])
     records = [("c", 0, [payload], [[5, 5]]), ("c", 1, [payload], [0], [7])]
-    core.wal_path.write_bytes(b"".join(
-        struct.pack(">I", len(body)) + body
-        for body in (pickle.dumps(record) for record in records)
-    ))
-    with pytest.raises(ShardStateError, match="not of format 3"):
+    for record in records:
+        core.wal_path.write_bytes(struct.pack(">I", len(pickle.dumps(record)))
+                                  + pickle.dumps(record))
+        with pytest.raises(ShardStateError, match="not of format 4"):
+            ShardCore(0, str(tmp_path), exact=True, restore=True)
+
+
+@pytest.mark.parametrize("name", ["shard-000.snap", "shard-000.wal"])
+def test_state_written_by_a_format_3_shard_is_refused(tmp_path, name):
+    """A snapshot or journal that a shard of format 3 wrote (committed
+    under ``format3/``) is refused by its format before any of its
+    state loads: the snapshot has no header line, and the journal's
+    records carry the site payloads."""
+    shutil.copy(FORMAT_3 / name, tmp_path / name)
+    expected = "no format header" if name.endswith(".snap") else "not of format 4"
+    with pytest.raises(ShardStateError, match=expected):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 
@@ -167,7 +202,7 @@ def test_unreadable_journal_record_is_refused(tmp_path, body, error):
     and the record's byte offset; only a torn final record is skipped."""
     core = ShardCore(0, str(tmp_path), exact=True)
     core.close()
-    good = pickle.dumps(("c", 0, [], []))
+    good = pickle.dumps(("batch", "c", 0, array("I"), array("q")))
     _write_journal(core.wal_path, [good, body])
     offset = struct.calcsize(">I") + len(good)
     with pytest.raises(ShardStateError) as caught:
@@ -186,7 +221,7 @@ def test_unreadable_journal_record_is_refused(tmp_path, body, error):
 def test_unreadable_snapshot_is_refused(tmp_path, body, error):
     core = ShardCore(0, str(tmp_path), exact=True)
     core.close()
-    core.snapshot_path.write_bytes(body)
+    core.snapshot_path.write_bytes(_header() + body)
     with pytest.raises(ShardStateError) as caught:
         ShardCore(0, str(tmp_path), exact=True, restore=True)
     message = str(caught.value)
@@ -244,6 +279,52 @@ def _golden_restore(tmp_path, config=None):
         restored_db, offline_reference(events, config=config, name="synth.train")
     )
     return events, restored_db
+
+
+def test_replayed_site_table_journals_nothing_after_restore(tmp_path):
+    """A ``--restore`` restart whose client reconnects and replays its
+    whole site table: every site is already defined on its shard, so
+    no journal grows until the next batch, and the stream continues
+    exactly."""
+    events = make_stream(num_sites=10, num_events=600, seed=28)
+    snapdir = tmp_path / "snaps"
+    kwargs = dict(shards=2, queue_size=16, checkpoint_interval=None)
+    with ServeCluster(snapshot_dir=str(snapdir), **kwargs) as first:
+        client = first.client("c1", stream="synth.train")
+        client.push_events(events[:300], batch_size=30)
+        client.flush()
+        first.checkpoint()
+        client.push_events(events[300:450], batch_size=30)
+        client.flush()
+        client.close()
+        first.stop(checkpoint=False)
+    journals = {path.name: path.read_bytes() for path in snapdir.glob("*.wal")}
+    assert any(journals.values())
+
+    with ServeCluster(snapshot_dir=str(snapdir), restore=True, **kwargs) as second:
+        records = [runner.core.counters["wal_records"] for runner in second.server.runners]
+        client.port = second.ingest_port
+        client.connect()  # replays the whole table in one sites frame
+
+        def defined():
+            session = second.server.sessions.get("c1")
+            return (
+                session is not None
+                and len(session.sites) == 10
+                and all(runner.depth() == 0 for runner in second.server.runners)
+            )
+
+        deadline = time.monotonic() + 10
+        while not second.call(defined):
+            assert time.monotonic() < deadline, "the site table never arrived"
+            time.sleep(0.02)
+        assert [runner.core.counters["wal_records"] for runner in second.server.runners] == records
+        assert {path.name: path.read_bytes() for path in snapdir.glob("*.wal")} == journals
+        client.push_events(events[450:], batch_size=30)
+        client.flush()
+        client.close()
+        restored = second.merged_database()
+    assert_same_profile_state(restored, offline_reference(events))
 
 
 def test_golden_restore_profile_byte_identical(tmp_path):
