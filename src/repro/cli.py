@@ -582,7 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve", help="run the sharded live-profiling service"
     )
-    serve_parser.add_argument("--shards", type=int, default=2)
+    serve_parser.add_argument(
+        "--shards",
+        type=int,
+        default=2,
+        metavar="N",
+        help="shards the site space hashes across, 1 to 255 (the router "
+        "keeps each site's owner in a byte)",
+    )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
         "--port", type=int, default=7571, help="ingest listener port (0 = ephemeral)"
