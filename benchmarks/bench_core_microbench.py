@@ -13,6 +13,7 @@ import random
 import time
 from array import array
 from collections import Counter
+from typing import Tuple
 
 from helpers import append_history, write_bench_json
 
@@ -25,6 +26,7 @@ from repro.core.tnv import TNVTable
 from repro.core.tracestore import EventTrace, replay_profile
 from repro.isa.instrument import ProfileTarget, ValueProfiler
 from repro.isa.machine import Machine
+from repro.serve.shard import ShardCore
 from repro.workloads.registry import get_workload
 
 _RNG = random.Random(20_250_705)
@@ -231,6 +233,108 @@ def test_replay_fold_throughput(benchmark, monkeypatch):
     append_history("replay_fold", "events_per_s_default", default_eps)
     append_history("replay_fold", "events_per_s_python", python_eps)
     append_history("replay_fold", "events_per_s_event", event_eps)
+
+
+# ----------------------------------------------------------------------
+# serve shard: flush, checkpoint encode, restore
+# ----------------------------------------------------------------------
+
+_SHARD_SITES = 10_000
+_SHARD_HOT = 100
+_SHARD_WINDOW = 16_384
+_SHARD_BATCH = 64
+_SHARD_TAIL = 200
+
+
+def _shard_window(rng: random.Random) -> Tuple[array, array]:
+    """One flush window of a skewed serve-shaped stream: 85% of its
+    events on 100 hot sites, the rest spread over 10,000 cold ones, so
+    most of the window's runs are one event long; mostly small values."""
+    ids = array("I", (
+        rng.randrange(_SHARD_HOT) if rng.random() < 0.85 else rng.randrange(_SHARD_SITES)
+        for _ in range(_SHARD_WINDOW)
+    ))
+    values = array("q", (
+        rng.randrange(16) if rng.random() < 0.8 else rng.randrange(1 << 20)
+        for _ in range(_SHARD_WINDOW)
+    ))
+    return ids, values
+
+
+def _submit(core: ShardCore, ids: array, values: array, seq: int, journal: bool) -> int:
+    """Submit two columns as one client's batches from ``seq``; returns the next seq."""
+    for start in range(0, len(ids), _SHARD_BATCH):
+        end = start + _SHARD_BATCH
+        assert core.submit("c", seq, ids[start:end], values[start:end], journal=journal) == [seq]
+        seq += 1
+    return seq
+
+
+def _warm_shard(directory) -> Tuple[ShardCore, int, random.Random]:
+    """A shard holding a row for each of the 10,000 sites, every event
+    folded; returns it, its next seq and the stream's generator."""
+    rng = random.Random(20_261_022)
+    core = ShardCore(0, str(directory), telemetry=False)
+    sites = [load_site("bench", "shard", pc) for pc in range(_SHARD_SITES)]
+    core.define("c", range(_SHARD_SITES), sites)
+    every = array("I", range(_SHARD_SITES))
+    seq = _submit(core, every, array("q", (pc % 7 for pc in every)), 0, journal=False)
+    seq = _submit(core, *_shard_window(rng), seq, journal=False)
+    assert len(core.db) == _SHARD_SITES
+    return core, seq, rng
+
+
+def test_shard_flush_throughput(benchmark, tmp_path):
+    """One shard flush of a 16,384-event window over a warm 10,000-site
+    shard: the gather and the database's recording of its runs."""
+    core, seq, rng = _warm_shard(tmp_path)
+    windows = [_shard_window(rng) for _ in range(4)]
+    state = {"seq": seq, "round": 0}
+
+    def setup():
+        ids, values = windows[state["round"] % len(windows)]
+        state["round"] += 1
+        state["seq"] = _submit(core, ids, values, state["seq"], journal=False)
+        return (), {}
+
+    benchmark.pedantic(core.flush, setup=setup, rounds=20, warmup_rounds=1)
+    assert sum(profile.executions for profile in core.db) == core.counters["events"]
+    write_bench_json(benchmark, "shard_flush", events=_SHARD_WINDOW, sites=_SHARD_SITES)
+    core.close()
+
+
+def test_shard_checkpoint_encode(benchmark, tmp_path):
+    """One checkpoint of a warm 10,000-site shard with exact statistics:
+    pickling the client maps and the database, writing and renaming the
+    snapshot, truncating the journal."""
+    core, _, _ = _warm_shard(tmp_path)
+    benchmark(core.checkpoint)
+    write_bench_json(
+        benchmark, "shard_checkpoint", sites=_SHARD_SITES,
+        snapshot_bytes=core.snapshot_path.stat().st_size,
+    )
+    core.close()
+
+
+def test_shard_restore(benchmark, tmp_path):
+    """Restoring a warm 10,000-site shard from its snapshot and a
+    200-batch journal tail, up to a database every event is folded into."""
+    core, seq, rng = _warm_shard(tmp_path)
+    core.checkpoint()
+    ids, values = _shard_window(rng)
+    tail = _SHARD_TAIL * _SHARD_BATCH
+    _submit(core, ids[:tail], values[:tail], seq, journal=True)
+    expected = core.db.to_json()
+    core.close()
+
+    def restore():
+        restored = ShardCore(0, str(tmp_path), telemetry=False, restore=True)
+        len(restored.db)
+        restored.close()
+        return restored
+
+    assert benchmark(restore).db.to_json() == expected
+    write_bench_json(benchmark, "shard_restore", sites=_SHARD_SITES, tail_batches=_SHARD_TAIL)
 
 
 def _run_go(observer=None):

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional,
 
 from repro.core.fold import SiteFold, fold_values, is_zero
 from repro.core.metrics import TOP_N, SiteMetrics, ValueStreamStats, aggregate_metrics
-from repro.core.sites import Site, SiteKind, site_columns, sites_from_columns
+from repro.core.sites import SITE_FIELD_GETTERS, Site, SiteKind, sites_from_columns
 from repro.core.tnv import TNVTable
 from repro.errors import ProfileError
 from repro.obs.metrics import METRICS as _METRICS
@@ -232,11 +232,29 @@ class SiteProfile:
 
 
 class ProfileDatabase:
-    """Mapping of :class:`Site` to :class:`SiteProfile`.
+    """Mapping of :class:`Site` to :class:`SiteProfile`, kept as dense rows.
 
     This is the object instrumentation front ends populate.  It offers
     the query surface the analysis layer needs: filtering by site kind,
     per-site metrics, execution-weighted aggregates, and persistence.
+
+    Sites are numbered densely.  The *site table* gives a site the next
+    id the first time the database meets it (:meth:`intern`), and keeps
+    the sites both as objects and as five flat columns, one per field of
+    :data:`~repro.core.sites.SITE_FIELDS`, which is how it pickles; the
+    columns take the sites interned since they were last read in one C
+    pass each, so interning a site appends no field.
+    Profiles are *rows* indexed by id.  A row is created at its site's
+    first recorded event, so a site interned without events is no row:
+    ``len``, iteration, the queries, :meth:`to_json`, :meth:`merge` and
+    :meth:`union` see rows only, in the order they were created.  Each
+    row sits in a list of its kind's rows, so a query by kind reads only
+    that kind's rows, and sorts them by a key read in C, with no
+    :class:`Site` compared.
+
+    Runs arrive by site (:meth:`record`, :meth:`record_batch`,
+    :meth:`record_fold`) or by id (:meth:`record_runs`), and every run
+    reaches its row through the same step with the same accounting.
 
     Args:
         config: TNV knobs applied to every site's table.
@@ -253,7 +271,79 @@ class ProfileDatabase:
         self.config = config or TNVConfig()
         self.exact = exact
         self.name = name
-        self._profiles: Dict[Site, SiteProfile] = {}
+        #: the site table: id -> site, the same as five columns (of a
+        #: prefix of the sites: see :meth:`_table_columns`), and
+        #: site -> id.
+        self._sites: List[Site] = []
+        self._columns: Tuple[list, ...] = tuple([] for _ in SITE_FIELD_GETTERS)
+        self._ids: Dict[Site, int] = {}
+        #: ``(base, count, database)`` of each site table :meth:`union`
+        #: adopted and the three above do not hold yet: ``database``'s
+        #: first ``count`` sites, numbered from ``base``.
+        self._adopted: List[Tuple[int, int, "ProfileDatabase"]] = []
+        #: id -> row, ``None`` until the site's first event; one entry
+        #: per site, adopted ones included.
+        self._rows: List[Optional[SiteProfile]] = []
+        #: the rows, in the order they were created.
+        self._order: List[SiteProfile] = []
+        #: kind -> the rows of that kind, in the order they were created.
+        self._kinds: Dict[SiteKind, List[SiteProfile]] = {}
+
+    # ------------------------------------------------------------------
+    # the site table
+    # ------------------------------------------------------------------
+
+    @property
+    def interned(self) -> int:
+        """How many sites the site table numbers (ids ``0`` to this - 1)."""
+        return len(self._rows)
+
+    def intern(self, site: Site) -> int:
+        """``site``'s id, numbering it next when it is new; creates no row."""
+        if self._adopted:
+            self._adopt_tables()
+        sites = self._sites
+        sid = self._ids.setdefault(site, len(sites))
+        if sid == len(sites):
+            sites.append(site)
+            self._rows.append(None)
+        return sid
+
+    def site_id(self, site: Site) -> Optional[int]:
+        """``site``'s id, or ``None`` when the site table lacks it."""
+        sid = self._ids.get(site)
+        if sid is None and self._adopted:
+            self._adopt_tables()
+            sid = self._ids.get(site)
+        return sid
+
+    def _adopt_tables(self) -> None:
+        """Add the site tables :meth:`union` adopted to this one: their
+        sites, and their sites indexed by ``Site``, each hashed once.
+        Runs at the first step that needs them (interning, a lookup by
+        ``Site`` that misses, a new row, a pickle), so a union that is
+        only listed, queried by kind or rendered copies no table."""
+        ids = self._ids
+        for base, count, other in self._adopted:
+            self._sites.extend(islice(other._sites, count))
+            for site, sid in other._ids.items():
+                if sid < count:
+                    ids[site] = base + sid
+        self._adopted = []
+
+    def _table_columns(self) -> Tuple[list, ...]:
+        """The site table as its five columns, every site included: the
+        sites interned or adopted since the columns were last read join
+        them first, one C-level pass per column."""
+        if self._adopted:
+            self._adopt_tables()
+        columns = self._columns
+        done = len(columns[0])
+        if done < len(self._sites):
+            new = self._sites[done:]
+            for column, field in zip(columns, SITE_FIELD_GETTERS):
+                column.extend(map(field, new))
+        return columns
 
     # ------------------------------------------------------------------
     # recording
@@ -261,11 +351,12 @@ class ProfileDatabase:
 
     def record(self, site: Site, value: Value) -> None:
         """Record one dynamic value for ``site``, creating it on demand."""
-        profile = self._profiles.get(site)
+        sid = self._ids.get(site)
+        if sid is None:
+            sid = self.intern(site)
+        profile = self._rows[sid]
         if profile is None:
-            profile = SiteProfile(site, self.config, exact=self.exact)
-            self._profiles[site] = profile
-            _METRICS.inc("profile.sites_created")
+            profile = self._new_row(sid)
         profile.record(value)
 
     def record_batch(self, site: Site, values: Sequence[Value]) -> None:
@@ -278,7 +369,10 @@ class ProfileDatabase:
         """
         if not values:
             return
-        profile = self._batch_profile(site, len(values))
+        sid = self._ids.get(site)
+        if sid is None:
+            sid = self.intern(site)
+        profile = self._row(sid, len(values))
         tnv = profile.tnv
         profile.record_fold(fold_values(values, tnv.clear_interval, tnv._since_clear))
 
@@ -293,17 +387,44 @@ class ProfileDatabase:
         """
         if fold.n == 0:
             return
-        self._batch_profile(site, fold.n).record_fold(fold)
+        sid = self._ids.get(site)
+        if sid is None:
+            sid = self.intern(site)
+        self._row(sid, fold.n).record_fold(fold)
 
-    def _batch_profile(self, site: Site, n: int) -> SiteProfile:
-        """``site``'s profile, created on demand, with a batch of ``n``
-        events counted against it: the accounting every batch pays once,
+    def record_runs(self, runs: Iterable[Tuple[int, Sequence[Value]]]) -> None:
+        """Record runs of dynamic values by site id, each run in order.
+
+        ``runs`` are ``(id, values)`` pairs, ids from :meth:`intern`,
+        exactly as :func:`repro.core.columns.gather` returns them.  Each
+        run takes the step :meth:`record_batch` takes, with the same
+        accounting, and skips its site lookup: a one-event run goes
+        through :meth:`SiteProfile.record`, a longer one is folded once
+        (:func:`~repro.core.fold.fold_values`) into
+        :meth:`SiteProfile.record_fold`.  State-identical to per-value
+        :meth:`record` calls in the order of the runs.
+        """
+        row = self._row
+        for sid, values in runs:
+            n = len(values)
+            if n == 1:
+                profile = row(sid, 1)
+                if _METRICS.enabled:
+                    # What the fold path counts in TNVTable.record_grouped.
+                    _METRICS.inc("tnv.batch_records")
+                profile.record(values[0])
+            elif n:
+                profile = row(sid, n)
+                tnv = profile.tnv
+                profile.record_fold(fold_values(values, tnv.clear_interval, tnv._since_clear))
+
+    def _row(self, sid: int, n: int) -> SiteProfile:
+        """Row ``sid``, created at its site's first event, with a run of
+        ``n`` events counted against it: the step every run takes once,
         whichever way it arrives."""
-        profile = self._profiles.get(site)
+        profile = self._rows[sid]
         if profile is None:
-            profile = SiteProfile(site, self.config, exact=self.exact)
-            self._profiles[site] = profile
-            _METRICS.inc("profile.sites_created")
+            profile = self._new_row(sid)
         # Most runs are a few events long, so the registries are only
         # called while they are on: a disabled call still costs a frame.
         if _METRICS.enabled:
@@ -313,58 +434,74 @@ class ProfileDatabase:
             _TIMESERIES.advance(n)
         return profile
 
+    def _new_row(self, sid: int) -> SiteProfile:
+        if self._adopted:
+            self._adopt_tables()
+        profile = SiteProfile(self._sites[sid], self.config, exact=self.exact)
+        self._add_row(sid, profile)
+        _METRICS.inc("profile.sites_created")
+        return profile
+
+    def _add_row(self, sid: int, profile: SiteProfile) -> None:
+        self._rows[sid] = profile
+        self._order.append(profile)
+        self._kinds.setdefault(profile.site.kind, []).append(profile)
+
     def profile_for(self, site: Site) -> SiteProfile:
         """The profile for ``site``; raises if the site was never seen."""
-        try:
-            return self._profiles[site]
-        except KeyError:
-            raise ProfileError(f"no profile recorded for site {site}") from None
+        sid = self.site_id(site)
+        profile = None if sid is None else self._rows[sid]
+        if profile is None:
+            raise ProfileError(f"no profile recorded for site {site}")
+        return profile
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._profiles)
+        return len(self._order)
 
     def __contains__(self, site: Site) -> bool:
-        return site in self._profiles
+        sid = self.site_id(site)
+        return sid is not None and self._rows[sid] is not None
 
     def __iter__(self) -> Iterator[SiteProfile]:
-        return iter(self._profiles.values())
+        return iter(self._order)
+
+    def _rows_of(self, kind: Optional[SiteKind]) -> List[SiteProfile]:
+        """The rows of ``kind`` (every row for ``None``), in creation
+        order; the database's own list, not to be changed."""
+        if kind is None:
+            return self._order
+        return self._kinds.get(kind, [])
 
     def sites(self, kind: Optional[SiteKind] = None) -> List[Site]:
         """All sites, optionally restricted to one kind, sorted."""
-        sites = self._profiles.keys()
-        if kind is not None:
-            sites = (site for site in sites if site.kind == kind)
-        return sorted(sites)
+        return [profile.site for profile in self.profiles(kind)]
 
     def profiles(
         self,
         kind: Optional[SiteKind] = None,
         predicate: Optional[Callable[[Site], bool]] = None,
     ) -> List[SiteProfile]:
-        """Profiles filtered by kind and/or an arbitrary site predicate."""
-        result = []
-        for site, profile in self._profiles.items():
-            if kind is not None and site.kind != kind:
-                continue
-            if predicate is not None and not predicate(site):
-                continue
-            result.append(profile)
-        result.sort(key=lambda p: p.site)
-        return result
+        """Profiles filtered by kind and/or an arbitrary site predicate,
+        in site order."""
+        rows = self._rows_of(kind)
+        if predicate is not None:
+            rows = [profile for profile in rows if predicate(profile.site)]
+        return sorted(rows, key=_KEY)
 
     def total_executions(self, kind: Optional[SiteKind] = None) -> int:
-        return sum(profile.executions for profile in self.profiles(kind))
+        return sum(profile.executions for profile in self._rows_of(kind))
 
     def metrics_by_site(
         self, kind: Optional[SiteKind] = None, top_n: int = TOP_N
     ) -> List[Tuple[Site, SiteMetrics]]:
-        """(site, metrics) rows sorted hottest-first."""
+        """(site, metrics) rows sorted hottest-first, ties by site."""
         rows = [(p.site, p.metrics(top_n)) for p in self.profiles(kind)]
-        rows.sort(key=lambda item: (-item[1].executions, item[0]))
+        # A stable sort of rows already in site order breaks ties by site.
+        rows.sort(key=lambda row: -row[1].executions)
         return rows
 
     def summary(
@@ -406,27 +543,47 @@ class ProfileDatabase:
         later merge into this database changes ``other``.
         """
         _METRICS.inc("profile.db_merges")
-        for site, profile in other._profiles.items():
-            mine = self._profiles.get(site)
+        rows = self._rows
+        for profile in list(other):
+            sid = self.intern(profile.site)
+            mine = rows[sid]
             if mine is None:
-                self._profiles[site] = _copy_profile(profile)
+                self._add_row(sid, _copy_profile(profile))
             else:
                 mine.merge(profile)
 
     def union(self, other: "ProfileDatabase") -> None:
-        """Adopt every profile of ``other``, which shares no site with this one.
+        """Adopt every row of ``other``, which shares no site with this one.
 
-        One ``dict.update``: the profiles join as they are, and the
-        site hashes the dict stored are reused, so no ``Site.__hash__``
-        runs.  Raises :class:`ProfileError` when the sizes show a site
-        in both; :meth:`merge` folds overlapping databases.
+        ``other``'s sites are numbered on from the end of this site
+        table, and its rows and per-kind row lists join as they are: the
+        rows are ``other``'s own profiles, none copied or re-listed.
+        Its site table (sites, columns and index) joins at the first
+        step that needs it (see :meth:`_adopt_tables`), so a union that
+        is only listed, queried by kind or rendered — a serve query —
+        copies no table and hashes no site.  Raises :class:`ProfileError`
+        when the two share a site, found by merging their indexes, which
+        reuses the hashes the indexes stored; :meth:`merge` folds
+        overlapping databases.
         """
-        expected = len(self._profiles) + len(other._profiles)
-        self._profiles.update(other._profiles)
-        if len(self._profiles) != expected:
-            raise ProfileError(
-                f"union of databases sharing {expected - len(self._profiles)} site(s)"
-            )
+        if other._adopted:
+            other._adopt_tables()
+        if any(count != db.interned for _, count, db in self._adopted):
+            self._adopt_tables()  # an adopted table grew: index what was adopted
+        base = len(self._rows)
+        if base and other._rows:
+            indexed = dict(self._ids)
+            for _, _, db in self._adopted:
+                indexed.update(db._ids)
+            indexed.update(other._ids)
+            shared = base + len(other._rows) - len(indexed)
+            if shared:
+                raise ProfileError(f"union of databases sharing {shared} site(s)")
+        self._adopted.append((base, len(other._rows), other))
+        self._rows.extend(other._rows)
+        self._order.extend(other._order)
+        for kind, rows in other._kinds.items():
+            self._kinds.setdefault(kind, []).extend(rows)
 
     def __reduce__(self):
         """Pickle as a fixed number of flat per-field lists.
@@ -436,15 +593,19 @@ class ProfileDatabase:
         ``Counter`` reduction, a ``Site`` ``__dict__``) that dwarfs the
         data itself, and building a row per site instead still makes a
         few containers per site for the collector to track.  So every
-        field is one list over the sites: the site table's five
-        (:func:`~repro.core.sites.site_columns`), one per TNV slot and
-        one per profile scalar, each holding the sites' own objects.
+        field is one list: the site table's five columns as they are
+        kept, every interned site included so ids survive; the ids of
+        the rows in creation order, found through the rows' identities
+        (no site is hashed); and over the rows, one list per TNV slot
+        and one per profile scalar, each holding the rows' own objects.
         The exact histograms flatten into one list of values and one of
-        counts, with each site's histogram size (-1 for a TNV-only
-        profile).  Lists are in insertion order, so the rebuilt database
-        iterates, merges and renders exactly like this one.
+        counts, with each row's histogram size (-1 for a TNV-only
+        profile).  So the rebuilt database numbers, iterates, merges and
+        renders exactly like this one.
         """
-        profiles = list(self._profiles.values())
+        columns = self._table_columns()
+        profiles = self._order
+        position = dict(zip(map(id, self._rows), range(len(self._rows))))
         tables = [profile.tnv for profile in profiles]
         histograms = [
             None if (exact := profile.exact) is None else exact._histogram
@@ -457,7 +618,8 @@ class ProfileDatabase:
                 self.config,
                 self.exact,
                 self.name,
-                site_columns(self._profiles),
+                columns,
+                list(map(position.__getitem__, map(id, profiles))),
                 [list(map(attrgetter(name), tables)) for name in _TNV_SLOTS],
                 [list(map(attrgetter(name), profiles)) for name in _PROFILE_SCALARS],
                 [-1 if histogram is None else len(histogram) for histogram in histograms],
@@ -480,10 +642,7 @@ class ProfileDatabase:
                 "steady": self.config.steady,
                 "clear_interval": self.config.clear_interval,
             },
-            "sites": [
-                self._site_payload(site, profile)
-                for site, profile in sorted(self._profiles.items())
-            ],
+            "sites": [self._site_payload(profile.site, profile) for profile in self.profiles()],
         }
         return json.dumps(payload, indent=2)
 
@@ -513,9 +672,9 @@ class ProfileDatabase:
         """Rebuild a TNV-only database from :meth:`to_json` output.
 
         A site's execution count is its TNV table's ``total``; an entry
-        whose ``executions`` says otherwise, or one with executions but
-        without ``first`` and ``last``, is not :meth:`to_json` output
-        and raises :class:`ProfileError`.  So does any other malformed
+        whose ``executions`` says otherwise, one with executions but
+        without ``first`` and ``last``, or a site listed twice is not
+        :meth:`to_json` output and raises :class:`ProfileError`.  So does any other malformed
         input: text that does not parse, a payload, entry or field of
         the wrong JSON type (named in the message; a TNV table's knobs,
         totals, health counters and entries included), a TNV knob out
@@ -580,8 +739,19 @@ class ProfileDatabase:
                 profile._zeros = round(entry["pct_zeros"] * executions)
                 if executions > 1:
                     profile._lvp_hits = round(entry["lvp"] * (executions - 1))
-            db._profiles[site] = profile
+            sid = db.intern(site)
+            if db._rows[sid] is not None:
+                raise ProfileError(f"site {site} is listed twice")
+            db._add_row(sid, profile)
         return db
+
+
+#: a row's sort key, ``(kind value, program, procedure, label)``: the
+#: fields :class:`Site` compares, in its order, so sorting rows by it
+#: sorts them as sorting their sites does.  Read in C, with no
+#: generated ``Site.__lt__`` call; ``kind._value_`` is the enum's own
+#: value slot.
+_KEY = attrgetter("site.kind._value_", "site.program", "site.procedure", "site.label")
 
 
 #: JSON's names for the Python types :func:`json.loads` produces.
@@ -671,7 +841,7 @@ def _check_columns(owner: str, names: Sequence[str], columns: Sequence[list], n:
         raise ProfileError(
             f"a pickled {owner} holds {len(columns)} columns of lengths "
             f"{sorted({len(column) for column in columns})}, not the "
-            f"{len(names)} of {', '.join(names)} over {n} sites"
+            f"{len(names)} of {', '.join(names)} over {n} rows"
         )
 
 
@@ -680,6 +850,7 @@ def _rebuild_database(
     exact: bool,
     name: str,
     sites: Sequence[list],
+    order: List[int],
     tables: Sequence[list],
     scalars: Sequence[list],
     sizes: List[int],
@@ -689,27 +860,35 @@ def _rebuild_database(
     """Reconstructor for :meth:`ProfileDatabase.__reduce__` columns.
 
     Every mutable container is copied: ``copy.copy`` hands this
-    function the original's own dicts, and the copy must not share
-    them.  Columns of another layout (another slot list, a length that
-    differs from the site count, histogram sizes that do not add up to
-    the flattened values) raise :class:`ProfileError`.
+    function the original's own lists and dicts, and the copy must not
+    share them.  Columns of another layout (another slot list, a length
+    that differs from the row count, row ids outside the site table or
+    repeated, histogram sizes that do not add up to the flattened
+    values) raise :class:`ProfileError`.
     """
     site_list = sites_from_columns(sites)
-    n = len(site_list)
+    n = len(order)
+    if n and (min(order) < 0 or max(order) >= len(site_list) or len(set(order)) != n):
+        raise ProfileError(
+            f"pickled row ids do not each name one of {len(site_list)} sites"
+        )
     _check_columns("TNVTable", _TNV_SLOTS, tables, n)
     _check_columns("SiteProfile", _PROFILE_SCALARS, scalars, n)
     flattened = sum(size for size in sizes if size > 0)
     if len(sizes) != n or not flattened == len(values) == len(counts):
         raise ProfileError(
             f"pickled exact histograms of {len(sizes)} sizes adding to "
-            f"{flattened} do not fit {n} sites, {len(values)} values and "
+            f"{flattened} do not fit {n} rows, {len(values)} values and "
             f"{len(counts)} counts"
         )
     db = ProfileDatabase(config=config, exact=exact, name=name)
-    profiles = db._profiles
+    db._sites = site_list
+    db._columns = tuple(map(list, sites))
+    db._ids = dict(zip(site_list, range(len(site_list))))
+    db._rows = [None] * len(site_list)
     value_iter = iter(values)
     count_iter = iter(counts)
-    for site, tnv_row, scalar_row, size in zip(site_list, zip(*tables), zip(*scalars), sizes):
+    for sid, tnv_row, scalar_row, size in zip(order, zip(*tables), zip(*scalars), sizes):
         table = TNVTable.__new__(TNVTable)
         for slot, value in zip(_TNV_SLOTS, tnv_row):
             setattr(table, slot, value)
@@ -718,13 +897,15 @@ def _rebuild_database(
             exact_stats = None
         else:
             exact_stats = ValueStreamStats.__new__(ValueStreamStats)
-            histogram = exact_stats._histogram = Counter()
+            # ``Counter.__new__`` skips ``Counter.__init__``'s Python
+            # frames; the empty dict it makes is all a Counter holds.
+            histogram = exact_stats._histogram = Counter.__new__(Counter)
             dict.update(histogram, zip(islice(value_iter, size), islice(count_iter, size)))
         profile = SiteProfile.__new__(SiteProfile)
-        profile.site = site
+        profile.site = site_list[sid]
         profile.tnv = table
         profile.exact = exact_stats
         for slot, value in zip(_PROFILE_SCALARS, scalar_row):
             setattr(profile, slot, value)
-        profiles[site] = profile
+        db._add_row(sid, profile)
     return db

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ProfileError
 
@@ -74,39 +74,40 @@ class Site:
         return f"{self.kind.value}({self.qualified_name()})"
 
 
-#: the fields of a site, in the order :func:`site_columns` lists them.
+#: the fields of a site, in the order a site table's columns list them.
 SITE_FIELDS = ("kind", "program", "procedure", "label", "opcode")
 
+#: one getter per field of :data:`SITE_FIELDS`, read in C; the kind's
+#: is its string value (``kind._value_``, the enum's own value slot).
+#: A site table (the profile database's) is kept and pickled as five
+#: flat lists of these values: a fixed number of lists, with no
+#: container built per site, and each string shared across sites
+#: pickles once.
+SITE_FIELD_GETTERS = (attrgetter("kind._value_"), *map(attrgetter, SITE_FIELDS[1:]))
 
-def site_columns(sites: Iterable[Site]) -> Tuple[list, list, list, list, list]:
-    """A site table as five flat lists, one per field of :data:`SITE_FIELDS`.
-
-    Kinds are their string values.  This is how site tables pickle (the
-    profile database's and a serve shard's): a fixed number of lists,
-    with no container built per site, and each string shared across
-    sites pickles once.
-    """
-    sites = list(sites)
-    # ``kind._value_`` is the enum's own value slot, read in C.
-    getters = (attrgetter("kind._value_"), *map(attrgetter, SITE_FIELDS[1:]))
-    return tuple(list(map(getter, sites)) for getter in getters)
+#: each kind by its string value.
+_KINDS = {kind.value: kind for kind in SiteKind}
 
 
 def sites_from_columns(columns: Sequence[list]) -> List[Site]:
-    """Rebuild the sites of :func:`site_columns` output, in order.
+    """Rebuild the sites of a site table's five columns, in order.
 
-    Columns that are not five lists of one length raise
-    :class:`~repro.errors.ProfileError`.
+    Columns that are not five lists of one length, or a kind that is not
+    a :class:`SiteKind` value, raise :class:`~repro.errors.ProfileError`.
     """
     if len(columns) != len(SITE_FIELDS) or len({len(column) for column in columns}) > 1:
         raise ProfileError(
             f"a pickled site table holds columns of lengths "
             f"{[len(column) for column in columns]}, not five of one length"
         )
-    return [
-        Site(SiteKind(kind), program, procedure, label, opcode)
-        for kind, program, procedure, label, opcode in zip(*columns)
-    ]
+    kinds, *fields = columns
+    try:
+        # A dict lookup, not ``SiteKind(value)``: the enum's own lookup
+        # runs Python frames, about 4 µs a site.
+        kinds = [_KINDS[kind] for kind in kinds]
+    except (KeyError, TypeError) as error:
+        raise ProfileError(f"a pickled site table holds the unknown kind {error}") from None
+    return list(map(Site, kinds, *fields))
 
 
 def instruction_site(program: str, procedure: str, pc: int, opcode: str) -> Site:

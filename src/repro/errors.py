@@ -54,3 +54,19 @@ class SpecializationError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment id is unknown or an experiment failed to run."""
+
+
+class ObsFileError(ReproError):
+    """An observability file could not be read: a metrics snapshot, a
+    trace, a flight-recorder dump or a jitlog.
+
+    The message names the file and, for a line-oriented (JSONL) file,
+    the 1-based line that failed; :attr:`path` and :attr:`line` carry
+    the same.
+    """
+
+    def __init__(self, path: str, problem: str, line: int | None = None) -> None:
+        self.path = path
+        self.line = line
+        where = path if line is None else f"{path}, line {line}"
+        super().__init__(f"{where}: {problem}")

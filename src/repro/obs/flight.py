@@ -41,6 +41,7 @@ import json
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.sites import Site
+from repro.obs.metrics import load_jsonl
 
 #: default ring capacity — large enough to cover several clearing
 #: intervals of the paper's 2000-record TNV configuration, small
@@ -184,13 +185,15 @@ class FlightRecorder:
 
 
 def load_flight(path: str) -> Tuple[dict, List[dict]]:
-    """Read a dump back as ``(header, events)``."""
-    with open(path) as handle:
-        lines = [line for line in (l.strip() for l in handle) if line]
-    if not lines:
+    """Read a dump back as ``(header, events)``.
+
+    A line that is not a JSON object raises
+    :class:`~repro.errors.ObsFileError` naming the file and the line.
+    """
+    records = load_jsonl(path)
+    if not records:
         return {}, []
-    header = json.loads(lines[0])
-    return header, [json.loads(line) for line in lines[1:]]
+    return records[0], records[1:]
 
 
 #: The process-wide recorder; the workload harness attaches an observer

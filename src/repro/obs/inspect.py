@@ -70,9 +70,11 @@ def health_flags(health: dict) -> List[str]:
 
 
 def _hot_profiles(database, kind: Optional[SiteKind] = None) -> List:
-    """Profiles hottest-first — the overview's (and ``--site``'s) order."""
+    """Profiles hottest-first, ties by site — the overview's (and
+    ``--site``'s) order.  ``profiles`` lists them by site already, and
+    a stable sort keeps that order among equal counts."""
     profiles = database.profiles(kind)
-    profiles.sort(key=lambda p: (-p.executions, p.site))
+    profiles.sort(key=lambda p: -p.executions)
     return profiles
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.metrics import METRICS as _METRICS
+from repro.obs.metrics import METRICS as _METRICS, load_jsonl
 
 #: default ring capacity: generously covers every lifecycle event of a
 #: full-scale `repro all` (lifecycle events are rare by construction —
@@ -244,13 +244,15 @@ class JitLog:
 
 
 def load_jitlog(path: str) -> Tuple[dict, List[dict]]:
-    """Read a ``write_jsonl`` dump back as ``(header, events)``."""
-    with open(path) as handle:
-        lines = [line for line in (l.strip() for l in handle) if line]
-    if not lines:
+    """Read a ``write_jsonl`` dump back as ``(header, events)``.
+
+    A line that is not a JSON object raises
+    :class:`~repro.errors.ObsFileError` naming the file and the line.
+    """
+    records = load_jsonl(path)
+    if not records:
         return {}, []
-    header = json.loads(lines[0])
-    events = [json.loads(line) for line in lines[1:]]
+    header, events = records[0], records[1:]
     if not header.get("jitlog"):
         # Headerless journal (hand-assembled fixture): treat every
         # line as an event.

@@ -27,6 +27,7 @@ import json
 import time
 from typing import Dict, List, Optional
 
+from repro.errors import ObsFileError
 from repro.obs.hist import Histogram
 
 
@@ -243,9 +244,76 @@ METRICS = MetricsRegistry()
 
 
 def load_snapshot(path: str) -> Optional[dict]:
-    """Read a snapshot written by :meth:`MetricsRegistry.write`."""
+    """Read a snapshot written by :meth:`MetricsRegistry.write`.
+
+    ``None`` when the file cannot be opened or is not JSON.  JSON that
+    is not a snapshot — not an object, or a ``counters`` or ``gauges``
+    section that is not an object of numbers, or a ``timers`` or
+    ``hists`` section that is not an object of objects — raises
+    :class:`~repro.errors.ObsFileError` naming the file and the section.
+    """
     try:
         with open(path) as handle:
-            return json.load(handle)
+            snapshot = json.load(handle)
     except (OSError, json.JSONDecodeError):
         return None
+    if not isinstance(snapshot, dict):
+        raise ObsFileError(path, f"holds a JSON {_json_type(snapshot)}, not a metrics snapshot")
+    for section, kinds in (
+        ("counters", (int, float)),
+        ("gauges", (int, float)),
+        ("timers", dict),
+        ("hists", dict),
+    ):
+        entries = snapshot.get(section, {})
+        if not isinstance(entries, dict):
+            raise ObsFileError(path, f"its {section!r} is a JSON {_json_type(entries)}, not an object")
+        for name, value in entries.items():
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ObsFileError(
+                    path, f"its {section!r} entry {name!r} is a JSON {_json_type(value)}"
+                )
+    for name, timer in snapshot.get("timers", {}).items():
+        for field, value in timer.items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ObsFileError(
+                    path, f"its timer {name!r} field {field!r} is a JSON {_json_type(value)}"
+                )
+    return snapshot
+
+
+def load_jsonl(path: str) -> List[dict]:
+    """Read a JSONL file of objects, one per non-blank line.
+
+    The reader every line-oriented observability file shares (traces,
+    flight-recorder dumps, jitlogs).  A line that is not JSON, or not a
+    JSON object, raises :class:`~repro.errors.ObsFileError` naming the
+    file and the line.
+    """
+    records = []
+    with open(path) as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ObsFileError(path, f"not JSON: {error}", line=number) from None
+            if not isinstance(record, dict):
+                raise ObsFileError(
+                    path, f"a JSON {_json_type(record)}, not an object", line=number
+                )
+            records.append(record)
+    return records
+
+
+def _json_type(value) -> str:
+    """JSON's name for the type of a value :func:`json.loads` returned."""
+    for kind, name in (
+        (bool, "boolean"), (dict, "object"), (list, "array"), (str, "string"),
+        (int, "integer"), (float, "number"),
+    ):
+        if isinstance(value, kind):
+            return name
+    return "null"

@@ -35,7 +35,7 @@ import json
 import time
 from typing import Dict, List, Optional
 
-from repro.obs.metrics import METRICS
+from repro.obs.metrics import METRICS, load_jsonl
 
 
 class _NullSpan:
@@ -222,11 +222,9 @@ TRACER = Tracer()
 
 
 def load_trace(path: str) -> List[dict]:
-    """Read a JSONL trace back as a list of span records."""
-    spans = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                spans.append(json.loads(line))
-    return spans
+    """Read a JSONL trace back as a list of span records.
+
+    A line that is not a JSON object raises
+    :class:`~repro.errors.ObsFileError` naming the file and the line.
+    """
+    return load_jsonl(path)

@@ -61,8 +61,8 @@ queue depths, per-shard state and health, latency histograms, the
 slow-op ring), ``/metrics`` (live Prometheus text scrape),
 ``/timeseries`` (the global collector's samples when enabled),
 ``/healthz`` and ``/checkpoint``.  Site spaces are disjoint across
-shards, so the merge is a pure union (one ``dict.update`` per shard)
-and per-site numbers are exact.
+shards, so the merge is a pure union of the shards' site tables and
+per-kind row lists, and per-site numbers are exact.
 
 Observability
 -------------
@@ -72,8 +72,9 @@ emits ``serve.enqueue`` and ``serve.ack`` child spans on its own
 tracer, while each shard times the journal write and the apply
 (translating the ids and appending to its pending columns) per applied
 sub-batch and hands those observations over *with its done-reports* —
-``_telemetry_for_ops`` shapes them into pre-parented span records and
-latency samples the server folds into its always-on histograms.
+``_telemetry_for_ops`` shapes them into latency samples the server
+folds into its always-on histograms and, while the tracer is on, into
+pre-parented span records.
 Folding on the server is deliberate: a shard's own op log dies with a
 kill, the done-report does not, so ``serve.journal_sync`` /
 ``serve.shard_fold`` stay cumulative across shard generations and the
@@ -221,13 +222,16 @@ def _telemetry_for_ops(
     — ``<tc>.s<shard>.journal`` / ``.fold`` — so :meth:`Tracer.adopt`
     threads them into one tree whichever shard generation produced
     them, and a duplicate apply can never mint a second span (dedup
-    means a (client, seq) applies at most once per shard).
+    means a (client, seq) applies at most once per shard).  They are
+    built only while the tracer is on, the one time they are adopted;
+    otherwise ``spans`` is empty.
     """
     epoch = _TRACER.epoch
+    tracing = _TRACER.enabled
     telemetry: Dict[int, dict] = {}
     for seq, tc, start_m, journal_s, fold_s, events in ops:
         spans: List[dict] = []
-        if tc is not None:
+        if tc is not None and tracing:
             parent = tc[1]
             base = f"{parent}.s{shard_index}"
             attrs = {"shard": shard_index, "client": client, "seq": seq}
@@ -942,10 +946,12 @@ class ServeServer:
     def merged_database(self) -> ProfileDatabase:
         """A merged view of every live shard's profiles.
 
-        Shards own disjoint site sets, so the merge is a union: each
-        shard's profiles join the view as they are, all per-site state
-        exact.  It references live shard profiles and is rendered
-        without yielding to the loop, i.e. it is a consistent snapshot.
+        Shards own disjoint site sets, so the merge is a union
+        (:meth:`ProfileDatabase.union`): each shard's site table, rows
+        and per-kind row lists join the view as they are, all per-site
+        state exact, and no site is hashed or row re-listed.  It
+        references live shard profiles and is rendered without yielding
+        to the loop, i.e. it is a consistent snapshot.
         """
         merged = ProfileDatabase(
             config=self.config, exact=self.exact, name=self._stream_name()

@@ -22,11 +22,12 @@ consistency story:
 Sites reach a shard once.  The server turns each client ``sites``
 frame into one *definition item* per shard, holding the sites that
 shard owns with the client's ids for them (:meth:`ShardCore.define`).
-The shard numbers its sites with dense *local ids* — one per site,
-whichever clients define it — keeps a map from each client's ids to
-local ids, and journals only what is new: a site payload at most once
-between two checkpoints, and nothing at all when a reconnecting client
-replays its whole table.
+The shard interns them in its profile database's site table
+(:meth:`ProfileDatabase.intern`), so its *local ids* are the
+database's dense site ids — one per site, whichever clients define it.
+It keeps a map from each client's ids to local ids, and journals only
+what is new: a site payload at most once between two checkpoints, and
+nothing at all when a reconnecting client replays its whole table.
 
 Durability is write-ahead: a batch is journaled before it is applied,
 and the server acks only after every shard has applied it.  A
@@ -38,8 +39,9 @@ journals the local ids and the values, and appends both to the
 shard's *pending columns*.  The columns fold into the profiles later,
 in :meth:`ShardCore.flush`: one gather groups them by site
 (:func:`repro.core.columns.gather`, the one the trace store's replays
-use), and each site's run goes to :meth:`ProfileDatabase.record_batch`
-once, sites in order of first appearance.  A flush runs before
+use), and the database records the runs by id
+(:meth:`ProfileDatabase.record_runs`), sites in order of first
+appearance, with no ``Site`` hashed or looked up.  A flush runs before
 anything reads the profiles (:attr:`ShardCore.db` is the only way to
 them), before every checkpoint, and once the pending events reach
 :data:`FLUSH_EVENTS`.  Folding a site's events once per flush window
@@ -50,13 +52,14 @@ way.  A killed shard loses its pending columns, which are in the
 journal, so restore replays them and buffering opens no crash window.
 
 A checkpoint writes a snapshot — a header line with the format stamp,
-then one pickle of the site table, the client maps and the profiles
-*with* exact reference statistics, each a fixed number of flat lists
-(:func:`repro.core.sites.site_columns`,
-:meth:`ProfileDatabase.__reduce__`) — and truncates the journal.
-Restore reads the header before anything else, loads the snapshot and
-replays the journal tail through the normal dedup path, so a crash
-between snapshot-rename and journal-truncate double-applies nothing.
+then one pickle of the client maps and the database, whose site table
+and profiles *with* exact reference statistics pickle as a fixed number
+of flat lists (:meth:`ProfileDatabase.__reduce__`); the site table is
+pickled once, as the columns the database keeps — and truncates the
+journal.  A journal starts with a header line too.  Restore reads each
+header before anything else, loads the snapshot and replays the
+journal tail through the normal dedup path, so a crash between
+snapshot-rename and journal-truncate double-applies nothing.
 The server checkpoints a shard *after* the triggering batch's
 done-reports leave, so no ack waits on a snapshot; a failed automatic
 checkpoint keeps the previous snapshot and the journal, and the next
@@ -75,7 +78,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.columns import gather, lookup
 from repro.core.profile import ProfileDatabase, TNVConfig
-from repro.core.sites import Site, site_columns, sites_from_columns
+from repro.core.sites import Site
 from repro.errors import ReproError
 from repro.obs import get_logger
 from repro.obs.hist import Histogram
@@ -92,12 +95,21 @@ _LOG = get_logger(__name__)
 #: naming this format, and the site table, client maps and database
 #: pickle as flat per-field lists; journal records are a definition
 #: or an id-only batch (see :meth:`ShardCore._read_journal`).
-SNAPSHOT_FORMAT_VERSION = 4
+#: 5: local ids are the database's site ids, and the site table pickles
+#: once, inside the database (which lists the ids of its rows); a
+#: journal starts with a header line naming this format, as a snapshot
+#: does.  Journal records are unchanged.
+SNAPSHOT_FORMAT_VERSION = 5
 
 #: a snapshot's first line is this magic, a space and the format stamp.
 SNAPSHOT_MAGIC = b"repro-shard-snapshot"
 
+#: a journal's first line is this magic, a space and the format stamp.
+JOURNAL_MAGIC = b"repro-shard-journal"
+
 _LEN = struct.Struct(">I")
+
+_JOURNAL_HEADER = b"%s %d\n" % (JOURNAL_MAGIC, SNAPSHOT_FORMAT_VERSION)
 
 #: the tags of the two journal record kinds.
 _DEFINE = "define"
@@ -165,11 +177,8 @@ class ShardCore:
         self.config = config or TNVConfig()
         self.exact = exact
         self.ahead_window = ahead_window
+        #: the profiles, and the site table that numbers the local ids.
         self._db = ProfileDatabase(config=self.config, exact=exact)
-        #: local id -> site, numbered densely in order of definition.
-        self._sites: List[Site] = []
-        #: site -> local id: one per site, whichever clients define it.
-        self._site_ids: Dict[Site, int] = {}
         #: client id -> ``array("i")`` of the local id of each of the
         #: client's site ids, -1 for ids this shard holds no definition
         #: of.  Replaced, never resized, when a definition changes it.
@@ -248,12 +257,13 @@ class ShardCore:
         return self._db
 
     def flush(self) -> None:
-        """Fold the pending columns, one ``record_batch`` per site.
+        """Fold the pending columns: one gather, recorded by id.
 
-        One gather groups the columns by site; sites fold in order of
-        first appearance, so the database lists its sites in stream
-        order whatever the flush points were, and its pickle does not
-        depend on when flushes ran.
+        One gather groups the columns by site and hands the runs
+        straight to :meth:`ProfileDatabase.record_runs`; sites fold in
+        order of first appearance, so the database creates its rows in
+        stream order whatever the flush points were, and its pickle does
+        not depend on when flushes ran.
         """
         ids = self._pending_ids
         if not ids:
@@ -262,10 +272,8 @@ class ShardCore:
         values = self._pending_values
         self._pending_ids = array("I")
         self._pending_values = array("q")
-        sites = self._sites
-        record_batch = self._db.record_batch
-        for local, run in gather(ids, values, len(sites)):
-            record_batch(sites[local], run)
+        db = self._db
+        db.record_runs(gather(ids, values, db.interned))
         self.counters["flushes"] += 1
         if self.telemetry:
             self.hists["shard.flush"].observe(time.monotonic() - t0)
@@ -278,23 +286,23 @@ class ShardCore:
         """Apply one definition item; returns how many client ids it mapped.
 
         ``sids[i]`` is ``client``'s id for ``sites[i]``, a site this
-        shard owns.  A site new to the shard gets the next local id,
-        whichever client defines it.  Only what is new is journaled,
-        each new site's payload once: a client id already mapped to the
-        same site maps nothing, so a client replaying its whole table
-        journals nothing.  A client id mapped to another site — a
+        shard owns.  A site new to the shard gets the next local id, its
+        id in the database's site table, whichever client defines it.
+        Only what is new is journaled, each new site's payload once: a
+        client id already mapped to the same site maps nothing, so a
+        client replaying its whole table journals nothing.  A client id mapped to another site — a
         client that started a new table after a server restart, which
         the router allows — is mapped anew; batches are journaled with
         local ids, so no earlier batch replays differently.
         """
         known = self._clients.get(client, _NO_SITES)
-        site_ids = self._site_ids
-        base = len(self._sites)
+        site_id = self._db.site_id
+        base = self._db.interned
         new_sites: Dict[Site, int] = {}
         mapped: List[int] = []
         locals_: List[int] = []
         for sid, site in zip(sids, sites):
-            local = site_ids.get(site)
+            local = site_id(site)
             if local is None:
                 local = new_sites.setdefault(site, base + len(new_sites))
             if sid < len(known) and known[sid] == local:
@@ -316,28 +324,26 @@ class ShardCore:
         sids: List[int],
         locals_: List[int],
     ) -> None:
-        """Number ``sites`` from local id ``base`` and map ``client``'s
+        """Intern ``sites`` as local ids ``base`` on and map ``client``'s
         ``sids`` to ``locals_``.  A journal replay may repeat what the
         snapshot holds (a crash between snapshot rename and journal
         truncation), so a site already numbered ``base + i`` passes; a
         gap or another site there raises :class:`ShardStateError`."""
-        table = self._sites
+        db = self._db
         for local, site in enumerate(sites, base):
-            if local < len(table) and table[local] == site:
-                continue
-            if local != len(table):
+            if db.intern(site) != local:
                 raise ShardStateError(
                     f"shard {self.index} cannot define local site id {local} "
-                    f"as {site}: {len(table)} are defined"
+                    f"as {site}: it is numbered {db.site_id(site)} of "
+                    f"{db.interned}"
                 )
-            table.append(site)
-            self._site_ids[site] = local
+        defined = db.interned
         known = self._clients.get(client, _NO_SITES).tolist()
         for sid, local in zip(sids, locals_):
-            if not 0 <= local < len(table):
+            if not 0 <= local < defined:
                 raise ShardStateError(
                     f"shard {self.index} cannot map {client!r} site id {sid} "
-                    f"to local id {local}: {len(table)} are defined"
+                    f"to local id {local}: {defined} are defined"
                 )
             if sid >= len(known):
                 known.extend([-1] * (sid + 1 - len(known)))
@@ -464,13 +470,16 @@ class ShardCore:
     # ------------------------------------------------------------------
 
     def _journal_append(self, record: tuple) -> None:
+        head = b""
         if self._wal_file is None:
             self._wal_file = open(self.wal_path, "ab")
+            if not self._wal_file.tell():
+                head = _JOURNAL_HEADER
         body = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        self._wal_file.write(_LEN.pack(len(body)) + body)
+        self._wal_file.write(head + _LEN.pack(len(body)) + body)
         self._wal_file.flush()
         self.counters["wal_records"] += 1
-        self._journal_bytes += _LEN.size + len(body)
+        self._journal_bytes += len(head) + _LEN.size + len(body)
 
     def checkpoint(self) -> None:
         """Serialize full state and truncate the journal.
@@ -497,7 +506,6 @@ class ShardCore:
             "exact": self.exact,
             "applied": dict(self.applied),
             "counters": dict(self.counters),
-            "sites": site_columns(self._sites),
             "clients": self._clients,
             "db": db,
         }
@@ -561,9 +569,10 @@ class ShardCore:
                 self._replay(record)
         finally:
             self.telemetry = live_telemetry
-        self._journal_bytes = (
-            self.wal_path.stat().st_size if self.wal_path.exists() else 0
-        )
+        if self.wal_path.exists() and self.wal_path.stat().st_size > self._journal_bytes:
+            # Cut a torn tail (or header) off, so the records appended
+            # from here on follow the last whole one.
+            os.truncate(self.wal_path, self._journal_bytes)
         self.counters["restores"] += 1
 
     def _load_snapshot(self) -> None:
@@ -599,7 +608,6 @@ class ShardCore:
                 f"loaded as shard {self.index}"
             )
         try:
-            sites = sites_from_columns(state["sites"])
             clients = {
                 client: array("i", known) for client, known in state["clients"].items()
             }
@@ -610,9 +618,12 @@ class ShardCore:
             raise ShardStateError(
                 f"unreadable snapshot {path}: {type(error).__name__}: {error}"
             ) from None
+        if type(db) is not ProfileDatabase:
+            raise ShardStateError(
+                f"unreadable snapshot {path}: its 'db' is a "
+                f"{type(db).__name__}, not a ProfileDatabase"
+            )
         self._db = db
-        self._sites = sites
-        self._site_ids = {site: local for local, site in enumerate(sites)}
         self._clients = clients
         self._snapshot_bytes = path.stat().st_size
         self.applied = applied
@@ -636,7 +647,7 @@ class ShardCore:
         if seq <= high:
             self.counters["duplicates"] += 1
             return
-        if seq != high + 1 or (local and max(local) >= len(self._sites)):
+        if seq != high + 1 or (local and max(local) >= self._db.interned):
             raise ShardStateError(
                 f"journal {self.wal_path} holds batch {client}/{seq} that does "
                 f"not follow batch {high} or names an undefined site"
@@ -647,18 +658,41 @@ class ShardCore:
 
     def _read_journal(self) -> List[tuple]:
         """Every whole record of the journal, each checked to be of the
-        current format before any is replayed.  A torn final record
-        ends the journal; any other record that does not unpickle, or
-        that is neither a definition ``("define", base, payloads,
-        client, sids, local_ids)`` nor a batch ``("batch", client, seq,
-        local_ids, values)`` with its columns as arrays, raises
-        :class:`ShardStateError`."""
+        current format before any is replayed; :attr:`_journal_bytes`
+        becomes the offset where the last of them ends (0 for a journal
+        without a whole header).
+
+        The journal must start with the current format's header line; a
+        journal without one was written by a shard of format 4 or
+        earlier, and it and a header of another format raise
+        :class:`ShardStateError` before any record is read.  A torn
+        header or final record ends the journal; any other record that
+        does not unpickle, or that is neither a definition ``("define",
+        base, payloads, client, sids, local_ids)`` nor a batch
+        ``("batch", client, seq, local_ids, values)`` with its columns
+        as arrays, raises :class:`ShardStateError`.
+        """
         records: List[tuple] = []
+        self._journal_bytes = 0
         if not self.wal_path.exists():
             return records
         with open(self.wal_path, "rb") as handle:
             data = handle.read()
-        offset = 0
+        if not data.startswith(_JOURNAL_HEADER):
+            if _JOURNAL_HEADER.startswith(data):
+                return records  # torn header (crash mid-append): nothing acked
+            magic, _, stamp = data.partition(b"\n")[0].partition(b" ")
+            if magic == JOURNAL_MAGIC:
+                raise ShardStateError(
+                    f"unsupported journal format {stamp[:16].decode('ascii', 'replace')} "
+                    f"in {self.wal_path}; this build reads format {SNAPSHOT_FORMAT_VERSION}"
+                )
+            raise ShardStateError(
+                f"unsupported journal format: {self.wal_path} has no format "
+                f"header, so a shard of format 4 or earlier wrote it; this "
+                f"build reads format {SNAPSHOT_FORMAT_VERSION}"
+            )
+        offset = len(_JOURNAL_HEADER)
         while offset + _LEN.size <= len(data):
             (length,) = _LEN.unpack_from(data, offset)
             end = offset + _LEN.size + length
@@ -678,6 +712,7 @@ class ShardCore:
                 )
             records.append(record)
             offset = end
+        self._journal_bytes = offset
         return records
 
     def close(self) -> None:
@@ -743,7 +778,7 @@ def resume_seq(applied_highs: List[int]) -> int:
 
 
 def _is_record(record) -> bool:
-    """Whether ``record`` is a format-4 journal record (see
+    """Whether ``record`` is a journal record of the current format (see
     :meth:`ShardCore._read_journal`)."""
     if type(record) is not tuple or not record:
         return False

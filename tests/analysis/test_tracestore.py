@@ -341,7 +341,7 @@ def _same_capture(trace, expected):
 
 def _profile_slots(database):
     """Every slot of every site profile, sites in the database's order."""
-    return [(site, profile_state(profile)) for site, profile in database._profiles.items()]
+    return [(profile.site, profile_state(profile)) for profile in database]
 
 
 CAPTURE_ENGINES = ("simple", "threaded", "tier2")

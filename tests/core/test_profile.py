@@ -340,6 +340,17 @@ class TestSerialization:
         with pytest.raises(ProfileError, match="executions"):
             ProfileDatabase.from_json(json.dumps(payload))
 
+    def test_from_json_refuses_a_site_listed_twice(self):
+        """``to_json`` lists each site once; a second entry for a site
+        (whatever its opcode) is refused, not merged or overwritten."""
+        db = ProfileDatabase()
+        db.record_batch(SITE_A, [2, 2, 5])
+        payload = json.loads(db.to_json())
+        twin = dict(payload["sites"][0], opcode="other")
+        payload["sites"].append(twin)
+        with pytest.raises(ProfileError, match="listed twice"):
+            ProfileDatabase.from_json(json.dumps(payload))
+
     @pytest.mark.parametrize(
         "text,named",
         [

@@ -95,7 +95,7 @@ def databases(draw):
 
 def full_state(db) -> tuple:
     """Database fields, site order, and every slot of every profile."""
-    return (db.config, db.exact, db.name, list(db._profiles), db_state(db))
+    return (db.config, db.exact, db.name, [profile.site for profile in db], db_state(db))
 
 
 def assert_identical(actual, expected):
@@ -117,7 +117,7 @@ def test_round_trip_keeps_every_slot_in_order(db):
 def test_restored_database_continues_identically(data):
     db = data.draw(databases(), label="db")
     restored = pickle.loads(pickle.dumps(db, protocol=pickle.HIGHEST_PROTOCOL))
-    sites = list(db._profiles) + data.draw(site_lists(0, 2), label="new sites")
+    sites = [profile.site for profile in db] + data.draw(site_lists(0, 2), label="new sites")
     if sites:
         continuation = data.draw(event_lists(sites, max_size=60), label="continuation")
         feed(db, continuation)
@@ -141,7 +141,7 @@ def test_copy_shares_no_mutable_state(data):
     clone = copy.copy(db)
     assert full_state(clone) == before
     if len(db):
-        feed(clone, data.draw(event_lists(list(db._profiles)), label="events"))
+        feed(clone, data.draw(event_lists([profile.site for profile in db]), label="events"))
     assert full_state(db) == before
 
 
@@ -162,24 +162,27 @@ def test_rows_of_another_layout_are_refused():
     """A pickle whose field lists do not fit this build's layout raises
     instead of shifting fields into the wrong slots: a field list more
     or fewer (a pickle written with other slots), a list of another
-    length than the site count, or histogram sizes that do not add up
-    to the flattened values.  Format 3's per-site rows are refused the
-    same way."""
+    length than the row count, row ids outside the site table or
+    repeated, or histogram sizes that do not add up to the flattened
+    values.  Format 3's per-site rows are refused the same way."""
     db = ProfileDatabase()
     db.record_batch(load_site("prog", "main", 1), [0, 3, 3])
     db.record_batch(load_site("prog", "main", 2), [4])
     rebuild, args = db.__reduce__()
-    config, exact, name, sites, tables, scalars, sizes, values, counts = args
+    config, exact, name, sites, order, tables, scalars, sizes, values, counts = args
     assert full_state(rebuild(*args)) == full_state(db)
     format_3_scalars = [(1, 1, 0, 3), (0, 0, 4, 4)]
     for bad in (
-        (sites, tables[:-1], scalars, sizes, values, counts),
-        (sites, tables, scalars + [[0, 0]], sizes, values, counts),
-        (sites, tables, [column[:1] for column in scalars], sizes, values, counts),
-        (sites, tables, format_3_scalars, sizes, values, counts),
-        (sites, tables, scalars, sizes, values[:-1], counts),
-        (sites, tables, scalars, [sizes[0] + 1, sizes[1]], values, counts),
-        ([column[:1] for column in sites], tables, scalars, sizes, values, counts),
+        (sites, order, tables[:-1], scalars, sizes, values, counts),
+        (sites, order, tables, scalars + [[0, 0]], sizes, values, counts),
+        (sites, order, tables, [column[:1] for column in scalars], sizes, values, counts),
+        (sites, order, tables, format_3_scalars, sizes, values, counts),
+        (sites, order, tables, scalars, sizes, values[:-1], counts),
+        (sites, order, tables, scalars, [sizes[0] + 1, sizes[1]], values, counts),
+        ([column[:1] for column in sites], order, tables, scalars, sizes, values, counts),
+        (sites, [0, 0], tables, scalars, sizes, values, counts),
+        (sites, [0, 2], tables, scalars, sizes, values, counts),
+        (sites, [0], tables, scalars, sizes, values, counts),
     ):
         with pytest.raises(ProfileError, match="pickled"):
             rebuild(config, exact, name, *bad)
@@ -193,13 +196,15 @@ def test_pickle_is_a_fixed_number_of_lists():
         db = ProfileDatabase()
         for pc in range(count):
             db.record_batch(load_site("prog", "main", pc), [pc, 0, pc])
-        _, (_, _, _, sites, tables, scalars, sizes, values, counts) = db.__reduce__()
-        columns = [*sites, *tables, *scalars, sizes, values, counts]
+        _, (_, _, _, sites, order, tables, scalars, sizes, values, counts) = db.__reduce__()
+        columns = [*sites, order, *tables, *scalars, sizes, values, counts]
         assert all(type(column) is list for column in columns)
-        assert all(len(column) == count for column in [*sites, *tables, *scalars, sizes])
+        assert all(
+            len(column) == count for column in [*sites, order, *tables, *scalars, sizes]
+        )
         assert not any(
             type(cell) in (tuple, list)
-            for column in [*sites, *scalars, sizes, values, counts]
+            for column in [*sites, order, *scalars, sizes, values, counts]
             for cell in column
         )
         shapes.append(len(columns))

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import experiments
 from repro.core.sites import instruction_site
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ObsFileError
 from repro.obs.flight import FLIGHT, FlightRecorder, load_flight
 
 
@@ -91,6 +91,28 @@ class TestDump:
         path = recorder.dump(str(tmp_path / "flight.jsonl"))
         for line in open(path):
             json.loads(line)
+
+    @pytest.mark.parametrize(
+        "damage,problem",
+        [
+            (lambda lines: ["{not json"] + lines[1:], (1, "not JSON: ")),
+            (lambda lines: lines[:2] + ["", "[7]"] + lines[2:], (4, "a JSON array, not an object")),
+        ],
+        ids=["header-not-json", "event-not-an-object"],
+    )
+    def test_load_refuses_a_malformed_line(self, recorder, tmp_path, damage, problem):
+        """A dump line that is not a JSON object raises the documented
+        :class:`ObsFileError`, naming the file and the 1-based line."""
+        for value in range(3):
+            recorder.record(SITE, value)
+        path = recorder.dump(str(tmp_path / "flight.jsonl"))
+        lines = open(path).read().splitlines()
+        with open(path, "w") as handle:
+            handle.write("\n".join(damage(lines)) + "\n")
+        line, text = problem
+        with pytest.raises(ObsFileError, match=f"line {line}: {text}") as caught:
+            load_flight(path)
+        assert caught.value.path == path and caught.value.line == line
 
     def test_dump_on_crash_disabled_returns_none(self):
         assert FlightRecorder().dump_on_crash("anything") is None

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ObsFileError
 from repro.obs.jitlog import DEFAULT_CAPACITY, EVENT_TYPES, JitLog, load_jitlog
 from repro.obs.metrics import METRICS
 
@@ -96,6 +97,25 @@ def test_jsonl_round_trip(tmp_path):
     assert header["dropped"] == 0
     assert header["counts"] == {"hot": 1, "quicken": 1}
     assert events == log.events()
+
+
+@pytest.mark.parametrize(
+    "line,text",
+    [("{\"seq\": 1,", "not JSON: "), ("\"quicken\"", "a JSON string, not an object")],
+    ids=["truncated", "not-an-object"],
+)
+def test_load_refuses_a_malformed_line(tmp_path, line, text):
+    """A journal line that is not a JSON object raises the documented
+    :class:`ObsFileError`, naming the file and the 1-based line."""
+    log = _log()
+    log.emit("hot", 1, "p", 0, count=8)
+    path = str(tmp_path / "jitlog.jsonl")
+    log.write_jsonl(path)
+    with open(path, "a") as handle:
+        handle.write(line + "\n")
+    with pytest.raises(ObsFileError, match=f"line 3: {text}") as caught:
+        load_jitlog(path)
+    assert str(caught.value).startswith(f"{path}, line 3: ")
 
 
 def test_jsonl_is_byte_stable(tmp_path):

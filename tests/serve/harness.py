@@ -195,7 +195,7 @@ def gather_mode(name: str):
 
 
 def db_state(db: ProfileDatabase) -> Dict[Site, dict]:
-    return {site: profile_state(p) for site, p in db._profiles.items()}
+    return {p.site: profile_state(p) for p in db}
 
 
 def assert_same_profile_state(actual: ProfileDatabase, expected: ProfileDatabase) -> None:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs.hist import Histogram
 from repro.obs.trace import TRACER
+from repro.serve.server import ServeServer
 
 from tests.serve.harness import DropFirstSend, ServeCluster, make_stream
 
@@ -156,6 +157,43 @@ class TestTracePropagation:
         with ServeCluster(shards=1) as cluster:
             cluster.push_events("c1", make_stream(num_events=200))
         assert TRACER.drain() == []
+
+    def test_untraced_done_reports_carry_no_spans(self, monkeypatch):
+        """Shard spans are built only while the tracer is on: untraced,
+        every done-report's telemetry has an empty span list, and the
+        server's histograms count exactly what they count traced."""
+        reports = []
+        on_done = ServeServer._on_done
+
+        def spy(server, shard_index, client, seq, telemetry=None):
+            reports.append(telemetry)
+            return on_done(server, shard_index, client, seq, telemetry)
+
+        monkeypatch.setattr(ServeServer, "_on_done", spy)
+        counts = {}
+        for traced in (False, True):
+            reports.clear()
+            if traced:
+                TRACER.enable()
+            try:
+                with ServeCluster(shards=2) as cluster:
+                    cluster.push_events(
+                        "c1", make_stream(num_sites=8, num_events=640), batch_size=64
+                    )
+                    hists = cluster.server.hists
+                    counts[traced] = {
+                        name: hists[name].count
+                        for name in ("serve.journal_sync", "serve.shard_fold", "serve.batch_e2e")
+                    }
+            finally:
+                TRACER.drain()
+                TRACER.disable()
+            applied = [telemetry for telemetry in reports if telemetry is not None]
+            assert len(applied) == 2 * 10  # every batch applied on both shards
+            assert all(bool(telemetry["spans"]) is traced for telemetry in applied)
+        assert counts[False] == counts[True] == {
+            "serve.journal_sync": 20, "serve.shard_fold": 20, "serve.batch_e2e": 10,
+        }
 
 
 # ----------------------------------------------------------------------

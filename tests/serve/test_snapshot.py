@@ -17,7 +17,14 @@ import pytest
 from repro.core.profile import TNVConfig
 from repro.core.sites import SiteKind
 from repro.serve import protocol as proto
-from repro.serve.shard import SNAPSHOT_MAGIC, ShardCore, ShardStateError, resume_seq
+from repro.serve.shard import (
+    JOURNAL_MAGIC,
+    SNAPSHOT_FORMAT_VERSION,
+    SNAPSHOT_MAGIC,
+    ShardCore,
+    ShardStateError,
+    resume_seq,
+)
 
 from tests.serve.harness import (
     ServeCluster,
@@ -33,13 +40,14 @@ from tests.serve.harness import (
 SITE_IDS = {site: sid for sid, site in enumerate(make_sites(16))}
 
 #: a snapshot and a journal written by a shard of format 3, the format
-#: before sites were defined once (40 events over 3 sites, 2 batches
-#: in the snapshot and 2 in the journal).
-FORMAT_3 = Path(__file__).parent / "format3"
+#: before sites were defined once, and by one of format 4, the format
+#: before a shard's local ids were its database's site ids (each 40
+#: events over 3 sites, 2 batches in the snapshot and 2 in the journal).
+FORMATS = {3: Path(__file__).parent / "format3", 4: Path(__file__).parent / "format4"}
 
 
-def _header(stamp=4):
-    return b"%s %d\n" % (SNAPSHOT_MAGIC, stamp)
+def _header(stamp=SNAPSHOT_FORMAT_VERSION, magic=SNAPSHOT_MAGIC):
+    return b"%s %d\n" % (magic, stamp)
 
 
 def _split_snapshot(path):
@@ -111,6 +119,26 @@ def test_core_restore_tolerates_torn_journal_tail(tmp_path):
     restored.close()
 
 
+@pytest.mark.parametrize("torn", [b"\x00\x00\x10\x00partial-record", None], ids=["record", "header"])
+def test_a_restore_cuts_a_torn_journal_before_appending_to_it(tmp_path, torn):
+    """A torn tail (or a torn header on a fresh journal) is cut off at
+    restore, so the records appended after it replay at the next
+    restore instead of being read as part of the torn one."""
+    events = make_stream(num_sites=5, num_events=300, seed=28)
+    core = ShardCore(0, str(tmp_path), exact=True)
+    seq = _feed_core(core, events[:200]) if torn is not None else 0
+    core.close()
+    with open(core.wal_path, "ab") as handle:
+        handle.write(torn if torn is not None else _header(magic=JOURNAL_MAGIC)[:9])
+    restored = ShardCore(0, str(tmp_path), exact=True, restore=True)
+    start = 200 if torn is not None else 0
+    _feed_core(restored, events[start:], seq_base=seq)
+    restored.close()
+    again = ShardCore(0, str(tmp_path), exact=True, restore=True)
+    assert_same_profile_state(again.db, offline_reference(events))
+    again.close()
+
+
 def test_restore_reads_object_graph_snapshot(tmp_path):
     """A snapshot whose database was pickled as an object graph, as
     every snapshot was before the columnar encoding, still restores
@@ -146,12 +174,12 @@ def test_snapshot_identity_checks(tmp_path):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 
-@pytest.mark.parametrize("stamp", [1, 2, 3])
+@pytest.mark.parametrize("stamp", [1, 2, 3, 4])
 def test_format_1_state_is_refused_not_replayed(tmp_path, stamp):
-    """Shard state of an older format — a snapshot stamped 1 to 3, or a
-    journal whose records are format 3's ``(client, seq,
-    site_payloads, runs)`` or format 1's five fields — raises instead of
-    being replayed into the profiles."""
+    """Shard state of an older format — a snapshot stamped 1 to 4, a
+    journal stamped so, or a journal whose records are format 3's
+    ``(client, seq, site_payloads, runs)`` or format 1's five fields —
+    raises instead of being replayed into the profiles."""
     core = ShardCore(0, str(tmp_path), exact=True)
     _feed_core(core, make_stream(num_sites=3, num_events=40, seed=27))
     core.checkpoint()
@@ -162,12 +190,14 @@ def test_format_1_state_is_refused_not_replayed(tmp_path, stamp):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
 
     core.snapshot_path.unlink()
+    core.wal_path.write_bytes(_header(stamp, JOURNAL_MAGIC))
+    with pytest.raises(ShardStateError, match=f"unsupported journal format {stamp}"):
+        ShardCore(0, str(tmp_path), exact=True, restore=True)
     payload = proto.site_to_payload(make_stream(num_sites=1, num_events=1)[0][0])
     records = [("c", 0, [payload], [[5, 5]]), ("c", 1, [payload], [0], [7])]
     for record in records:
-        core.wal_path.write_bytes(struct.pack(">I", len(pickle.dumps(record)))
-                                  + pickle.dumps(record))
-        with pytest.raises(ShardStateError, match="not of format 4"):
+        _write_journal(core.wal_path, [pickle.dumps(record)])
+        with pytest.raises(ShardStateError, match=f"not of format {SNAPSHOT_FORMAT_VERSION}"):
             ShardCore(0, str(tmp_path), exact=True, restore=True)
 
 
@@ -175,12 +205,36 @@ def test_format_1_state_is_refused_not_replayed(tmp_path, stamp):
 def test_state_written_by_a_format_3_shard_is_refused(tmp_path, name):
     """A snapshot or journal that a shard of format 3 wrote (committed
     under ``format3/``) is refused by its format before any of its
-    state loads: the snapshot has no header line, and the journal's
-    records carry the site payloads."""
-    shutil.copy(FORMAT_3 / name, tmp_path / name)
-    expected = "no format header" if name.endswith(".snap") else "not of format 4"
+    state loads: neither has a header line."""
+    shutil.copy(FORMATS[3] / name, tmp_path / name)
+    expected = "no format header" if name.endswith(".snap") else "format 4 or earlier"
     with pytest.raises(ShardStateError, match=expected):
         ShardCore(0, str(tmp_path), exact=True, restore=True)
+
+
+@pytest.mark.parametrize("name", ["shard-000.snap", "shard-000.wal"])
+def test_state_written_by_a_format_4_shard_is_refused(tmp_path, name):
+    """A snapshot or journal that a shard of format 4 wrote (committed
+    under ``format4/``) is refused naming format 4 before any of its
+    state loads: the snapshot's header says 4, and the journal has no
+    header line."""
+    shutil.copy(FORMATS[4] / name, tmp_path / name)
+    expected = (
+        "unsupported snapshot format 4 " if name.endswith(".snap") else "format 4 or earlier"
+    )
+    with pytest.raises(ShardStateError, match=expected):
+        ShardCore(0, str(tmp_path), exact=True, restore=True)
+
+
+def test_a_torn_journal_header_replays_nothing(tmp_path):
+    """A crash while the first record of a fresh journal was written
+    can leave part of the header line: nothing in it was acked."""
+    core = ShardCore(0, str(tmp_path), exact=True)
+    core.close()
+    core.wal_path.write_bytes(_header(magic=JOURNAL_MAGIC)[:7])
+    restored = ShardCore(0, str(tmp_path), exact=True, restore=True)
+    assert len(restored.db) == 0 and restored.applied == {}
+    restored.close()
 
 
 #: a pickle naming a class this build lacks: unpickling it raises
@@ -189,7 +243,11 @@ _MISSING_CLASS = b"\x80\x04crepro.serve.shard\nNoSuchThing\n."
 
 
 def _write_journal(path, bodies):
-    path.write_bytes(b"".join(struct.pack(">I", len(body)) + body for body in bodies))
+    """A journal of the current format holding ``bodies`` as its records."""
+    path.write_bytes(
+        _header(magic=JOURNAL_MAGIC)
+        + b"".join(struct.pack(">I", len(body)) + body for body in bodies)
+    )
 
 
 @pytest.mark.parametrize(
@@ -204,7 +262,7 @@ def test_unreadable_journal_record_is_refused(tmp_path, body, error):
     core.close()
     good = pickle.dumps(("batch", "c", 0, array("I"), array("q")))
     _write_journal(core.wal_path, [good, body])
-    offset = struct.calcsize(">I") + len(good)
+    offset = len(_header(magic=JOURNAL_MAGIC)) + struct.calcsize(">I") + len(good)
     with pytest.raises(ShardStateError) as caught:
         ShardCore(0, str(tmp_path), exact=True, restore=True)
     message = str(caught.value)

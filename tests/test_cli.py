@@ -213,6 +213,41 @@ class TestObservability:
         assert main(["stats", "--metrics", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload,problem",
+        [
+            ('{"counters": 5}', "its 'counters' is a JSON integer, not an object"),
+            ("[1, 2]", "holds a JSON array, not a metrics snapshot"),
+            ('{"timers": {"t": {"count": "1"}}}', "its timer 't' field 'count' is a JSON string"),
+        ],
+        ids=["counters-not-an-object", "not-an-object", "timer-field-a-string"],
+    )
+    def test_stats_refuses_a_malformed_metrics_file_in_one_line(
+        self, tmp_path, capsys, payload, problem
+    ):
+        metrics_file = tmp_path / "metrics.json"
+        metrics_file.write_text(payload)
+        assert main(["stats", "--metrics", str(metrics_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {metrics_file}: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "line,problem",
+        [("not json at all", "not JSON: "), ("[1, 2]", "a JSON array, not an object")],
+        ids=["not-json", "not-an-object"],
+    )
+    def test_stats_refuses_a_malformed_trace_line_in_one_line(
+        self, tmp_path, capsys, line, problem
+    ):
+        trace_file = tmp_path / "trace.jsonl"
+        trace_file.write_text(json.dumps({"name": "ok", "span_id": "1"}) + "\n\n" + line + "\n")
+        assert main(["stats", "--trace", str(trace_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {trace_file}, line 3: {problem}")
+        assert captured.err.count("\n") == 1
+
 
 class TestTelemetryCommands:
     """The PR-5 surfaces: --timeseries/--flight capture, stats --json,
